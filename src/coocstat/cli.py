@@ -335,6 +335,13 @@ def run_pipeline(config: RunConfig) -> list[Path]:
 def run_all(args: argparse.Namespace) -> int:
     if args.from_manifest:
         manifest = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
+        for name, recorded in manifest["inputs"].items():
+            digest = _sha256(recorded["path"])
+            if digest != recorded["sha256"]:
+                raise ValueError(
+                    f"{name} input {recorded['path']} changed since the manifest "
+                    f"(sha256 {digest}, recorded {recorded['sha256']})"
+                )
         config = RunConfig(**manifest["config"])
         if args.out:
             config.out_dir = args.out

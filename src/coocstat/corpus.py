@@ -11,6 +11,7 @@ time so that multi-million-sentence corpora stream through counting.
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple
 
@@ -23,8 +24,6 @@ PUNCT = "PUNCT"
 
 #: PoS classes that carry lexical content; pairs are always drawn from these.
 CONTENT_POS = (NOUN, VERB, ADJ, ADV)
-
-COARSE_POS = (NOUN, VERB, ADJ, ADV, OTHER, PUNCT)
 
 
 class Token(NamedTuple):
@@ -44,9 +43,6 @@ class LemmaKey(NamedTuple):
 class Sentence:
     tokens: list[Token]
     id: int
-
-    def content_length(self) -> int:
-        return sum(1 for t in self.tokens if t.pos != PUNCT)
 
 
 class CorpusParseError(ValueError):
@@ -160,21 +156,24 @@ class SentenceStream:
 
     def _generate(self) -> Iterator[Sentence]:
         tokens: list[Token] = []
-        with _open_text(self._path) as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if line.startswith("#"):
-                    continue
-                if not line.strip():
-                    sentence = self._finish(tokens)
-                    tokens = []
-                    if sentence is not None:
-                        yield sentence
-                    continue
-                tokens.append(_parse_token(line, line_no))
-            sentence = self._finish(tokens)
-            if sentence is not None:
-                yield sentence
+        try:
+            with _open_text(self._path) as handle:
+                for line_no, line in enumerate(handle, start=1):
+                    line = line.rstrip("\n").rstrip("\r")
+                    if line.startswith("#"):
+                        continue
+                    if not line.strip():
+                        sentence = self._finish(tokens)
+                        tokens = []
+                        if sentence is not None:
+                            yield sentence
+                        continue
+                    tokens.append(_parse_token(line, line_no))
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{self._path}: unreadable gzip data: {exc}") from exc
+        sentence = self._finish(tokens)
+        if sentence is not None:
+            yield sentence
 
     def _finish(self, tokens: list[Token]) -> Sentence | None:
         if not tokens:

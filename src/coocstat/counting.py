@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from coocstat.corpus import CONTENT_POS, LemmaKey, Sentence
-from coocstat.lexicon import LemmaPair
+from coocstat.lexicon import PAIRS, LemmaPair, pair_fields, pair_from_fields
+from coocstat.tsv import Table, read_table, write_table
 
 
 class ContingencyTable(NamedTuple):
@@ -287,70 +288,53 @@ def scan_corpus(
 # ---------------------------------------------------------------------------
 # File formats
 
-OBS_HEADER = (
-    "lemma_w\tlemma_v\tpos\trelation\thead\t"
-    "o_wv\to_w_notv\to_notw_v\to_notw_notv\tn"
+OBSERVATIONS = Table(
+    "observations", PAIRS.columns + ("o_wv", "o_w_notv", "o_notw_v", "o_notw_notv", "n")
 )
-EVENTS_HEADER = "lemma_w\tlemma_v\tpos\trelation\tsentence_id\tpos_w\tpos_v"
-FREQS_HEADER = "lemma\tpos\tcount"
+EVENTS = Table("events", PAIRS.columns[:4] + ("sentence_id", "pos_w", "pos_v"))
+LEMMA_FREQS = Table("lemma-frequency", ("lemma", "pos", "count"))
+
+
+def _observation_fields(obs: PairObservations) -> tuple[str, ...]:
+    return pair_fields(obs.pair) + tuple(map(str, obs.table))
+
+
+def _event_rows(obs: PairObservations) -> Iterator[tuple[str, ...]]:
+    prefix = pair_fields(obs.pair)[:4]
+    for e in obs.events:
+        yield (*prefix, str(e.sentence_id), str(e.pos_w), str(e.pos_v))
 
 
 def write_observations(result: CountResult, obs_path: str, events_path: str) -> None:
-    with open(obs_path, "w", encoding="utf-8") as out:
-        out.write(OBS_HEADER + "\n")
-        for pair, obs in result.observations.items():
-            t = obs.table
-            out.write(
-                f"{pair.w.lemma}\t{pair.v.lemma}\t{pair.w.pos}\t{pair.relation}\t"
-                f"{pair.head or ''}\t{t.o_wv}\t{t.o_w_notv}\t{t.o_notw_v}\t"
-                f"{t.o_notw_notv}\t{t.n}\n"
-            )
-    with open(events_path, "w", encoding="utf-8") as out:
-        out.write(EVENTS_HEADER + "\n")
-        for pair, obs in result.observations.items():
-            prefix = f"{pair.w.lemma}\t{pair.v.lemma}\t{pair.w.pos}\t{pair.relation}"
-            for e in obs.events:
-                out.write(f"{prefix}\t{e.sentence_id}\t{e.pos_w}\t{e.pos_v}\n")
+    observations = result.observations.values()
+    write_table(obs_path, OBSERVATIONS, map(_observation_fields, observations))
+    rows = itertools.chain.from_iterable(map(_event_rows, observations))
+    write_table(events_path, EVENTS, rows)
+
+
+def _observation_from_fields(f: list[str]) -> PairObservations:
+    table = ContingencyTable(int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9]))
+    return PairObservations(pair_from_fields(f), table, [])
 
 
 def read_observations(obs_path: str, events_path: str) -> CountResult:
     """Load a dumped count; the result cannot be merged further."""
     observations: dict[LemmaPair, PairObservations] = {}
-    by_key: dict[tuple[str, str, str, str], PairObservations] = {}
+    by_key: dict[tuple[str, ...], list[CooccurrenceEvent]] = {}
     n = 0
-    with open(obs_path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != OBS_HEADER:
-            raise ValueError(f"{obs_path}: not an observations file")
-        for line_no, line in enumerate(handle, start=2):
-            f = line.rstrip("\n").split("\t")
-            if len(f) != 10:
-                raise ValueError(f"{obs_path} line {line_no}: expected 10 fields")
-            pair = LemmaPair(
-                w=LemmaKey(f[0], f[2]),
-                v=LemmaKey(f[1], f[2]),
-                relation=f[3],
-                head=f[4] or None,
-            )
-            table = ContingencyTable(*(int(x) for x in f[5:10]))
-            obs = PairObservations(pair, table, [])
-            observations[pair] = obs
-            by_key[(f[0], f[1], f[2], f[3])] = obs
-            n = table.n
-    with open(events_path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != EVENTS_HEADER:
-            raise ValueError(f"{events_path}: not an events file")
-        for line_no, line in enumerate(handle, start=2):
-            f = line.rstrip("\n").split("\t")
-            if len(f) != 7:
-                raise ValueError(f"{events_path} line {line_no}: expected 7 fields")
-            obs = by_key.get((f[0], f[1], f[2], f[3]))
-            if obs is None:
-                raise ValueError(
-                    f"{events_path} line {line_no}: event for unknown pair"
-                )
-            obs.events.append(CooccurrenceEvent(int(f[4]), int(f[5]), int(f[6])))
+    for obs in read_table(obs_path, OBSERVATIONS, _observation_from_fields):
+        observations[obs.pair] = obs
+        by_key[pair_fields(obs.pair)[:4]] = obs.events
+        n = obs.table.n
+
+    def event_from_fields(f: list[str]) -> tuple[list[CooccurrenceEvent], CooccurrenceEvent]:
+        events = by_key.get((f[0], f[1], f[2], f[3]))
+        if events is None:
+            raise ValueError("event for unknown pair")
+        return events, CooccurrenceEvent(int(f[4]), int(f[5]), int(f[6]))
+
+    for events, event in read_table(events_path, EVENTS, event_from_fields):
+        events.append(event)
     for obs in observations.values():
         if len(obs.events) != obs.table.o_wv:
             raise ValueError(
@@ -360,21 +344,13 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
 
 
 def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(FREQS_HEADER + "\n")
-        for key in sorted(freqs):
-            out.write(f"{key.lemma}\t{key.pos}\t{freqs[key]}\n")
+    rows = ((key.lemma, key.pos, str(freqs[key])) for key in sorted(freqs))
+    write_table(path, LEMMA_FREQS, rows)
+
+
+def _freq_from_fields(f: list[str]) -> tuple[LemmaKey, int]:
+    return LemmaKey(f[0], f[1]), int(f[2])
 
 
 def read_lemma_freqs(path: str) -> dict[LemmaKey, int]:
-    freqs = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != FREQS_HEADER:
-            raise ValueError(f"{path}: not a lemma-frequency file")
-        for line_no, line in enumerate(handle, start=2):
-            f = line.rstrip("\n").split("\t")
-            if len(f) != 3:
-                raise ValueError(f"{path} line {line_no}: expected 3 fields")
-            freqs[LemmaKey(f[0], f[1])] = int(f[2])
-    return freqs
+    return dict(read_table(path, LEMMA_FREQS, _freq_from_fields))

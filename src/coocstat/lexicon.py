@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS, VERB, LemmaKey
+from coocstat.tsv import Table, read_table, write_table
 
 ANT = "ANT"
 SYN = "SYN"
@@ -497,74 +498,37 @@ def apply_verb_class_flags(
     return out
 
 
-PAIRS_HEADER = "lemma_w\tlemma_v\tpos\trelation\thead"
+PAIRS = Table("pairs", ("lemma_w", "lemma_v", "pos", "relation", "head"))
+DERIVED = Table("derived-pairs", tuple(
+    f"{side}_{c}" for side in ("orig", "derv") for c in ("w", "v", "pos", "rel", "head")
+))
+
+
+def pair_fields(p: LemmaPair) -> tuple[str, ...]:
+    """A pair as the five `PAIRS` fields; `pair_from_fields` inverts it."""
+    return (p.w.lemma, p.v.lemma, p.w.pos, p.relation, p.head or "")
+
+
+def pair_from_fields(f: Sequence[str]) -> LemmaPair:
+    return LemmaPair(LemmaKey(f[0], f[2]), LemmaKey(f[1], f[2]), f[3], f[4] or None)
 
 
 def write_pairs(pairs: Iterable[LemmaPair], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(PAIRS_HEADER + "\n")
-        for p in pairs:
-            out.write(
-                f"{p.w.lemma}\t{p.v.lemma}\t{p.w.pos}\t{p.relation}\t{p.head or ''}\n"
-            )
+    write_table(path, PAIRS, map(pair_fields, pairs))
 
 
 def read_pairs(path: str) -> list[LemmaPair]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != PAIRS_HEADER:
-            raise ValueError(f"{path}: not a pairs file")
-        for line_no, line in enumerate(handle, start=2):
-            f = line.rstrip("\n").split("\t")
-            if len(f) != 5:
-                raise ValueError(f"{path} line {line_no}: expected 5 fields")
-            pairs.append(
-                LemmaPair(
-                    w=LemmaKey(f[0], f[2]),
-                    v=LemmaKey(f[1], f[2]),
-                    relation=f[3],
-                    head=f[4] or None,
-                )
-            )
-    return pairs
-
-
-DERIVED_HEADER = (
-    "orig_w\torig_v\torig_pos\torig_rel\torig_head\t"
-    "derv_w\tderv_v\tderv_pos\tderv_rel\tderv_head"
-)
+    return list(read_table(path, PAIRS, pair_from_fields))
 
 
 def write_derived_map(derived: Iterable[DerivedPair], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(DERIVED_HEADER + "\n")
-        for d in derived:
-            o, v = d.original, d.derived
-            out.write(
-                f"{o.w.lemma}\t{o.v.lemma}\t{o.w.pos}\t{o.relation}\t{o.head or ''}\t"
-                f"{v.w.lemma}\t{v.v.lemma}\t{v.w.pos}\t{v.relation}\t{v.head or ''}\n"
-            )
+    rows = (pair_fields(d.original) + pair_fields(d.derived) for d in derived)
+    write_table(path, DERIVED, rows)
+
+
+def _derived_from_fields(f: list[str]) -> DerivedPair:
+    return DerivedPair(pair_from_fields(f[:5]), pair_from_fields(f[5:]))
 
 
 def read_derived_map(path: str) -> list[DerivedPair]:
-    derived = []
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != DERIVED_HEADER:
-            raise ValueError(f"{path}: not a derived-pairs file")
-        for line_no, line in enumerate(handle, start=2):
-            f = line.rstrip("\n").split("\t")
-            if len(f) != 10:
-                raise ValueError(f"{path} line {line_no}: expected 10 fields")
-            derived.append(
-                DerivedPair(
-                    original=LemmaPair(
-                        LemmaKey(f[0], f[2]), LemmaKey(f[1], f[2]), f[3], f[4] or None
-                    ),
-                    derived=LemmaPair(
-                        LemmaKey(f[5], f[7]), LemmaKey(f[6], f[7]), f[8], f[9] or None
-                    ),
-                )
-            )
-    return derived
+    return list(read_table(path, DERIVED, _derived_from_fields))

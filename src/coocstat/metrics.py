@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from coocstat.counting import ContingencyTable, CooccurrenceEvent, PairObservations
-from coocstat.lexicon import HOL, HYP, LemmaPair
+from coocstat.lexicon import HOL, HYP, PAIRS, LemmaPair, pair_fields, pair_from_fields
 from coocstat.stats import binom_test_two_sided, chi2_sf
+from coocstat.tsv import Table, read_table, write_table
 
 DEFAULT_ALPHA = 0.01
 
@@ -86,6 +87,15 @@ class OrderStats(NamedTuple):
     order_p: float
 
 
+def _order_test(k: int, m: int, alpha: float) -> OrderStats:
+    """Order stats when k of m events score +1; see `order_stats`."""
+    if m == 0:
+        raise UndefinedMetricError("order is undefined without co-occurrences")
+    p_value = binom_test_two_sided(k, m).p_value
+    preferred = p_value < alpha
+    return OrderStats((2 * k - m) / m if preferred else 0.0, preferred, p_value)
+
+
 def order_stats(
     events: Sequence[CooccurrenceEvent], alpha: float = DEFAULT_ALPHA
 ) -> OrderStats:
@@ -96,14 +106,7 @@ def order_stats(
     whether the pair has a preferred order; the order score is the mean
     event score when it does and 0 otherwise.
     """
-    if not events:
-        raise UndefinedMetricError("order is undefined without co-occurrences")
-    m = len(events)
-    k = sum(1 for e in events if e.pos_w < e.pos_v)
-    result = binom_test_two_sided(k, m)
-    preferred = result.p_value < alpha
-    score = (2 * k - m) / m if preferred else 0.0
-    return OrderStats(score, preferred, result.p_value)
+    return _order_test(sum(1 for e in events if e.pos_w < e.pos_v), len(events), alpha)
 
 
 def asymmetric_order_stats(
@@ -121,17 +124,11 @@ def asymmetric_order_stats(
         raise ValueError(f"asymmetric order needs a directed relation, got {pair.relation}")
     if pair.head not in ("w", "v"):
         raise ValueError("asymmetric order needs a known head side")
-    if not events:
-        raise UndefinedMetricError("order is undefined without co-occurrences")
-    m = len(events)
     if pair.head == "w":
         k = sum(1 for e in events if e.pos_w < e.pos_v)
     else:
         k = sum(1 for e in events if e.pos_v < e.pos_w)
-    result = binom_test_two_sided(k, m)
-    preferred = result.p_value < alpha
-    score = (2 * k - m) / m if preferred else 0.0
-    return OrderStats(score, preferred, result.p_value)
+    return _order_test(k, len(events), alpha)
 
 
 def mean_distance(events: Sequence[CooccurrenceEvent]) -> float:
@@ -217,81 +214,70 @@ def compute_all_stats(
 
 
 # ---------------------------------------------------------------------------
-# TSV round trip for per-pair stats
+# File format for per-pair stats
 
-STATS_HEADER = (
-    "lemma_w\tlemma_v\tpos\trelation\tg2\tg2_sig\torder_score\torder_pref\t"
-    "order_p\tmean_dist\tn_cooc\thead\tasym_order_score\tasym_order_pref\t"
-    "asym_order_p\tpmi"
-)
+STATS = Table("pair-stats", PAIRS.columns[:4] + (
+    "g2", "g2_sig", "order_score", "order_pref", "order_p", "mean_dist", "n_cooc",
+    "head", "asym_order_score", "asym_order_pref", "asym_order_p", "pmi",
+))
 
 
 def _fmt_opt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def _fmt_opt_bool(value: bool | None) -> str:
+def _fmt_flag(value: bool | None) -> str:
     return "" if value is None else ("1" if value else "0")
 
 
+def _stats_fields(scored: ScoredPair) -> tuple[str, ...]:
+    pair, s = scored
+    return pair_fields(pair)[:4] + (
+        repr(s.g2),
+        _fmt_flag(s.g2_significant),
+        repr(s.order_score),
+        _fmt_flag(s.has_preferred_order),
+        _fmt_opt(s.order_p),
+        _fmt_opt(s.mean_distance),
+        str(s.n_cooc),
+        pair.head or "",
+        _fmt_opt(s.asym_order_score),
+        _fmt_flag(s.asym_has_preferred_order),
+        _fmt_opt(s.asym_order_p),
+        _fmt_opt(s.pmi),
+    )
+
+
 def write_pair_stats(scored: Iterable[ScoredPair], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(STATS_HEADER + "\n")
-        for pair, s in scored:
-            fields = (
-                pair.w.lemma,
-                pair.v.lemma,
-                pair.w.pos,
-                pair.relation,
-                repr(s.g2),
-                "1" if s.g2_significant else "0",
-                repr(s.order_score),
-                "1" if s.has_preferred_order else "0",
-                _fmt_opt(s.order_p),
-                _fmt_opt(s.mean_distance),
-                str(s.n_cooc),
-                pair.head or "",
-                _fmt_opt(s.asym_order_score),
-                _fmt_opt_bool(s.asym_has_preferred_order),
-                _fmt_opt(s.asym_order_p),
-                _fmt_opt(s.pmi),
-            )
-            out.write("\t".join(fields) + "\n")
+    write_table(path, STATS, map(_stats_fields, scored))
 
 
 def _opt_float(field: str) -> float | None:
     return None if field == "" else float(field)
 
 
-def read_pair_stats(path: str) -> list[ScoredPair]:
-    from coocstat.corpus import LemmaKey
+def _parse_flag(field: str) -> bool:
+    if field not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {field!r}")
+    return field == "1"
 
-    scored = []
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header.split("\t")[:4] != ["lemma_w", "lemma_v", "pos", "relation"]:
-            raise ValueError(f"{path}: not a pair-stats file")
-        for line in handle:
-            f = line.rstrip("\n").split("\t")
-            pair = LemmaPair(
-                w=LemmaKey(f[0], f[2]),
-                v=LemmaKey(f[1], f[2]),
-                relation=f[3],
-                head=f[11] or None,
-            )
-            asym_pref = None if f[13] == "" else f[13] == "1"
-            stats = PairStats(
-                g2=float(f[4]),
-                g2_significant=f[5] == "1",
-                order_score=float(f[6]),
-                has_preferred_order=f[7] == "1",
-                order_p=_opt_float(f[8]),
-                mean_distance=_opt_float(f[9]),
-                n_cooc=int(f[10]),
-                asym_order_score=_opt_float(f[12]),
-                asym_has_preferred_order=asym_pref,
-                asym_order_p=_opt_float(f[14]),
-                pmi=_opt_float(f[15]) if len(f) > 15 else None,
-            )
-            scored.append(ScoredPair(pair, stats))
-    return scored
+
+def _scored_from_fields(f: list[str]) -> ScoredPair:
+    stats = PairStats(
+        g2=float(f[4]),
+        g2_significant=_parse_flag(f[5]),
+        order_score=float(f[6]),
+        has_preferred_order=_parse_flag(f[7]),
+        order_p=_opt_float(f[8]),
+        mean_distance=_opt_float(f[9]),
+        n_cooc=int(f[10]),
+        asym_order_score=_opt_float(f[12]),
+        asym_has_preferred_order=None if f[13] == "" else _parse_flag(f[13]),
+        asym_order_p=_opt_float(f[14]),
+        pmi=_opt_float(f[15]),
+    )
+    return ScoredPair(pair_from_fields([*f[:4], f[11]]), stats)
+
+
+def read_pair_stats(path: str) -> list[ScoredPair]:
+    return list(read_table(path, STATS, _scored_from_fields))

@@ -66,11 +66,12 @@ def write_corpus(path: Path, sentences: list[Sentence]) -> Path:
     return path
 
 
+TOY_PATHS = {
+    name: str(TOY_DIR / f"{name}.tsv")
+    for name in ("corpus", "lexicon", "derivations", "lemma_attrs")
+}
+
+
 @pytest.fixture
 def toy_paths() -> dict[str, str]:
-    return {
-        "corpus": str(TOY_DIR / "corpus.tsv"),
-        "lexicon": str(TOY_DIR / "lexicon.tsv"),
-        "derivations": str(TOY_DIR / "derivations.tsv"),
-        "lemma_attrs": str(TOY_DIR / "lemma_attrs.tsv"),
-    }
+    return dict(TOY_PATHS)

@@ -1,4 +1,6 @@
+import gzip
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,23 @@ class TestRunPipeline:
         assert rc == 0
         assert read_all(out) == first
 
+    def test_manifest_refuses_changed_input(self, tmp_path, toy_paths, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        shutil.copy(toy_paths["corpus"], corpus)
+        out = tmp_path / "run"
+        run_pipeline(toy_config(toy_paths, out, corpus=str(corpus)))
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write("\nextra\textra\tNOUN\n")
+        rerun = tmp_path / "rerun"
+        rc = main([
+            "all", "--from-manifest", str(out / "manifest.json"), "--out", str(rerun),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: corpus input {corpus} changed since the manifest (sha256 "
+        )
+        assert not rerun.exists()
+
     def test_stage_failure_names_stage_and_leaves_stale(self, tmp_path, toy_paths):
         out = tmp_path / "run"
         config = toy_config(toy_paths, out, lexicon=str(tmp_path / "missing.tsv"))
@@ -102,6 +121,25 @@ class TestSubcommands:
     def test_all_missing_inputs_exit_2(self, capsys):
         assert main(["all", "--corpus", "c.tsv"]) == 2
         assert "--lexicon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "not-gzip"])
+    def test_damaged_gzip_corpus_exits_1(self, tmp_path, toy_paths, capsys, damage):
+        text = Path(toy_paths["corpus"]).read_bytes()
+        data = bytearray(gzip.compress(text))
+        if damage == "truncated":
+            data = data[:3000]
+        elif damage == "corrupt":
+            data[1000:1100] = bytes(b ^ 0x55 for b in data[1000:1100])
+        else:
+            data = text
+        corpus = tmp_path / "corpus.tsv.gz"
+        corpus.write_bytes(data)
+        rc = main([
+            "extract-pairs", "--lexicon", toy_paths["lexicon"],
+            "--corpus", str(corpus), "--out", str(tmp_path / "pairs.tsv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {corpus}: ")
 
     def test_stagewise_matches_orchestrator(self, tmp_path, toy_paths):
         # extract-pairs -> sample-unrelated -> count -> metrics -> report
