@@ -12,7 +12,7 @@ with Brunner-Munzel rank tests and summarised into tables and
 distribution files.
 """
 
-from coocstat.corpus import LemmaKey, Sentence, Token, map_pos, read_corpus
+from coocstat.corpus import Corpus, LemmaKey, Sentence, Token, map_pos, read_corpus
 from coocstat.counting import (
     ContingencyTable,
     CooccurrenceEvent,
@@ -53,6 +53,7 @@ __all__ = [
     "Token",
     "Sentence",
     "LemmaKey",
+    "Corpus",
     "read_corpus",
     "map_pos",
     "LexiconEntry",

@@ -152,9 +152,9 @@ def run_count(args: argparse.Namespace) -> int:
     pairs = []
     for path in args.pairs:
         pairs.extend(lexicon.read_pairs(path))
-    stream = corpus.read_corpus(args.corpus, args.min_sentence_len)
     result = counting.count_sharded(
-        stream, pairs, workers=_workers(args.shards), block_size=args.block_size
+        corpus.read_corpus(args.corpus, args.min_sentence_len),
+        pairs, workers=_workers(args.shards), block_size=args.block_size
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -229,11 +229,8 @@ def run_pipeline(config: RunConfig) -> list[Path]:
             meta = lexicon.load_lemma_attrs(config.lemma_attrs)
         else:
             meta = lexicon.lemma_meta_from_entries(raw)
-        scan = counting.scan_corpus(
-            corpus.read_corpus(config.corpus, config.min_sentence_len),
-            collect_pairs=True,
-            vocab=set(meta),
-        )
+        corp = corpus.read_corpus(config.corpus, config.min_sentence_len)
+        scan = counting.scan_corpus(corp, collect_pairs=True, vocab=set(meta))
         counting.write_lemma_freqs(scan.freqs, str(out / "corpus_freqs.tsv"))
         oriented = lexicon.orient_pairs(filtered.kept, scan.freqs)
         counts = dict(filtered.excluded)
@@ -242,9 +239,9 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         (out / "filter_counts.json").write_text(
             json.dumps(counts, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        return raw, filtered, meta, scan, oriented
+        return raw, filtered, meta, corp, scan, oriented
 
-    raw, filtered, meta, scan, oriented = stage("extract-pairs", do_extract)
+    raw, filtered, meta, corp, scan, oriented = stage("extract-pairs", do_extract)
 
     # -- sample-unrelated ----------------------------------------------
     def do_sample():
@@ -273,9 +270,8 @@ def run_pipeline(config: RunConfig) -> list[Path]:
 
     # -- count ----------------------------------------------------------
     def do_count():
-        stream = corpus.read_corpus(config.corpus, config.min_sentence_len)
         result = counting.count_sharded(
-            stream,
+            corp,
             all_pairs,
             workers=_workers(config.shards),
             block_size=config.block_size,
@@ -307,8 +303,19 @@ def run_pipeline(config: RunConfig) -> list[Path]:
 
     written = stage("report", do_report)
 
+    events = {rel: 0 for rel in lexicon.RELATIONS}
+    for obs in result.observations.values():
+        events[obs.pair.relation] += len(obs.events)
     manifest = {
         "config": asdict(config),
+        "counters": {
+            "sentences": len(corp),
+            "sentences_skipped": corp.skipped,
+            "tokens": len(corp.token_ids),
+            "vocabulary": len(corp.keys),
+            "universe_pairs": len(scan.pairs),
+            "events": events,
+        },
         "inputs": {
             name: {"path": path, "sha256": _sha256(path)}
             for name, path in (

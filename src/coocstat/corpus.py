@@ -4,16 +4,23 @@ File format: UTF-8 text, one token per line as ``surface<TAB>lemma<TAB>pos``,
 a blank line terminates a sentence, and lines starting with ``#`` are
 comments.  Files ending in ``.gz`` are decompressed transparently.
 
-The reader never holds the corpus in memory; it yields one sentence at a
-time so that multi-million-sentence corpora stream through counting.
+`read_corpus` parses a file once into a `Corpus`: interned
+``(lemma, coarse PoS)`` keys and integer arrays of token ids and sentence
+offsets, about 4 bytes per token.  Surface forms are not kept, since no
+stage reads them.  Each distinct token line is parsed once; repeats cost
+one dictionary lookup.
 """
 
 from __future__ import annotations
 
 import gzip
 import zlib
+from collections.abc import Set
 from dataclasses import dataclass
-from typing import IO, Iterator, NamedTuple
+from functools import cached_property
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 NOUN = "NOUN"
 VERB = "VERB"
@@ -48,8 +55,8 @@ class Sentence:
 class CorpusParseError(ValueError):
     """A corpus line that cannot be interpreted; carries the 1-based line number."""
 
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, message: str, line_no: int, path: str):
+        super().__init__(f"{path} line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -122,75 +129,219 @@ def _open_text(path: str) -> IO[str]:
     return open(path, "r", encoding="utf-8")
 
 
-def _parse_token(line: str, line_no: int) -> Token:
-    fields = line.split("\t")
+def _parse_key(text: str, line_no: int, path: str) -> LemmaKey:
+    fields = text.split("\t")
     if len(fields) != 3:
         raise CorpusParseError(
-            f"expected 3 tab-separated fields, got {len(fields)}", line_no
+            f"expected 3 tab-separated fields, got {len(fields)}", line_no, path
         )
-    surface, lemma, raw_pos = fields
+    _, lemma, raw_pos = fields
     lemma = lemma.casefold()
     if not lemma:
-        raise CorpusParseError("empty lemma field", line_no)
+        raise CorpusParseError("empty lemma field", line_no, path)
     if any(ch.isspace() for ch in lemma):
-        raise CorpusParseError(f"lemma contains whitespace: {lemma!r}", line_no)
-    return Token(surface, lemma, map_pos(raw_pos))
+        raise CorpusParseError(f"lemma contains whitespace: {lemma!r}", line_no, path)
+    return LemmaKey(lemma, map_pos(raw_pos))
 
 
-class SentenceStream:
-    """Iterator over filtered sentences; `n_yielded` is the running total N."""
+def _id_order(key: LemmaKey) -> tuple[str, str]:
+    return (key.pos, key.lemma)
 
-    def __init__(self, path: str, min_len: int):
-        if min_len < 1:
-            raise ValueError(f"min_len must be >= 1, got {min_len}")
-        self._path = path
-        self._min_len = min_len
-        self.n_yielded = 0
-        self._iter = self._generate()
+
+@dataclass(eq=False)
+class Corpus:
+    """A parsed corpus as integer arrays over interned keys.
+
+    `keys[i]` is the key with id ``i``; ids follow sorted ``(pos, lemma)``
+    order.  `token_ids` holds every token of the kept sentences,
+    punctuation and OTHER included, because event positions count them.
+    Sentence ``s`` is ``token_ids[offsets[s]:offsets[s + 1]]`` and has id
+    ``sentence_ids[s]``.  `skipped` counts the sentences the length filter
+    dropped.
+    """
+
+    keys: list[LemmaKey]
+    token_ids: np.ndarray  # int32
+    offsets: np.ndarray  # int64, one more than there are sentences
+    sentence_ids: np.ndarray  # int64
+    skipped: int = 0
+
+    def __len__(self) -> int:
+        return len(self.sentence_ids)
+
+    @property
+    def n_yielded(self) -> int:
+        """The number of sentences: the corpus size N of all statistics."""
+        return len(self)
 
     def __iter__(self) -> Iterator[Sentence]:
-        return self
+        """The sentences as `Token` lists, with empty surface forms."""
+        tokens = [Token("", k.lemma, k.pos) for k in self.keys]
+        bounds = self.offsets.tolist()
+        for s, sid in enumerate(self.sentence_ids.tolist()):
+            ids = self.token_ids[bounds[s]:bounds[s + 1]].tolist()
+            yield Sentence([tokens[i] for i in ids], sid)
 
-    def __next__(self) -> Sentence:
-        return next(self._iter)
+    @classmethod
+    def from_sentences(cls, sentences: Iterable[Sentence]) -> Corpus:
+        """Compile sentences as given: no length filter, ids and order kept."""
+        index: dict[tuple[str, str], int] = {}
+        ids: list[int] = []
+        offsets = [0]
+        sentence_ids = []
+        for sent in sentences:
+            for tok in sent.tokens:
+                ids.append(index.setdefault((tok.lemma, tok.pos), len(index)))
+            offsets.append(len(ids))
+            sentence_ids.append(sent.id)
+        return _compile(
+            [LemmaKey(*k) for k in index],
+            np.array(ids, dtype=np.int32),
+            np.array(offsets, dtype=np.int64),
+            np.array(sentence_ids, dtype=np.int64),
+            skipped=0,
+        )
 
-    def _generate(self) -> Iterator[Sentence]:
-        tokens: list[Token] = []
-        try:
-            with _open_text(self._path) as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    line = line.rstrip("\n").rstrip("\r")
-                    if line.startswith("#"):
-                        continue
-                    if not line.strip():
-                        sentence = self._finish(tokens)
-                        tokens = []
-                        if sentence is not None:
-                            yield sentence
-                        continue
-                    tokens.append(_parse_token(line, line_no))
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise ValueError(f"{self._path}: unreadable gzip data: {exc}") from exc
-        sentence = self._finish(tokens)
-        if sentence is not None:
-            yield sentence
+    def sentence_slice(self, lo: int, hi: int) -> Corpus:
+        """Sentences ``lo`` to ``hi - 1``, over the same keys."""
+        offsets = self.offsets[lo:hi + 1]
+        return Corpus(
+            self.keys,
+            self.token_ids[offsets[0]:offsets[-1]],
+            offsets - offsets[0],
+            self.sentence_ids[lo:hi],
+        )
 
-    def _finish(self, tokens: list[Token]) -> Sentence | None:
-        if not tokens:
-            return None
-        content = sum(1 for t in tokens if t.pos != PUNCT)
-        if content < self._min_len:
-            return None
-        sentence = Sentence(tokens, self.n_yielded)
-        self.n_yielded += 1
-        return sentence
+    def sentence_index(self) -> np.ndarray:
+        """The index (not the id) of each token's sentence."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets))
 
 
-def read_corpus(path: str, min_len: int = 5) -> SentenceStream:
-    """Stream sentences with at least `min_len` non-punctuation tokens.
+def as_corpus(sentences: Iterable[Sentence]) -> Corpus:
+    """A `Corpus` as is; any other iterable of sentences compiled."""
+    if isinstance(sentences, Corpus):
+        return sentences
+    return Corpus.from_sentences(sentences)
 
-    Sentence ids are dense and increasing over the yielded sentences, so
-    after exhaustion ``stream.n_yielded`` is the corpus size N used by all
-    downstream statistics.
+
+def _compile(
+    keys: list[LemmaKey],
+    ids: np.ndarray,
+    offsets: np.ndarray,
+    sentence_ids: np.ndarray,
+    skipped: int,
+) -> Corpus:
+    """Drop the keys no token uses and renumber the rest in id order."""
+    used = np.flatnonzero(np.bincount(ids, minlength=len(keys))).tolist()
+    order = sorted(used, key=lambda i: _id_order(keys[i]))
+    remap = np.zeros(len(keys), dtype=np.int32)
+    remap[order] = np.arange(len(order), dtype=np.int32)
+    return Corpus([keys[i] for i in order], remap[ids], offsets, sentence_ids, skipped)
+
+
+def _parse(handle: IO[str], path: str) -> tuple[list[LemmaKey], list[int], list[int]]:
+    """Intern every token line: the keys in first-seen order, each token's
+    key id, and the offsets of the non-empty sentences (0, then each end)."""
+    index: dict[LemmaKey, int] = {}
+    by_line: dict[str, int] = {}  # a parsed raw line -> its key id
+    ids: list[int] = []
+    bounds = [0]
+    lookup, append = by_line.get, ids.append
+    for line_no, line in enumerate(handle, start=1):
+        kid = lookup(line)
+        if kid is not None:
+            append(kid)
+            continue
+        text = line.rstrip("\n").rstrip("\r")
+        if text.startswith("#"):
+            continue
+        if not text.strip():
+            if len(ids) > bounds[-1]:
+                bounds.append(len(ids))
+            continue
+        kid = by_line[line] = index.setdefault(_parse_key(text, line_no, path), len(index))
+        append(kid)
+    if len(ids) > bounds[-1]:
+        bounds.append(len(ids))
+    return list(index), ids, bounds
+
+
+def read_corpus(path: str, min_len: int = 5) -> Corpus:
+    """Parse the sentences with at least `min_len` non-punctuation tokens.
+
+    Sentence ids are dense and increasing over the kept sentences, so
+    ``len(corpus)`` is the corpus size N used by all downstream statistics.
     """
-    return SentenceStream(path, min_len)
+    if min_len < 1:
+        raise ValueError(f"min_len must be >= 1, got {min_len}")
+    try:
+        with _open_text(path) as handle:
+            keys, token_ids, bounds = _parse(handle, path)
+    except UnicodeDecodeError as exc:
+        # Text is decoded in blocks, so the line is not known.
+        raise ValueError(f"{path}: invalid UTF-8: {exc}") from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{path}: unreadable gzip data: {exc}") from exc
+    ids = np.array(token_ids, dtype=np.int32)
+    del token_ids  # 8 bytes per token, freed before the filter copies `ids`
+    offsets = np.array(bounds, dtype=np.int64)
+    lengths = np.diff(offsets)
+    content = np.array([k.pos != PUNCT for k in keys], dtype=np.int64)
+    running = np.concatenate(([0], np.cumsum(content[ids])))
+    keep = running[offsets[1:]] - running[offsets[:-1]] >= min_len
+    n_kept = int(np.count_nonzero(keep))
+    return _compile(
+        keys,
+        ids[np.repeat(keep, lengths)],
+        np.concatenate(([0], np.cumsum(lengths[keep]))),
+        np.arange(n_kept, dtype=np.int64),
+        skipped=len(keep) - n_kept,
+    )
+
+
+class PairUniverse(Set):
+    """Distinct same-PoS key pairs ``(a, b)``, ``a`` before ``b`` in id order,
+    stored as the sorted int64 codes ``id(a) * len(keys) + id(b)``.
+
+    With `keys` in ``(pos, lemma)`` order, code order is the order of
+    ``(pos, lemma_a, lemma_b)``.  Iteration yields ``(LemmaKey, LemmaKey)``
+    tuples, so a universe equals the set of those tuples.
+    """
+
+    def __init__(self, keys: Sequence[LemmaKey], codes: np.ndarray):
+        self.keys = keys
+        self.codes = codes
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[LemmaKey, LemmaKey]]) -> PairUniverse:
+        """The universe of `pairs`; pairs across PoS or of one key are dropped."""
+        kept = [(a, b) for a, b in pairs if a.pos == b.pos and a.lemma != b.lemma]
+        keys = sorted({k for pair in kept for k in pair}, key=_id_order)
+        ids = {k: i for i, k in enumerate(keys)}
+        codes = [
+            min(ids[a], ids[b]) * len(keys) + max(ids[a], ids[b]) for a, b in kept
+        ]
+        return cls(keys, np.unique(np.array(codes, dtype=np.int64)))
+
+    @cached_property
+    def key_ids(self) -> dict[LemmaKey, int]:
+        return {k: i for i, k in enumerate(self.keys)}
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[tuple[LemmaKey, LemmaKey]]:
+        keys, size = self.keys, len(self.keys)
+        for code in self.codes.tolist():
+            a, b = divmod(code, size)
+            yield keys[a], keys[b]
+
+    def __contains__(self, item: object) -> bool:
+        try:
+            a, b = item  # type: ignore[misc]
+            ia, ib = self.key_ids[a], self.key_ids[b]
+        except (TypeError, ValueError, KeyError):
+            return False
+        code = ia * len(self.keys) + ib
+        j = int(np.searchsorted(self.codes, code))
+        return ia < ib and j < len(self.codes) and int(self.codes[j]) == code

@@ -1,23 +1,27 @@
-"""Single-pass sentence counting for a fixed list of lemma pairs.
+"""Sentence counting for a fixed list of lemma pairs, over a `Corpus`.
 
-The per-sentence work is O(sentence length + pairs touched): each
-sentence is reduced to a dict of first-occurrence positions per
-(lemma, pos) key, which is probed against an index from keys to pair
-slots.  This keeps a pass over tens of millions of sentences feasible
-for tens of thousands of pairs.
+Counting builds posting lists (sentence index and first position) for
+the pairs' keys only, then intersects the two lists of each pair, so a
+pair costs time in proportion to its keys' postings, not to the corpus
+(the inverted-index layout of Evert 2005, *The Statistics of Word
+Cooccurrences*, ch. 2-3).  Any iterable of `Sentence` is compiled into a
+`Corpus` first.
 
-Counting can be sharded over contiguous sentence-id blocks; `merge`
+Counting can be sharded over contiguous sentence blocks; `merge`
 recombines shard results and is exactly equivalent to one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from coocstat.corpus import CONTENT_POS, LemmaKey, Sentence
+import numpy as np
+
+from coocstat.corpus import CONTENT_POS, Corpus, LemmaKey, PairUniverse, Sentence, as_corpus
 from coocstat.lexicon import PAIRS, LemmaPair, pair_fields, pair_from_fields
 from coocstat.tsv import Table, read_table, write_table
 
@@ -82,77 +86,71 @@ def _dedupe(pairs: Sequence[LemmaPair]) -> list[LemmaPair]:
     return out
 
 
+def _postings(
+    corpus: Corpus, key_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Posting lists of `key_ids`: one entry per (key, sentence) where the
+    key occurs, sorted by key then sentence index, with the key's first
+    token position in that sentence."""
+    at = np.flatnonzero(np.isin(corpus.token_ids, key_ids))
+    sent = np.searchsorted(corpus.offsets, at, side="right") - 1
+    n = max(len(corpus), 1)
+    codes, first = np.unique(
+        corpus.token_ids[at].astype(np.int64) * n + sent, return_index=True
+    )
+    return codes // n, codes % n, at[first] - corpus.offsets[sent[first]]
+
+
+def _id_runs(sentence_ids: np.ndarray) -> tuple[tuple[int, int], ...]:
+    if not len(sentence_ids):
+        return ()
+    cut = np.flatnonzero(np.diff(sentence_ids) != 1) + 1
+    lo = sentence_ids[np.concatenate(([0], cut))]
+    hi = sentence_ids[np.concatenate((cut - 1, [len(sentence_ids) - 1]))]
+    return _coalesce(tuple(zip(lo.tolist(), hi.tolist())))
+
+
 def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
-    """Count sentence-level (co-)occurrences of every pair in one pass.
+    """Count sentence-level (co-)occurrences of every pair.
 
     A sentence contributes at most one to each cell no matter how many
     times a lemma repeats; event positions are the first occurrence of
-    each lemma with the pair's PoS.
+    each lemma with the pair's PoS.  Each pair's table and events come
+    from one intersection of its two keys' posting lists.
     """
     if not pairs:
         raise ValueError("pair list must be non-empty")
     pairs = _dedupe(pairs)
-
-    key_map: dict[LemmaKey, list[tuple[int, int]]] = {}
-    for idx, pair in enumerate(pairs):
-        key_map.setdefault(pair.w, []).append((idx, 0))
-        key_map.setdefault(pair.v, []).append((idx, 1))
-
-    n = 0
-    n_w = [0] * len(pairs)
-    n_v = [0] * len(pairs)
-    n_wv = [0] * len(pairs)
-    events: list[list[CooccurrenceEvent]] = [[] for _ in pairs]
-
-    runs: list[list[int]] = []
-    for sent in sentences:
-        n += 1
-        sid = sent.id
-        if runs and sid == runs[-1][1] + 1:
-            runs[-1][1] = sid
-        else:
-            runs.append([sid, sid])
-
-        first: dict[tuple[str, str], int] = {}
-        for i, tok in enumerate(sent.tokens):
-            k = (tok.lemma, tok.pos)
-            if k not in first:
-                first[k] = i
-
-        touched: dict[int, list[int | None]] = {}
-        for k, pos_idx in first.items():
-            slots = key_map.get(k)  # type: ignore[arg-type]
-            if slots:
-                for idx, side in slots:
-                    cell = touched.get(idx)
-                    if cell is None:
-                        cell = touched[idx] = [None, None]
-                    cell[side] = pos_idx
-
-        for idx, (pw, pv) in touched.items():
-            if pw is not None:
-                n_w[idx] += 1
-                if pv is not None:
-                    n_v[idx] += 1
-                    n_wv[idx] += 1
-                    events[idx].append(CooccurrenceEvent(sid, pw, pv))
-            else:
-                n_v[idx] += 1
+    corpus = as_corpus(sentences)
+    n = len(corpus)
+    ids = {k: i for i, k in enumerate(corpus.keys)}
+    wanted = np.array(
+        sorted({ids[k] for p in pairs for k in (p.w, p.v) if k in ids}), dtype=np.int64
+    )
+    key, sent, first = _postings(corpus, wanted)
+    span = dict(zip(
+        wanted.tolist(),
+        zip(np.searchsorted(key, wanted).tolist(),
+            np.searchsorted(key, wanted, side="right").tolist()),
+    ))
 
     observations = {}
-    for idx, pair in enumerate(pairs):
-        both = n_wv[idx]
-        table = ContingencyTable(
-            o_wv=both,
-            o_w_notv=n_w[idx] - both,
-            o_notw_v=n_v[idx] - both,
-            o_notw_notv=n - n_w[idx] - n_v[idx] + both,
-            n=n,
+    for pair in pairs:
+        lo_w, hi_w = span.get(ids.get(pair.w), (0, 0))
+        lo_v, hi_v = span.get(ids.get(pair.v), (0, 0))
+        both, iw, iv = np.intersect1d(
+            sent[lo_w:hi_w], sent[lo_v:hi_v], assume_unique=True, return_indices=True
         )
-        observations[pair] = PairObservations(pair, table, events[idx])
-
-    merged_runs = _coalesce(tuple((lo, hi) for lo, hi in runs))
-    return CountResult(observations, n, merged_runs)
+        n_w, n_v, n_wv = hi_w - lo_w, hi_v - lo_v, len(both)
+        table = ContingencyTable(n_wv, n_w - n_wv, n_v - n_wv, n - n_w - n_v + n_wv, n)
+        events = list(map(
+            CooccurrenceEvent,
+            corpus.sentence_ids[both].tolist(),
+            first[lo_w:hi_w][iw].tolist(),
+            first[lo_v:hi_v][iv].tolist(),
+        ))
+        observations[pair] = PairObservations(pair, table, events)
+    return CountResult(observations, n, _id_runs(corpus.sentence_ids))
 
 
 def _coalesce(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -193,22 +191,6 @@ def merge(a: CountResult, b: CountResult) -> CountResult:
     return CountResult(observations, n, runs)
 
 
-def _count_block(args: tuple[list[Sentence], list[LemmaPair]]) -> CountResult:
-    block, pairs = args
-    return count(block, pairs)
-
-
-def _blocks(
-    sentences: Iterable[Sentence], block_size: int
-) -> Iterator[list[Sentence]]:
-    it = iter(sentences)
-    while True:
-        block = list(itertools.islice(it, block_size))
-        if not block:
-            return
-        yield block
-
-
 def count_sharded(
     sentences: Iterable[Sentence],
     pairs: Sequence[LemmaPair],
@@ -222,21 +204,21 @@ def count_sharded(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     pairs = _dedupe(pairs)
-
-    result: CountResult | None = None
+    corpus = as_corpus(sentences)
+    blocks = [
+        corpus.sentence_slice(lo, lo + block_size)
+        for lo in range(0, len(corpus), block_size)
+    ]
+    if not blocks:
+        return count(corpus, pairs) if pairs else CountResult({}, 0, ())
     if workers == 1:
-        for block in _blocks(sentences, block_size):
-            part = count(block, pairs)
-            result = part if result is None else merge(result, part)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tasks = ((block, list(pairs)) for block in _blocks(sentences, block_size))
-            for part in pool.map(_count_block, tasks):
-                result = part if result is None else merge(result, part)
-    if result is None:
-        result = count([], pairs) if pairs else CountResult({}, 0, ())
-    return result
+        return functools.reduce(merge, map(count, blocks, itertools.repeat(pairs)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(count, blocks, itertools.repeat(pairs))
+        return functools.reduce(merge, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +226,25 @@ def count_sharded(
 
 class UniverseScan(NamedTuple):
     freqs: dict[LemmaKey, int]
-    pairs: set[tuple[LemmaKey, LemmaKey]] | None
+    pairs: PairUniverse | None
     n_sentences: int
+
+
+# Sentences per block of the scan, which bounds its scratch arrays.
+_SCAN_BLOCK = 1 << 16
+
+
+def _same_pos_pairs(sent: np.ndarray, key: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
+    """Sorted distinct codes ``a * size + b`` of the key pairs a < b that
+    share a sentence and a PoS, from the distinct (sentence, key) entries
+    `sent`, `key` in sorted order; `pos` numbers each key's PoS."""
+    group = (np.diff(sent, prepend=-1) != 0) | (np.diff(pos[key], prepend=-1) != 0)
+    start = np.flatnonzero(group)
+    length = np.diff(np.append(start, len(key)))
+    later = np.repeat(start + length, length) - np.arange(len(key)) - 1
+    left = np.repeat(np.arange(len(key)), later)
+    right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(later) - later, later)
+    return np.unique(key[left] * size + key[right])
 
 
 def scan_corpus(
@@ -253,36 +252,34 @@ def scan_corpus(
     collect_pairs: bool = False,
     vocab: set[LemmaKey] | None = None,
 ) -> UniverseScan:
-    """One pass recording per-lemma sentence frequencies and, optionally,
-    which same-PoS lemma pairs ever co-occur (existence only, no events).
+    """Per-lemma sentence frequencies of the content keys and, optionally,
+    which same-PoS pairs of content keys in `vocab` ever co-occur in a
+    sentence (existence only, no events).
 
     Pair collection is quadratic in the number of matching lemmas per
     sentence, so callers should restrict it with `vocab` on large
     corpora.
     """
-    freqs: dict[LemmaKey, int] = {}
-    pair_set: set[tuple[LemmaKey, LemmaKey]] | None = set() if collect_pairs else None
-    n = 0
-    content = set(CONTENT_POS)
-    for sent in sentences:
-        n += 1
-        present = set()
-        for tok in sent.tokens:
-            if tok.pos in content:
-                present.add(LemmaKey(tok.lemma, tok.pos))
-        for key in present:
-            freqs[key] = freqs.get(key, 0) + 1
-        if pair_set is None:
-            continue
-        eligible = [k for k in present if vocab is None or k in vocab]
-        by_pos: dict[str, list[LemmaKey]] = {}
-        for key in eligible:
-            by_pos.setdefault(key.pos, []).append(key)
-        for keys in by_pos.values():
-            keys.sort()
-            for a, b in itertools.combinations(keys, 2):
-                pair_set.add((a, b))
-    return UniverseScan(freqs, pair_set, n)
+    corpus = as_corpus(sentences)
+    keys, size = corpus.keys, len(corpus.keys)
+    content = np.array([k.pos in CONTENT_POS for k in keys], dtype=bool)
+    eligible = content & np.array([vocab is None or k in vocab for k in keys], dtype=bool)
+    pos = np.unique([k.pos for k in keys], return_inverse=True)[1]
+    counts = np.zeros(size, dtype=np.int64)
+    found = np.empty(0, dtype=np.int64)
+    for lo in range(0, len(corpus), _SCAN_BLOCK):
+        block = corpus.sentence_slice(lo, lo + _SCAN_BLOCK)
+        sent, ids = block.sentence_index(), block.token_ids
+        mask = content[ids]
+        present = np.unique(sent[mask] * size + ids[mask])
+        key = present % size
+        counts += np.bincount(key, minlength=size)
+        if collect_pairs:
+            keep = eligible[key]
+            found = np.union1d(found, _same_pos_pairs(present[keep] // size, key[keep], pos, size))
+    freqs = {keys[i]: int(counts[i]) for i in np.flatnonzero(counts).tolist()}
+    pairs = PairUniverse(keys, found) if collect_pairs else None
+    return UniverseScan(freqs, pairs, len(corpus))
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +310,31 @@ def write_observations(result: CountResult, obs_path: str, events_path: str) -> 
 
 
 def _observation_from_fields(f: list[str]) -> PairObservations:
-    table = ContingencyTable(int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9]))
-    return PairObservations(pair_from_fields(f), table, [])
+    a, b, c, d, n = int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9])
+    if a < 0 or b < 0 or c < 0 or d < 0:
+        raise ValueError("negative cell count")
+    if a + b + c + d != n:
+        raise ValueError(f"cells sum to {a + b + c + d}, not n = {n}")
+    return PairObservations(pair_from_fields(f), ContingencyTable(a, b, c, d, n), [])
 
 
 def read_observations(obs_path: str, events_path: str) -> CountResult:
-    """Load a dumped count; the result cannot be merged further."""
+    """Load a dumped count; the result cannot be merged further.
+
+    Every row's cells must be non-negative and sum to its `n`, and every
+    row must have the first row's `n`.
+    """
     observations: dict[LemmaPair, PairObservations] = {}
     by_key: dict[tuple[str, ...], list[CooccurrenceEvent]] = {}
-    n = 0
-    for obs in read_table(obs_path, OBSERVATIONS, _observation_from_fields):
+    n = None  # the first row's n, set by the loop below
+
+    def observation_from_fields(f: list[str]) -> PairObservations:
+        obs = _observation_from_fields(f)
+        if n is not None and obs.table.n != n:
+            raise ValueError(f"n = {obs.table.n} differs from the first row's n = {n}")
+        return obs
+
+    for obs in read_table(obs_path, OBSERVATIONS, observation_from_fields):
         observations[obs.pair] = obs
         by_key[pair_fields(obs.pair)[:4]] = obs.events
         n = obs.table.n
@@ -340,7 +352,7 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
             raise ValueError(
                 f"{events_path}: event count mismatch for pair {obs.pair}"
             )
-    return CountResult(observations, n, ())
+    return CountResult(observations, n or 0, ())
 
 
 def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from coocstat.corpus import CONTENT_POS, VERB, LemmaKey
+from coocstat.corpus import CONTENT_POS, VERB, LemmaKey, PairUniverse
 from coocstat.tsv import Table, read_table, write_table
 
 ANT = "ANT"
@@ -218,24 +218,20 @@ def orient_pairs(
 # ---------------------------------------------------------------------------
 # Unrelated control pairs
 
-def _passes_meta_checks(
-    a: LemmaKey, b: LemmaKey, lemma_meta: Mapping[LemmaKey, LemmaMeta]
-) -> bool:
-    meta_a = lemma_meta.get(a)
-    meta_b = lemma_meta.get(b)
-    if meta_a is None or meta_b is None:
-        return False
-    if (meta_a.flags | meta_b.flags) & _UNIT_FLAGS:
-        return False
-    if meta_a.wn_freq <= 1 or meta_b.wn_freq <= 1:
-        return False
-    if a.pos == VERB and (meta_a.flags | meta_b.flags) & _VERB_CLASS_FLAGS:
-        return False
-    return True
+def _meta_ok(key: LemmaKey, lemma_meta: Mapping[LemmaKey, LemmaMeta]) -> bool:
+    """The per-lemma half of the related-pair filters: a control pair
+    passes when both of its (same-PoS) lemmas do."""
+    meta = lemma_meta.get(key)
+    return (
+        meta is not None
+        and not meta.flags & _UNIT_FLAGS
+        and meta.wn_freq > 1
+        and not (key.pos == VERB and meta.flags & _VERB_CLASS_FLAGS)
+    )
 
 
 def sample_unrelated(
-    corpus_pairs: Iterable[tuple[LemmaKey, LemmaKey]],
+    corpus_pairs: PairUniverse | Iterable[tuple[LemmaKey, LemmaKey]],
     related: set[tuple[str, str, str]],
     n: int,
     seed: int,
@@ -253,21 +249,21 @@ def sample_unrelated(
     """
     if n <= 0:
         raise ValueError(f"sample size must be positive, got {n}")
+    if not isinstance(corpus_pairs, PairUniverse):
+        corpus_pairs = PairUniverse.from_pairs(corpus_pairs)
+    keys, codes, size = corpus_pairs.keys, corpus_pairs.codes, len(corpus_pairs.keys)
+    ids = corpus_pairs.key_ids
 
-    universe_keys = set()
-    by_key: dict[tuple[str, str, str], tuple[LemmaKey, LemmaKey]] = {}
-    for a, b in corpus_pairs:
-        if a.pos != b.pos or a.lemma == b.lemma:
-            continue
-        key = unordered_key(a, b)
-        if key in related:
-            continue
-        if lemma_meta is not None and not _passes_meta_checks(a, b, lemma_meta):
-            continue
-        universe_keys.add(key)
-        by_key[key] = (a, b)
+    if lemma_meta is not None:
+        ok = np.array([_meta_ok(k, lemma_meta) for k in keys], dtype=bool)
+        codes = codes[ok[codes // size] & ok[codes % size]]
+    related_codes = [
+        ids[a] * size + ids[b]
+        for pos, lo, hi in related
+        if (a := LemmaKey(lo, pos)) in ids and (b := LemmaKey(hi, pos)) in ids
+    ]
+    universe = codes[~np.isin(codes, np.array(related_codes, dtype=np.int64))]
 
-    universe = sorted(universe_keys)
     k = min(n, len(universe))
     rng = np.random.Generator(np.random.PCG64(seed))
     for i in range(k):
@@ -275,12 +271,12 @@ def sample_unrelated(
         universe[i], universe[j] = universe[j], universe[i]
 
     sampled = []
-    for key in universe[:k]:
-        a, b = by_key[key]
+    for code in universe[:k].tolist():
+        a, b = keys[code // size], keys[code % size]
         pair = _orient(a, b, UNR, None, corpus_freq)
         if pair is None:
             raise ValueError(
-                f"co-occurring pair {key} has a zero corpus frequency; "
+                f"co-occurring pair {unordered_key(a, b)} has a zero corpus frequency; "
                 "frequencies and pair scan disagree"
             )
         sampled.append(pair)

@@ -1,0 +1,233 @@
+"""Plain-Python reference versions of the corpus parser, the frequency and
+pair scan, the counter and the control-pair sampler.
+
+These are the loop implementations the array code in `coocstat.corpus`,
+`coocstat.counting` and `coocstat.lexicon` replaced: one Python object per
+token, a dict of first positions per sentence, and a tuple set for the
+pair universe.  `test_reference.py` requires the library to give exactly
+their results.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
+
+from coocstat.corpus import CONTENT_POS, PUNCT, LemmaKey, Sentence, Token, _open_text, map_pos
+from coocstat.counting import (
+    ContingencyTable,
+    CooccurrenceEvent,
+    CountResult,
+    PairObservations,
+    _coalesce,
+    _dedupe,
+)
+from coocstat.lexicon import (
+    _UNIT_FLAGS,
+    _VERB_CLASS_FLAGS,
+    UNR,
+    VERB,
+    LemmaMeta,
+    LemmaPair,
+    _orient,
+    unordered_key,
+)
+
+
+class ReferenceParseError(ValueError):
+    def __init__(self, message: str, line_no: int):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+def _parse_token(line: str, line_no: int) -> Token:
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ReferenceParseError(
+            f"expected 3 tab-separated fields, got {len(fields)}", line_no
+        )
+    surface, lemma, raw_pos = fields
+    lemma = lemma.casefold()
+    if not lemma:
+        raise ReferenceParseError("empty lemma field", line_no)
+    if any(ch.isspace() for ch in lemma):
+        raise ReferenceParseError(f"lemma contains whitespace: {lemma!r}", line_no)
+    return Token(surface, lemma, map_pos(raw_pos))
+
+
+class SentenceStream:
+    """Streams filtered sentences; `n_yielded` and `n_skipped` run along."""
+
+    def __init__(self, path: str, min_len: int):
+        self._path = path
+        self._min_len = min_len
+        self.n_yielded = 0
+        self.n_skipped = 0
+
+    def __iter__(self) -> Iterator[Sentence]:
+        tokens: list[Token] = []
+        with _open_text(self._path) as handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if line.startswith("#"):
+                    continue
+                if not line.strip():
+                    sentence = self._finish(tokens)
+                    tokens = []
+                    if sentence is not None:
+                        yield sentence
+                    continue
+                tokens.append(_parse_token(line, line_no))
+        sentence = self._finish(tokens)
+        if sentence is not None:
+            yield sentence
+
+    def _finish(self, tokens: list[Token]) -> Sentence | None:
+        if not tokens:
+            return None
+        content = sum(1 for t in tokens if t.pos != PUNCT)
+        if content < self._min_len:
+            self.n_skipped += 1
+            return None
+        sentence = Sentence(tokens, self.n_yielded)
+        self.n_yielded += 1
+        return sentence
+
+
+def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
+    pairs = _dedupe(pairs)
+    key_map: dict[LemmaKey, list[tuple[int, int]]] = {}
+    for idx, pair in enumerate(pairs):
+        key_map.setdefault(pair.w, []).append((idx, 0))
+        key_map.setdefault(pair.v, []).append((idx, 1))
+
+    n = 0
+    n_w = [0] * len(pairs)
+    n_v = [0] * len(pairs)
+    n_wv = [0] * len(pairs)
+    events: list[list[CooccurrenceEvent]] = [[] for _ in pairs]
+    runs: list[list[int]] = []
+    for sent in sentences:
+        n += 1
+        sid = sent.id
+        if runs and sid == runs[-1][1] + 1:
+            runs[-1][1] = sid
+        else:
+            runs.append([sid, sid])
+
+        first: dict[tuple[str, str], int] = {}
+        for i, tok in enumerate(sent.tokens):
+            k = (tok.lemma, tok.pos)
+            if k not in first:
+                first[k] = i
+
+        touched: dict[int, list[int | None]] = {}
+        for k, pos_idx in first.items():
+            for idx, side in key_map.get(k, ()):  # type: ignore[call-overload]
+                cell = touched.get(idx)
+                if cell is None:
+                    cell = touched[idx] = [None, None]
+                cell[side] = pos_idx
+
+        for idx, (pw, pv) in touched.items():
+            if pw is not None:
+                n_w[idx] += 1
+                if pv is not None:
+                    n_v[idx] += 1
+                    n_wv[idx] += 1
+                    events[idx].append(CooccurrenceEvent(sid, pw, pv))
+            else:
+                n_v[idx] += 1
+
+    observations = {}
+    for idx, pair in enumerate(pairs):
+        both = n_wv[idx]
+        table = ContingencyTable(
+            both, n_w[idx] - both, n_v[idx] - both, n - n_w[idx] - n_v[idx] + both, n
+        )
+        observations[pair] = PairObservations(pair, table, events[idx])
+    return CountResult(observations, n, _coalesce(tuple((lo, hi) for lo, hi in runs)))
+
+
+def scan_corpus(
+    sentences: Iterable[Sentence],
+    collect_pairs: bool = False,
+    vocab: set[LemmaKey] | None = None,
+) -> tuple[dict[LemmaKey, int], set[tuple[LemmaKey, LemmaKey]] | None, int]:
+    freqs: dict[LemmaKey, int] = {}
+    pair_set: set[tuple[LemmaKey, LemmaKey]] | None = set() if collect_pairs else None
+    n = 0
+    for sent in sentences:
+        n += 1
+        present = {LemmaKey(t.lemma, t.pos) for t in sent.tokens if t.pos in CONTENT_POS}
+        for key in present:
+            freqs[key] = freqs.get(key, 0) + 1
+        if pair_set is None:
+            continue
+        by_pos: dict[str, list[LemmaKey]] = {}
+        for key in present:
+            if vocab is None or key in vocab:
+                by_pos.setdefault(key.pos, []).append(key)
+        for keys in by_pos.values():
+            keys.sort()
+            pair_set.update(itertools.combinations(keys, 2))
+    return freqs, pair_set, n
+
+
+def _passes_meta_checks(
+    a: LemmaKey, b: LemmaKey, lemma_meta: Mapping[LemmaKey, LemmaMeta]
+) -> bool:
+    meta_a = lemma_meta.get(a)
+    meta_b = lemma_meta.get(b)
+    if meta_a is None or meta_b is None:
+        return False
+    if (meta_a.flags | meta_b.flags) & _UNIT_FLAGS:
+        return False
+    if meta_a.wn_freq <= 1 or meta_b.wn_freq <= 1:
+        return False
+    if a.pos == VERB and (meta_a.flags | meta_b.flags) & _VERB_CLASS_FLAGS:
+        return False
+    return True
+
+
+def sample_unrelated(
+    corpus_pairs: Iterable[tuple[LemmaKey, LemmaKey]],
+    related: set[tuple[str, str, str]],
+    n: int,
+    seed: int,
+    corpus_freq: Mapping[LemmaKey, int],
+    lemma_meta: Mapping[LemmaKey, LemmaMeta] | None = None,
+) -> list[LemmaPair]:
+    universe_keys = set()
+    by_key: dict[tuple[str, str, str], tuple[LemmaKey, LemmaKey]] = {}
+    for a, b in corpus_pairs:
+        if a.pos != b.pos or a.lemma == b.lemma:
+            continue
+        key = unordered_key(a, b)
+        if key in related:
+            continue
+        if lemma_meta is not None and not _passes_meta_checks(a, b, lemma_meta):
+            continue
+        universe_keys.add(key)
+        by_key[key] = (a, b)
+
+    universe = sorted(universe_keys)
+    k = min(n, len(universe))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for i in range(k):
+        j = i + int(rng.integers(0, len(universe) - i))
+        universe[i], universe[j] = universe[j], universe[i]
+
+    sampled = []
+    for key in universe[:k]:
+        a, b = by_key[key]
+        pair = _orient(a, b, UNR, None, corpus_freq)
+        if pair is None:
+            raise ValueError(
+                f"co-occurring pair {key} has a zero corpus frequency; "
+                "frequencies and pair scan disagree"
+            )
+        sampled.append(pair)
+    return sampled

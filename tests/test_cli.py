@@ -71,6 +71,22 @@ class TestRunPipeline:
         assert rc == 0
         assert read_all(out) == first
 
+    def test_manifest_counters(self, tmp_path, toy_paths):
+        out = tmp_path / "run"
+        run_pipeline(toy_config(toy_paths, out))
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        # The toy corpus has 200 sentences; 8 have fewer than 5 content tokens.
+        assert counters == {
+            "sentences": 192,
+            "sentences_skipped": 8,
+            "tokens": 2584,
+            "vocabulary": 79,
+            "universe_pairs": 570,
+            "events": {"ANT": 151, "HOL": 19, "HYP": 35, "SYN": 50, "UNR": 48},
+        }
+        event_rows = len((out / "events.tsv").read_text().splitlines()) - 1
+        assert sum(counters["events"].values()) == event_rows
+
     def test_manifest_refuses_changed_input(self, tmp_path, toy_paths, capsys):
         corpus = tmp_path / "corpus.tsv"
         shutil.copy(toy_paths["corpus"], corpus)
@@ -140,6 +156,25 @@ class TestSubcommands:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {corpus}: ")
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"a\ta\tNOUN\nbad\tNOUN\n\n", " line 2: expected 3 tab-separated fields, got 2\n"),
+            (b"a\ta\tNOUN\nb\t\xffb\tNOUN\n\n", ": invalid UTF-8: "),
+        ],
+        ids=["field-count", "invalid-utf8"],
+    )
+    def test_bad_corpus_error_names_the_file(self, tmp_path, toy_paths, capsys, data, message):
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_bytes(data)
+        rc = main([
+            "extract-pairs", "--lexicon", toy_paths["lexicon"],
+            "--corpus", str(corpus), "--out", str(tmp_path / "pairs.tsv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}{message}")
 
     def test_stagewise_matches_orchestrator(self, tmp_path, toy_paths):
         # extract-pairs -> sample-unrelated -> count -> metrics -> report

@@ -1,8 +1,11 @@
-"""Byte-identity of every toy pipeline output against recorded SHA-256 values.
+"""Byte-identity of toy outputs against recorded SHA-256 values.
 
-`manifest.json` is left out: it records absolute input paths and the
-Python version.  After a deliberate output change, regenerate the hash
-file with
+Two runs are guarded: `all` (`tests/data/toy_sha256.json`) and the
+subcommand chain `extract-pairs` (with `--derivations` and
+`--dump-freqs`), `sample-unrelated`, `count`, `metrics` and
+`report --svg` (`tests/data/toy_chain_sha256.json`).  `manifest.json` is
+left out: it records absolute input paths and the Python version.  After a
+deliberate output change, regenerate both hash files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,14 +20,14 @@ from pathlib import Path
 
 from test_cli import toy_config
 
-from coocstat.cli import run_pipeline
+from coocstat.cli import main, run_pipeline
 
 TESTS_DIR = Path(__file__).resolve().parent
 HASHES = TESTS_DIR / "data" / "toy_sha256.json"
+CHAIN_HASHES = TESTS_DIR / "data" / "toy_chain_sha256.json"
 
 
-def toy_output_hashes(toy_paths: dict[str, str], out_dir: Path) -> dict[str, str]:
-    run_pipeline(toy_config(toy_paths, out_dir))
+def _hashes(out_dir: Path) -> dict[str, str]:
     return {
         p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out_dir.rglob("*"))
@@ -32,16 +35,48 @@ def toy_output_hashes(toy_paths: dict[str, str], out_dir: Path) -> dict[str, str
     }
 
 
+def toy_output_hashes(toy_paths: dict[str, str], out_dir: Path) -> dict[str, str]:
+    run_pipeline(toy_config(toy_paths, out_dir))
+    return _hashes(out_dir)
+
+
+def toy_chain_hashes(toy_paths: dict[str, str], out_dir: Path) -> dict[str, str]:
+    out_dir.mkdir(parents=True)
+    d = str(out_dir)
+    steps = [
+        ["extract-pairs", "--lexicon", toy_paths["lexicon"],
+         "--corpus", toy_paths["corpus"], "--derivations", toy_paths["derivations"],
+         "--out", f"{d}/pairs.tsv", "--out-derived", f"{d}/derived.tsv",
+         "--dump-freqs", f"{d}/freqs.tsv"],
+        ["sample-unrelated", "--corpus", toy_paths["corpus"],
+         "--lexicon", toy_paths["lexicon"], "--lemma-attrs", toy_paths["lemma_attrs"],
+         "--n", "20", "--seed", "7", "--out", f"{d}/unr.tsv"],
+        ["count", "--corpus", toy_paths["corpus"],
+         "--pairs", f"{d}/pairs.tsv", f"{d}/unr.tsv", "--out", f"{d}/counts"],
+        ["metrics", "--obs", f"{d}/counts", "--out", f"{d}/stats.tsv"],
+        ["report", "--stats", f"{d}/stats.tsv", "--derived", f"{d}/derived.tsv",
+         "--out", f"{d}/report", "--svg"],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
+    return _hashes(out_dir)
+
+
 def test_toy_outputs_match_recorded_hashes(tmp_path, toy_paths):
     expected = json.loads(HASHES.read_text(encoding="utf-8"))
     assert toy_output_hashes(toy_paths, tmp_path / "run") == expected
 
 
+def test_toy_chain_outputs_match_recorded_hashes(tmp_path, toy_paths):
+    expected = json.loads(CHAIN_HASHES.read_text(encoding="utf-8"))
+    assert toy_chain_hashes(toy_paths, tmp_path / "chain") == expected
+
+
 if __name__ == "__main__":
     from conftest import TOY_PATHS
 
-    with tempfile.TemporaryDirectory() as tmp:
-        hashes = toy_output_hashes(TOY_PATHS, Path(tmp) / "run")
-    text = json.dumps(hashes, indent=2, sort_keys=True) + "\n"
-    HASHES.write_text(text, encoding="utf-8")
-    print(f"{len(hashes)} hashes -> {HASHES}", file=sys.stderr)
+    for path, generate in ((HASHES, toy_output_hashes), (CHAIN_HASHES, toy_chain_hashes)):
+        with tempfile.TemporaryDirectory() as tmp:
+            hashes = generate(TOY_PATHS, Path(tmp) / "run")
+        path.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"{len(hashes)} hashes -> {path}", file=sys.stderr)

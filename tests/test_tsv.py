@@ -60,9 +60,11 @@ INT_COLUMN = {
 }
 
 
-def _edit_row(edit):
-    """An edit of the first data row (file line 2)."""
-    return lambda lines: [lines[0], edit(lines[1].split("\t"))] + lines[2:]
+def _edit_row(edit, index: int = 1):
+    """An edit of one data row, by default the first (file line 2)."""
+    return lambda lines: (
+        lines[:index] + [edit(lines[index].split("\t"))] + lines[index + 1:]
+    )
 
 
 def _set_field(index: int, value: str):
@@ -81,6 +83,14 @@ CASES = [
     ("bad-flag", ["stats.tsv"], _set_field(5, "yes"), 2),
     ("unknown-pair", ["events.tsv"], _set_field(0, "nosuchlemma"), 2),
     ("event-count-mismatch", ["events.tsv"], lambda lines: lines[:1] + lines[2:], None),
+    # Observation rows: cells >= 0 that sum to n, and one n for all rows.
+    ("negative-cell", ["observations.tsv"], _edit_row(lambda f: "\t".join(
+        f[:6] + ["-1", f[7], str(int(f[8]) + int(f[6]) + 1), f[9]]
+    )), 2),
+    ("cells-not-summing-to-n", ["observations.tsv"], _set_field(9, "50"), 2),
+    ("n-differs-between-rows", ["observations.tsv"], _edit_row(lambda f: "\t".join(
+        f[:8] + [str(int(f[8]) + 1), str(int(f[9]) + 1)]
+    ), index=2), 3),
 ]
 
 
