@@ -6,12 +6,13 @@ writes a manifest for bit-reproducible reruns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import coocstat
 from coocstat import corpus, counting, lexicon, metrics, report
@@ -20,6 +21,9 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 DEFAULT_VERB_CLASSES = DATA_DIR / "verb_classes.tsv"
 
 STALE_MARKER = "_STALE"
+
+# Config keys that older manifests record and that never changed an output.
+RETIRED_CONFIG_KEYS = ("shards", "block_size")
 
 
 class StageError(RuntimeError):
@@ -43,21 +47,24 @@ class RunConfig:
     alpha: float = 0.01
     seed: int = 0
     unr_n: int = 10000
-    shards: int = 1
-    block_size: int = 20000
     avg_population: str = "all"
     distance_pooling: str = "pair"
     svg: bool = False
 
+    def report_options(self) -> report.ReportOptions:
+        return report.ReportOptions(
+            alpha=self.alpha,
+            avg_population=self.avg_population,
+            distance_pooling=self.distance_pooling,
+            svg=self.svg,
+        )
+
     def validate(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.min_sentence_len < 1:
             raise ValueError("min sentence length must be >= 1")
         if self.unr_n < 1:
             raise ValueError("UNR sample size must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shard count must be >= 1")
+        self.report_options().validate()
 
 
 def _sha256(path: str) -> str:
@@ -68,120 +75,153 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _workers(shards: int) -> int:
-    env = os.environ.get("COOCSTAT_THREADS")
-    if env:
-        return max(1, int(env))
-    return shards
-
-
-def _load_verb_classes(path: str | None) -> dict[str, frozenset[str]]:
-    return lexicon.load_verb_classes(path or str(DEFAULT_VERB_CLASSES))
-
-
-def _prepare_entries(args_lexicon: str, verb_classes: str | None):
-    raw = lexicon.load_lexicon(args_lexicon)
-    flagged = lexicon.apply_verb_class_flags(raw, _load_verb_classes(verb_classes))
-    return raw, lexicon.filter_pairs(flagged)
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations (shared by subcommands and the orchestrator)
+# Stages, one function each, shared by the subcommands and `run_pipeline`.
+# Library functions are called through their modules, so that wrappers set
+# on a module attribute see every call.
+
+def load_entries(
+    lexicon_path: str, verb_classes: str | None
+) -> tuple[list[lexicon.LexiconEntry], lexicon.FilterResult]:
+    """The lexicon's rows, and what the exclusion rules keep of them."""
+    raw = lexicon.load_lexicon(lexicon_path)
+    classes = lexicon.load_verb_classes(verb_classes or str(DEFAULT_VERB_CLASSES))
+    return raw, lexicon.filter_pairs(lexicon.apply_verb_class_flags(raw, classes))
+
+
+def load_meta(
+    lemma_attrs: str | None, raw: list[lexicon.LexiconEntry]
+) -> dict[corpus.LemmaKey, lexicon.LemmaMeta]:
+    """Per-lemma attributes from their own file, or else from the lexicon."""
+    if lemma_attrs:
+        return lexicon.load_lemma_attrs(lemma_attrs)
+    return lexicon.lemma_meta_from_entries(raw)
+
+
+class Extracted(NamedTuple):
+    pairs: list[lexicon.LemmaPair]
+    derived: list[lexicon.DerivedPair]
+    counts: dict[str, int]  # pairs excluded per rule, unobserved and kept
+
+
+def extract_pairs(
+    filtered: lexicon.FilterResult,
+    freqs: dict[corpus.LemmaKey, int],
+    derivations: str | None,
+) -> Extracted:
+    """Orient the kept pairs by corpus frequency and map their derivations."""
+    oriented = lexicon.orient_pairs(filtered.kept, freqs)
+    derived = []
+    if derivations:
+        links = lexicon.load_derivations(derivations)
+        derived = lexicon.derived_pairs(oriented.pairs, links, filtered.kept, freqs)
+    counts = dict(filtered.excluded, unobserved=oriented.n_dropped, kept=len(oriented.pairs))
+    return Extracted(oriented.pairs, derived, counts)
+
+
+def sample_unr_pairs(
+    scan: counting.UniverseScan,
+    raw: list[lexicon.LexiconEntry],
+    meta: dict[corpus.LemmaKey, lexicon.LemmaMeta],
+    n: int,
+    seed: int,
+) -> list[lexicon.LemmaPair]:
+    """Sample `n` co-occurring pairs that the lexicon does not relate."""
+    return lexicon.sample_unrelated(
+        scan.pairs, lexicon.related_pair_set(raw), n, seed, scan.freqs, meta
+    )
+
+
+def count_pairs(
+    corp: corpus.Corpus, pairs: list[lexicon.LemmaPair], out: Path
+) -> counting.CountResult:
+    """Count every pair and write `observations.tsv` and `events.tsv` in `out`."""
+    result = counting.count_sharded(corp, pairs)
+    out.mkdir(parents=True, exist_ok=True)
+    counting.write_observations(
+        result, str(out / "observations.tsv"), str(out / "events.tsv")
+    )
+    return result
+
+
+def score_pairs(
+    result: counting.CountResult, alpha: float, out: str, with_baselines: bool = False
+) -> list[metrics.ScoredPair]:
+    """Score every counted pair and write the stats table to `out`."""
+    scored = metrics.compute_all_stats(
+        result.observations.values(), alpha, with_baselines
+    )
+    metrics.write_pair_stats(scored, out)
+    return scored
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
 
 def run_extract_pairs(args: argparse.Namespace) -> int:
-    raw, filtered = _prepare_entries(args.lexicon, args.verb_classes)
+    _, filtered = load_entries(args.lexicon, args.verb_classes)
     if args.corpus_freqs:
         freqs = counting.read_lemma_freqs(args.corpus_freqs)
     else:
-        scan = counting.scan_corpus(
-            corpus.read_corpus(args.corpus, args.min_sentence_len)
-        )
-        freqs = scan.freqs
+        corp = corpus.read_corpus(args.corpus, args.min_sentence_len)
+        freqs = counting.scan_corpus(corp).freqs
         if args.dump_freqs:
             counting.write_lemma_freqs(freqs, args.dump_freqs)
-    oriented = lexicon.orient_pairs(filtered.kept, freqs)
-    lexicon.write_pairs(oriented.pairs, args.out)
+    extracted = extract_pairs(filtered, freqs, args.derivations)
+    lexicon.write_pairs(extracted.pairs, args.out)
 
     if args.derivations:
-        links = lexicon.load_derivations(args.derivations)
-        derived = lexicon.derived_pairs(oriented.pairs, links, filtered.kept, freqs)
         out_derived = args.out_derived or str(Path(args.out).with_suffix(".derived.tsv"))
-        lexicon.write_derived_map(derived, out_derived)
-        print(f"derived pairs: {len(derived)} -> {out_derived}")
+        lexicon.write_derived_map(extracted.derived, out_derived)
+        print(f"derived pairs: {len(extracted.derived)} -> {out_derived}")
 
     for rule in lexicon.EXCLUSION_RULES:
-        print(f"excluded[{rule}]: {filtered.excluded[rule]}")
-    print(f"unobserved (corpus frequency 0): {oriented.n_dropped}")
-    print(f"pairs written: {len(oriented.pairs)} -> {args.out}")
+        print(f"excluded[{rule}]: {extracted.counts[rule]}")
+    print(f"unobserved (corpus frequency 0): {extracted.counts['unobserved']}")
+    print(f"pairs written: {len(extracted.pairs)} -> {args.out}")
     if args.counts_json:
-        payload = dict(filtered.excluded)
-        payload["unobserved"] = oriented.n_dropped
-        payload["kept"] = len(oriented.pairs)
-        Path(args.counts_json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(Path(args.counts_json), extracted.counts)
     return 0
 
 
 def run_sample_unrelated(args: argparse.Namespace) -> int:
     raw = lexicon.load_lexicon(args.lexicon)
-    if args.lemma_attrs:
-        meta = lexicon.load_lemma_attrs(args.lemma_attrs)
-    else:
-        meta = lexicon.lemma_meta_from_entries(raw)
-    vocab = set(meta)
-    scan = counting.scan_corpus(
-        corpus.read_corpus(args.corpus, args.min_sentence_len),
-        collect_pairs=True,
-        vocab=vocab,
-    )
-    sampled = lexicon.sample_unrelated(
-        scan.pairs,
-        lexicon.related_pair_set(raw),
-        args.n,
-        args.seed,
-        scan.freqs,
-        meta,
-    )
+    meta = load_meta(args.lemma_attrs, raw)
+    corp = corpus.read_corpus(args.corpus, args.min_sentence_len)
+    scan = counting.scan_corpus(corp, collect_pairs=True, vocab=set(meta))
+    sampled = sample_unr_pairs(scan, raw, meta, args.n, args.seed)
     lexicon.write_pairs(sampled, args.out)
     print(f"unrelated pairs sampled: {len(sampled)} -> {args.out}")
     return 0
 
 
 def run_count(args: argparse.Namespace) -> int:
-    pairs = []
-    for path in args.pairs:
-        pairs.extend(lexicon.read_pairs(path))
-    result = counting.count_sharded(
-        corpus.read_corpus(args.corpus, args.min_sentence_len),
-        pairs, workers=_workers(args.shards), block_size=args.block_size
-    )
+    pairs = [p for path in args.pairs for p in lexicon.read_pairs(path)]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    counting.write_observations(
-        result, str(out / "observations.tsv"), str(out / "events.tsv")
-    )
+    result = count_pairs(corpus.read_corpus(args.corpus, args.min_sentence_len), pairs, out)
     print(f"sentences: {result.n}; pairs counted: {len(result.observations)} -> {out}")
     return 0
 
 
 def run_metrics(args: argparse.Namespace) -> int:
+    metrics.check_alpha(args.alpha)
     obs_dir = Path(args.obs)
     result = counting.read_observations(
         str(obs_dir / "observations.tsv"), str(obs_dir / "events.tsv")
     )
-    scored = metrics.compute_all_stats(
-        result.observations.values(), args.alpha, args.with_baselines
-    )
-    metrics.write_pair_stats(scored, args.out)
+    scored = score_pairs(result, args.alpha, args.out, args.with_baselines)
     print(f"pair stats written: {len(scored)} -> {args.out}")
     return 0
 
 
-def _report_options(args: argparse.Namespace) -> report.ReportOptions:
+def run_report(args: argparse.Namespace) -> int:
     tables = tuple(int(t) for t in args.tables.split(",")) if args.tables else ()
     figures = tuple(f for f in args.figures.split(",") if f) if args.figures else ()
-    return report.ReportOptions(
+    options = report.ReportOptions(
         alpha=args.alpha,
         avg_population=args.avg_population,
         distance_pooling=args.distance_pooling,
@@ -189,18 +229,24 @@ def _report_options(args: argparse.Namespace) -> report.ReportOptions:
         figures=figures,
         svg=args.svg,
     )
-
-
-def run_report(args: argparse.Namespace) -> int:
+    options.validate()
     scored = metrics.read_pair_stats(args.stats)
     derived = lexicon.read_derived_map(args.derived) if args.derived else ()
-    written = report.write_report(scored, args.out, _report_options(args), derived)
+    written = report.write_report(scored, args.out, options, derived)
     print(f"report files written: {len(written)} -> {args.out}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # End-to-end orchestrator
+
+@contextlib.contextmanager
+def _stage(name: str) -> Iterator[None]:
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
 
 def run_pipeline(config: RunConfig) -> list[Path]:
     """Run every stage, writing artifacts and a manifest into out_dir.
@@ -214,94 +260,30 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     stale = out / STALE_MARKER
     stale.write_text("pipeline in progress or failed; outputs may be partial\n")
 
-    def stage(name: str, fn):
-        try:
-            return fn()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-
-    # -- extract-pairs ------------------------------------------------
-    def do_extract():
-        raw, filtered = _prepare_entries(config.lexicon, config.verb_classes)
-        if config.lemma_attrs:
-            meta = lexicon.load_lemma_attrs(config.lemma_attrs)
-        else:
-            meta = lexicon.lemma_meta_from_entries(raw)
+    # One parse and one scan feed every stage.
+    with _stage("extract-pairs"):
+        raw, filtered = load_entries(config.lexicon, config.verb_classes)
+        meta = load_meta(config.lemma_attrs, raw)
         corp = corpus.read_corpus(config.corpus, config.min_sentence_len)
         scan = counting.scan_corpus(corp, collect_pairs=True, vocab=set(meta))
         counting.write_lemma_freqs(scan.freqs, str(out / "corpus_freqs.tsv"))
-        oriented = lexicon.orient_pairs(filtered.kept, scan.freqs)
-        counts = dict(filtered.excluded)
-        counts["unobserved"] = oriented.n_dropped
-        counts["kept"] = len(oriented.pairs)
-        (out / "filter_counts.json").write_text(
-            json.dumps(counts, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        return raw, filtered, meta, corp, scan, oriented
+        extracted = extract_pairs(filtered, scan.freqs, config.derivations)
+        _write_json(out / "filter_counts.json", extracted.counts)
+    with _stage("sample-unrelated"):
+        unr = sample_unr_pairs(scan, raw, meta, config.unr_n, config.seed)
 
-    raw, filtered, meta, corp, scan, oriented = stage("extract-pairs", do_extract)
-
-    # -- sample-unrelated ----------------------------------------------
-    def do_sample():
-        return lexicon.sample_unrelated(
-            scan.pairs,
-            lexicon.related_pair_set(raw),
-            config.unr_n,
-            config.seed,
-            scan.freqs,
-            meta,
-        )
-
-    unr = stage("sample-unrelated", do_sample)
-
-    def do_derived():
-        if not config.derivations:
-            return []
-        links = lexicon.load_derivations(config.derivations)
-        return lexicon.derived_pairs(oriented.pairs, links, filtered.kept, scan.freqs)
-
-    derived = stage("extract-pairs", do_derived)
-
-    all_pairs = oriented.pairs + unr
+    all_pairs = extracted.pairs + unr
     lexicon.write_pairs(all_pairs, str(out / "pairs.tsv"))
-    lexicon.write_derived_map(derived, str(out / "derived_pairs.tsv"))
+    lexicon.write_derived_map(extracted.derived, str(out / "derived_pairs.tsv"))
 
-    # -- count ----------------------------------------------------------
-    def do_count():
-        result = counting.count_sharded(
-            corp,
-            all_pairs,
-            workers=_workers(config.shards),
-            block_size=config.block_size,
+    with _stage("count"):
+        result = count_pairs(corp, all_pairs, out)
+    with _stage("metrics"):
+        scored = score_pairs(result, config.alpha, str(out / "stats.tsv"))
+    with _stage("report"):
+        written = report.write_report(
+            scored, out, config.report_options(), extracted.derived
         )
-        counting.write_observations(
-            result, str(out / "observations.tsv"), str(out / "events.tsv")
-        )
-        return result
-
-    result = stage("count", do_count)
-
-    # -- metrics ----------------------------------------------------------
-    def do_metrics():
-        scored = metrics.compute_all_stats(result.observations.values(), config.alpha)
-        metrics.write_pair_stats(scored, str(out / "stats.tsv"))
-        return scored
-
-    scored = stage("metrics", do_metrics)
-
-    # -- report ----------------------------------------------------------
-    def do_report():
-        options = report.ReportOptions(
-            alpha=config.alpha,
-            avg_population=config.avg_population,
-            distance_pooling=config.distance_pooling,
-            svg=config.svg,
-        )
-        return report.write_report(scored, out, options, derived)
-
-    written = stage("report", do_report)
 
     events = {rel: 0 for rel in lexicon.RELATIONS}
     for obs in result.observations.values():
@@ -332,51 +314,52 @@ def run_pipeline(config: RunConfig) -> list[Path]:
             "python": sys.version.split()[0],
         },
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "manifest.json", manifest)
     stale.unlink()
     return written
 
 
+def _config_from_manifest(path: str) -> RunConfig:
+    """The config a manifest records, once every input it records still
+    has its recorded SHA-256."""
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+        values = {
+            k: v for k, v in manifest["config"].items() if k not in RETIRED_CONFIG_KEYS
+        }
+        unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        config = RunConfig(**values)
+        inputs = [(name, rec["path"], rec["sha256"]) for name, rec in manifest["inputs"].items()]
+    except KeyError as exc:
+        raise ValueError(f"{path}: no {exc} entry") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    for name, input_path, recorded in inputs:
+        digest = _sha256(input_path)
+        if digest != recorded:
+            raise ValueError(
+                f"{name} input {input_path} changed since the manifest "
+                f"(sha256 {digest}, recorded {recorded})"
+            )
+    return config
+
+
 def run_all(args: argparse.Namespace) -> int:
     if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
-        for name, recorded in manifest["inputs"].items():
-            digest = _sha256(recorded["path"])
-            if digest != recorded["sha256"]:
-                raise ValueError(
-                    f"{name} input {recorded['path']} changed since the manifest "
-                    f"(sha256 {digest}, recorded {recorded['sha256']})"
-                )
-        config = RunConfig(**manifest["config"])
-        if args.out:
-            config.out_dir = args.out
-    else:
-        if not args.corpus or not args.lexicon or not args.out:
-            print(
-                "error: the arguments --corpus, --lexicon and --out are required "
-                "(or use --from-manifest)",
-                file=sys.stderr,
-            )
-            return 2
-        config = RunConfig(
-            corpus=args.corpus,
-            lexicon=args.lexicon,
-            out_dir=args.out,
-            derivations=args.derivations,
-            lemma_attrs=args.lemma_attrs,
-            verb_classes=args.verb_classes,
-            min_sentence_len=args.min_sentence_len,
-            alpha=args.alpha,
-            seed=args.seed,
-            unr_n=args.unr_n,
-            shards=args.shards,
-            block_size=args.block_size,
-            avg_population=args.avg_population,
-            distance_pooling=args.distance_pooling,
-            svg=args.svg,
+        config = _config_from_manifest(args.from_manifest)
+        if args.out_dir:
+            config.out_dir = args.out_dir
+    elif not (args.corpus and args.lexicon and args.out_dir):
+        print(
+            "error: the arguments --corpus, --lexicon and --out are required "
+            "(or use --from-manifest)",
+            file=sys.stderr,
         )
+        return 2
+    else:
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     written = run_pipeline(config)
     print(f"pipeline complete: {len(written)} report files in {config.out_dir}")
     return 0
@@ -429,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     p.add_argument("--pairs", required=True, nargs="+", help="pairs TSV file(s)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--shards", type=int, default=1, help="worker bound (default 1)")
-    p.add_argument("--block-size", type=int, default=20000)
     p.set_defaults(func=run_count)
 
     p = sub.add_parser("metrics", help="score counted pairs")
@@ -447,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--tables", default="1,2,3,4,5,6")
     p.add_argument("--figures", default="g2,order,distance,order_asym")
-    p.add_argument("--avg-population", choices=("all", "sig"), default="all")
-    p.add_argument("--distance-pooling", choices=("pair", "event"), default="pair")
+    p.add_argument("--avg-population", choices=report.AVG_POPULATIONS, default="all")
+    p.add_argument("--distance-pooling", choices=report.DISTANCE_POOLINGS, default="pair")
     p.add_argument("--derived", help="derived-pair map TSV")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--svg", action="store_true", help="also render SVG box plots")
@@ -457,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all", help="run the whole pipeline")
     p.add_argument("--corpus")
     p.add_argument("--lexicon")
-    p.add_argument("--out")
+    p.add_argument("--out", dest="out_dir")
     p.add_argument("--derivations")
     p.add_argument("--lemma-attrs")
     p.add_argument("--verb-classes")
@@ -465,10 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unr-n", type=int, default=10000)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--block-size", type=int, default=20000)
-    p.add_argument("--avg-population", choices=("all", "sig"), default="all")
-    p.add_argument("--distance-pooling", choices=("pair", "event"), default="pair")
+    p.add_argument("--avg-population", choices=report.AVG_POPULATIONS, default="all")
+    p.add_argument("--distance-pooling", choices=report.DISTANCE_POOLINGS, default="pair")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--from-manifest", help="rerun from a previous manifest.json")
     p.set_defaults(func=run_all)
@@ -481,10 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (StageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,15 +7,15 @@ pair costs time in proportion to its keys' postings, not to the corpus
 Cooccurrences*, ch. 2-3).  Any iterable of `Sentence` is compiled into a
 `Corpus` first.
 
-Counting can be sharded over contiguous sentence blocks; `merge`
-recombines shard results and is exactly equivalent to one pass.
+`merge` combines the results of disjoint sentence-id ranges exactly as
+one pass would count them; `count_sharded` counts contiguous sentence
+blocks in one process and merges them in block order.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -194,16 +194,11 @@ def merge(a: CountResult, b: CountResult) -> CountResult:
 def count_sharded(
     sentences: Iterable[Sentence],
     pairs: Sequence[LemmaPair],
-    workers: int = 1,
     block_size: int = 20000,
 ) -> CountResult:
-    """Count in contiguous blocks, optionally across worker processes.
-
-    Results are merged in block order, so the outcome is identical to a
-    single `count` pass regardless of worker count.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    """Count contiguous blocks of `block_size` sentences one after another
+    and merge them in block order; the outcome is identical to a single
+    `count` pass."""
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     pairs = _dedupe(pairs)
@@ -214,11 +209,7 @@ def count_sharded(
     ]
     if not blocks:
         return count(corpus, pairs) if pairs else CountResult({}, 0, ())
-    if workers == 1:
-        return functools.reduce(merge, map(count, blocks, itertools.repeat(pairs)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(count, blocks, itertools.repeat(pairs))
-        return functools.reduce(merge, parts)
+    return functools.reduce(merge, map(count, blocks, itertools.repeat(pairs)))
 
 
 # ---------------------------------------------------------------------------

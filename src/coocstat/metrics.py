@@ -14,6 +14,11 @@ from coocstat.tsv import Table, read_table, write_table
 DEFAULT_ALPHA = 0.01
 
 
+def check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 class UndefinedMetricError(ValueError):
     """A metric was requested on inputs where it has no value."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from coocstat.corpus import CONTENT_POS
 from coocstat.lexicon import RELATIONS, DerivedPair, LemmaPair
-from coocstat.metrics import DEFAULT_ALPHA, ScoredPair
+from coocstat.metrics import DEFAULT_ALPHA, ScoredPair, check_alpha
 from coocstat.stats import TestResult, brunner_munzel
 
 POS_ORDER = CONTENT_POS
@@ -386,13 +386,35 @@ def _distinct_flag(
     return bool(matrix and matrix.distinct.get(rel, False))
 
 
+TABLES = (1, 2, 3, 4, 5, 6)
+FIGURES = METRICS + ("order_asym",)
+AVG_POPULATIONS = ("all", "sig")
+DISTANCE_POOLINGS = ("pair", "event")
+
+
 class ReportOptions(NamedTuple):
     alpha: float = DEFAULT_ALPHA
     avg_population: str = "all"  # population of the headline G2 average
     distance_pooling: str = "pair"  # "pair" = mean of per-pair means
-    tables: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    figures: tuple[str, ...] = ("g2", "order", "distance", "order_asym")
+    tables: tuple[int, ...] = TABLES
+    figures: tuple[str, ...] = FIGURES
     svg: bool = False
+
+    def validate(self) -> None:
+        """Reject values `write_report` cannot honour, before it writes."""
+        check_alpha(self.alpha)
+        for name, asked, known in (
+            ("avg_population", (self.avg_population,), AVG_POPULATIONS),
+            ("distance_pooling", (self.distance_pooling,), DISTANCE_POOLINGS),
+            ("tables", self.tables, TABLES),
+            ("figures", self.figures, FIGURES),
+        ):
+            unknown = [str(x) for x in asked if x not in known]
+            if unknown:
+                raise ValueError(
+                    f"unknown {name} {', '.join(unknown)} "
+                    f"(choose from {', '.join(map(str, known))})"
+                )
 
 
 def write_report(

@@ -1,11 +1,16 @@
 import gzip
+import importlib.util
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from coocstat import cli
 from coocstat.cli import RunConfig, main, run_pipeline
+from conftest import TOY_PATHS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 REPORT_FILES = [
     "table1.csv", "table2.csv", "table3.csv", "table4.csv", "table5.csv",
@@ -32,6 +37,14 @@ def read_all(out_dir: Path) -> dict[str, bytes]:
     return {
         p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir()) if p.is_file()
     }
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory) -> Path:
+    """One `all` run on the toy inputs, which the tests below only read."""
+    out = tmp_path_factory.mktemp("toy") / "run"
+    run_pipeline(toy_config(TOY_PATHS, out))
+    return out
 
 
 class TestRunPipeline:
@@ -118,14 +131,6 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(toy_config(toy_paths, tmp_path, alpha=1.5))
 
-    def test_shard_workers_same_output(self, tmp_path, toy_paths):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_pipeline(toy_config(toy_paths, out_a, shards=1))
-        run_pipeline(toy_config(toy_paths, out_b, shards=2, block_size=40))
-        a, b = read_all(out_a), read_all(out_b)
-        del a["manifest.json"], b["manifest.json"]  # configs differ
-        assert a == b
-
 
 class TestSubcommands:
     def test_missing_required_flag_exits_2(self, capsys):
@@ -207,7 +212,6 @@ class TestSubcommands:
             "--corpus", toy_paths["corpus"],
             "--pairs", str(pairs_f), str(unr_f),
             "--out", str(counts_dir),
-            "--shards", "1",
         ])
         assert rc == 0
         stats_f = tmp_path / "stats.tsv"
@@ -248,13 +252,177 @@ class TestSubcommands:
         assert rc == 0
         assert pairs_a.read_bytes() == pairs_b.read_bytes()
 
-    def test_env_threads_override(self, tmp_path, toy_paths, monkeypatch):
-        monkeypatch.setenv("COOCSTAT_THREADS", "2")
-        out = tmp_path / "env"
-        run_pipeline(toy_config(toy_paths, out, shards=1, block_size=50))
-        base = tmp_path / "base"
-        monkeypatch.delenv("COOCSTAT_THREADS")
-        run_pipeline(toy_config(toy_paths, base, shards=1, block_size=50))
-        a, b = read_all(out), read_all(base)
-        del a["manifest.json"], b["manifest.json"]
-        assert a == b
+
+class TestOptionChecks:
+    @pytest.mark.parametrize(
+        "command,option,message",
+        [
+            ("metrics", ["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+            ("report", ["--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
+            ("report", ["--figures", "g2,foo"], "unknown figures foo (choose from "),
+            ("report", ["--tables", "9"], "unknown tables 9 (choose from 1, 2, 3"),
+        ],
+    )
+    def test_bad_option_exits_1_and_writes_nothing(
+        self, tmp_path, toy_run, capsys, command, option, message
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "metrics":
+            argv = ["metrics", "--obs", str(toy_run), "--out", str(out / "stats.tsv")]
+        else:
+            argv = ["report", "--stats", str(toy_run / "stats.tsv"), "--out", str(out)]
+        assert main(argv + option) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(out.iterdir()) == []
+
+
+def _rerun(tmp_path: Path, toy_run: Path, edit) -> tuple[int, Path, Path]:
+    """Rerun `all` from the toy run's manifest after `edit` changes it."""
+    manifest = json.loads((toy_run / "manifest.json").read_text())
+    edit(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "rerun"
+    return main(["all", "--from-manifest", str(path), "--out", str(out)]), path, out
+
+
+class TestFromManifest:
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m["config"].update(colour="blue"), "unknown config keys: colour"),
+            (lambda m: m.pop("inputs"), "no 'inputs' entry"),
+            (lambda m: m.pop("config"), "no 'config' entry"),
+            (lambda m: m["config"].pop("corpus"), "RunConfig.__init__() missing"),
+        ],
+        ids=["unknown-key", "no-inputs", "no-config", "no-corpus"],
+    )
+    def test_malformed_manifest_names_it(self, tmp_path, toy_run, capsys, edit, message):
+        rc, path, out = _rerun(tmp_path, toy_run, edit)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["avg_population", "distance_pooling"])
+    def test_unknown_choice_rejected(self, tmp_path, toy_run, capsys, field):
+        rc, _, out = _rerun(tmp_path, toy_run, lambda m: m["config"].update({field: "bogus"}))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown {field} bogus (choose from ")
+        assert not out.exists()
+
+    def test_retired_pool_keys_rerun_to_same_bytes(self, tmp_path, toy_run):
+        rc, _, out = _rerun(
+            tmp_path, toy_run, lambda m: m["config"].update(shards=2, block_size=40)
+        )
+        assert rc == 0
+        before, after = read_all(toy_run), read_all(out)
+        manifests = [json.loads(files.pop("manifest.json")) for files in (before, after)]
+        assert before == after
+        for manifest in manifests:
+            del manifest["config"]["out_dir"]
+        assert manifests[0] == manifests[1]  # shards and block_size were dropped
+
+
+# Per command, the traced library calls up to and including the first data
+# read, and the set of traced functions the command reaches.  Recorded on the
+# toy inputs before `all` and the subcommands shared one stage layer; the
+# benchmark's set-up probe and tracer rely on both.
+_LEXICON_SETUP = [
+    "lexicon.load_lexicon", "lexicon.load_verb_classes",
+    "lexicon.apply_verb_class_flags", "lexicon.filter_pairs",
+]
+EXPECTED_CALLS = {
+    "all": (
+        _LEXICON_SETUP + ["lexicon.load_lemma_attrs", "corpus.read_corpus"],
+        {
+            *_LEXICON_SETUP, "lexicon.load_lemma_attrs", "corpus.read_corpus",
+            "counting.scan_corpus", "counting.write_lemma_freqs", "lexicon.orient_pairs",
+            "lexicon.related_pair_set", "lexicon.sample_unrelated",
+            "lexicon.load_derivations", "lexicon.derived_pairs", "lexicon.write_pairs",
+            "lexicon.write_derived_map", "counting.count_sharded",
+            "counting.write_observations", "metrics.compute_all_stats",
+            "metrics.write_pair_stats", "report.write_report", "report.compare_all",
+        },
+    ),
+    "extract-pairs": (
+        _LEXICON_SETUP + ["corpus.read_corpus"],
+        {
+            *_LEXICON_SETUP, "corpus.read_corpus", "counting.scan_corpus",
+            "counting.write_lemma_freqs", "lexicon.orient_pairs", "lexicon.write_pairs",
+            "lexicon.load_derivations", "lexicon.derived_pairs",
+            "lexicon.write_derived_map",
+        },
+    ),
+    "sample-unrelated": (
+        ["lexicon.load_lexicon", "lexicon.load_lemma_attrs", "corpus.read_corpus"],
+        {
+            "lexicon.load_lexicon", "lexicon.load_lemma_attrs", "corpus.read_corpus",
+            "counting.scan_corpus", "lexicon.related_pair_set",
+            "lexicon.sample_unrelated", "lexicon.write_pairs",
+        },
+    ),
+    "count": (
+        ["lexicon.read_pairs"],
+        {
+            "lexicon.read_pairs", "corpus.read_corpus", "counting.count_sharded",
+            "counting.write_observations",
+        },
+    ),
+    "metrics": (
+        ["counting.read_observations"],
+        {"counting.read_observations", "metrics.compute_all_stats", "metrics.write_pair_stats"},
+    ),
+    "report": (
+        ["metrics.read_pair_stats"],
+        {
+            "metrics.read_pair_stats", "lexicon.read_derived_map", "report.write_report",
+            "report.compare_all",
+        },
+    ),
+}
+
+
+def _recorder(calls: list[str], name: str, inner):
+    def record(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    return record
+
+
+def test_call_order_and_traced_functions(tmp_path, toy_paths, monkeypatch):
+    spec = importlib.util.spec_from_file_location("inproc", ROOT / "perfbench" / "inproc.py")
+    inproc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inproc)
+    calls: list[str] = []
+    for module, attr, *_ in inproc.TRACED:
+        mod = getattr(cli, module)
+        monkeypatch.setattr(mod, attr, _recorder(calls, f"{module}.{attr}", getattr(mod, attr)))
+    first_reads = {f"{module}.{attr}" for module, attr in inproc.FIRST_READS}
+
+    d = str(tmp_path)
+    corpus, lexicon = toy_paths["corpus"], toy_paths["lexicon"]
+    commands = [
+        ["all", "--corpus", corpus, "--lexicon", lexicon,
+         "--derivations", toy_paths["derivations"], "--lemma-attrs", toy_paths["lemma_attrs"],
+         "--out", f"{d}/all", "--seed", "7", "--unr-n", "20"],
+        ["extract-pairs", "--lexicon", lexicon, "--corpus", corpus,
+         "--derivations", toy_paths["derivations"], "--out", f"{d}/pairs.tsv",
+         "--out-derived", f"{d}/derived.tsv", "--dump-freqs", f"{d}/freqs.tsv"],
+        ["sample-unrelated", "--corpus", corpus, "--lexicon", lexicon,
+         "--lemma-attrs", toy_paths["lemma_attrs"], "--n", "20", "--seed", "7",
+         "--out", f"{d}/unr.tsv"],
+        ["count", "--corpus", corpus, "--pairs", f"{d}/pairs.tsv", f"{d}/unr.tsv",
+         "--out", f"{d}/counts"],
+        ["metrics", "--obs", f"{d}/counts", "--out", f"{d}/stats.tsv"],
+        ["report", "--stats", f"{d}/stats.tsv", "--derived", f"{d}/derived.tsv",
+         "--out", f"{d}/report"],
+    ]
+    seen = {}
+    for argv in commands:
+        calls.clear()
+        assert main(argv) == 0, argv[0]
+        setup = next(i for i, name in enumerate(calls) if name in first_reads) + 1
+        seen[argv[0]] = (calls[:setup], set(calls))
+    assert seen == EXPECTED_CALLS

@@ -156,22 +156,11 @@ class TestCountSharded:
         sentences = random_corpus(rng, 500, vocab_size=40)
         pairs = [pair("w0", "w4"), pair("w1", "w5", "VERB")]
         full = count(sentences, pairs)
-        blocked = count_sharded(iter(sentences), pairs, workers=1, block_size=83)
+        blocked = count_sharded(iter(sentences), pairs, block_size=83)
         assert blocked.n == full.n
         for p in pairs:
             assert blocked.observations[p].table == full.observations[p].table
             assert blocked.observations[p].events == full.observations[p].events
-
-    def test_parallel_workers_identical(self):
-        rng = random.Random(38)
-        sentences = random_corpus(rng, 400, vocab_size=30)
-        pairs = [pair("w0", "w4"), pair("w2", "w6", "ADJ")]
-        seq = count_sharded(iter(sentences), pairs, workers=1, block_size=100)
-        par = count_sharded(iter(sentences), pairs, workers=3, block_size=100)
-        assert seq.n == par.n
-        for p in pairs:
-            assert seq.observations[p].table == par.observations[p].table
-            assert seq.observations[p].events == par.observations[p].events
 
 
 class TestScan:
