@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, get_args, get_type_hints
 
 import coocstat
 from coocstat import corpus, counting, lexicon, metrics, report
@@ -218,8 +218,15 @@ def run_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _table_number(text: str) -> int | str:
+    try:
+        return int(text)
+    except ValueError:
+        return text  # `ReportOptions.validate` names it as an unknown table
+
+
 def run_report(args: argparse.Namespace) -> int:
-    tables = tuple(int(t) for t in args.tables.split(",")) if args.tables else ()
+    tables = tuple(map(_table_number, args.tables.split(","))) if args.tables else ()
     figures = tuple(f for f in args.figures.split(",") if f) if args.figures else ()
     options = report.ReportOptions(
         alpha=args.alpha,
@@ -319,6 +326,18 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     return written
 
 
+def _check_config_type(name: str, value: object) -> None:
+    """Reject a manifest value that its RunConfig field cannot hold.  JSON
+    has one number type, so a float field takes an int; a bool is no int."""
+    expected = get_type_hints(RunConfig)[name]
+    allowed = get_args(expected) or (expected,)
+    if float in allowed:
+        allowed += (int,)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ValueError(f"config {name} must be {names}, got {json.dumps(value)}")
+
+
 def _config_from_manifest(path: str) -> RunConfig:
     """The config a manifest records, once every input it records still
     has its recorded SHA-256."""
@@ -330,6 +349,8 @@ def _config_from_manifest(path: str) -> RunConfig:
         unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for name, value in values.items():
+            _check_config_type(name, value)
         config = RunConfig(**values)
         inputs = [(name, rec["path"], rec["sha256"]) for name, rec in manifest["inputs"].items()]
     except KeyError as exc:

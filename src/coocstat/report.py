@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS
 from coocstat.lexicon import RELATIONS, DerivedPair, LemmaPair
-from coocstat.metrics import DEFAULT_ALPHA, ScoredPair, check_alpha
+from coocstat.metrics import DEFAULT_ALPHA, PairStats, ScoredPair, check_alpha
 from coocstat.stats import TestResult, brunner_munzel
 
 POS_ORDER = CONTENT_POS
@@ -67,47 +67,47 @@ def group_scored(
     return groups
 
 
-def summarize(scored: Sequence[ScoredPair]) -> list[RelationSummary]:
-    """One RelationSummary per PoS x relation cell that has any pairs."""
+def _cells(
+    scored: Iterable[ScoredPair],
+) -> Iterator[tuple[tuple[str, str], list[ScoredPair]]]:
+    """The non-empty PoS x relation groups, in POS_ORDER x REL_ORDER order."""
     groups = group_scored(scored)
-    summaries = []
     for pos in POS_ORDER:
         for rel in REL_ORDER:
-            group = groups.get((pos, rel))
-            if not group:
-                continue
-            stats = [item.stats for item in group]
-            sig = [s for s in stats if s.g2_significant]
-            sig_cooc = [s for s in sig if s.n_cooc > 0]
-            n_events = sum(s.n_cooc for s in sig_cooc)
-            pooled = (
-                sum(sorted(s.mean_distance * s.n_cooc for s in sig_cooc)) / n_events
-                if n_events
-                else None
+            if group := groups.get((pos, rel)):
+                yield (pos, rel), group
+
+
+def summarize(scored: Sequence[ScoredPair]) -> list[RelationSummary]:
+    """One RelationSummary per PoS x relation cell that has any pairs."""
+    summaries = []
+    for (pos, rel), group in _cells(scored):
+        g2_sig = metric_values(group, "g2", "sig")
+        sig_cooc = _sig_cooc(group)
+        n_events = sum(s.n_cooc for s in sig_cooc)
+        summaries.append(
+            RelationSummary(
+                pos=pos,
+                relation=rel,
+                n_pairs=len(group),
+                avg_g2=_mean(metric_values(group, "g2")),
+                avg_g2_sig=_mean(g2_sig),
+                pct_g2_sig=100.0 * len(g2_sig) / len(group),
+                avg_order=_mean(metric_values(group, "order")),
+                pct_order_pref=(
+                    100.0 * sum(1 for s in sig_cooc if s.has_preferred_order) / len(sig_cooc)
+                    if sig_cooc
+                    else None
+                ),
+                avg_distance=_mean(metric_values(group, "distance")),
+                avg_distance_pooled=(
+                    sum(sorted(s.mean_distance * s.n_cooc for s in sig_cooc)) / n_events
+                    if n_events
+                    else None
+                ),
+                n_sig_cooc=len(sig_cooc),
             )
-            summaries.append(
-                RelationSummary(
-                    pos=pos,
-                    relation=rel,
-                    n_pairs=len(stats),
-                    avg_g2=_mean([s.g2 for s in stats]),
-                    avg_g2_sig=_mean([s.g2 for s in sig]),
-                    pct_g2_sig=100.0 * len(sig) / len(stats),
-                    avg_order=_mean([s.order_score for s in sig_cooc]),
-                    pct_order_pref=(
-                        100.0
-                        * sum(1 for s in sig_cooc if s.has_preferred_order)
-                        / len(sig_cooc)
-                        if sig_cooc
-                        else None
-                    ),
-                    avg_distance=_mean(
-                        [s.mean_distance for s in sig_cooc if s.mean_distance is not None]
-                    ),
-                    avg_distance_pooled=pooled,
-                    n_sig_cooc=len(sig_cooc),
-                )
-            )
+        )
     return summaries
 
 
@@ -159,6 +159,11 @@ def compare_relations(
     return ComparisonMatrix(relations, results, distinct, alpha)
 
 
+def _sig_cooc(group: Sequence[ScoredPair]) -> list[PairStats]:
+    """The population of every metric but G2: significant pairs that co-occur."""
+    return [s.stats for s in group if s.stats.g2_significant and s.stats.n_cooc > 0]
+
+
 def metric_values(
     group: Sequence[ScoredPair], metric: str, g2_population: str = "all"
 ) -> list[float]:
@@ -167,9 +172,7 @@ def metric_values(
         if g2_population == "all":
             return [item.stats.g2 for item in group]
         return [item.stats.g2 for item in group if item.stats.g2_significant]
-    stats = [
-        s.stats for s in group if s.stats.g2_significant and s.stats.n_cooc > 0
-    ]
+    stats = _sig_cooc(group)
     if metric == "order":
         return [s.order_score for s in stats]
     if metric == "distance":
@@ -319,28 +322,27 @@ def five_number(values: Sequence[float]) -> FiveNumber:
 def distribution_groups(
     scored: Sequence[ScoredPair], metric: str, g2_population: str = "all"
 ) -> dict[tuple[str, str], list[float]]:
-    groups = group_scored(scored)
     out = {}
-    for pos in POS_ORDER:
-        for rel in REL_ORDER:
-            group = groups.get((pos, rel))
-            if not group:
-                continue
-            values = metric_values(group, metric, g2_population)
-            if values:
-                out[(pos, rel)] = values
+    for key, group in _cells(scored):
+        values = metric_values(group, metric, g2_population)
+        if values:
+            out[key] = values
     return out
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _fmt_cell(value: float | None, fmt: str) -> str:
-    return "--" if value is None else format(value, fmt)
+def _fmt_cell(value: float | None, template: str) -> str:
+    return "--" if value is None else template.format(value)
 
 
 def _csv_cell(value: float | None) -> str:
     return "" if value is None else repr(value)
+
+
+def _flag(value: bool) -> str:
+    return "1" if value else "0"
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -376,16 +378,6 @@ def _bold(text: str, flag: bool) -> str:
     return f"**{text}**" if flag else text
 
 
-def _distinct_flag(
-    comparisons: Mapping[tuple[str, str], ComparisonMatrix],
-    pos: str,
-    metric: str,
-    rel: str,
-) -> bool:
-    matrix = comparisons.get((pos, metric))
-    return bool(matrix and matrix.distinct.get(rel, False))
-
-
 TABLES = (1, 2, 3, 4, 5, 6)
 FIGURES = METRICS + ("order_asym",)
 AVG_POPULATIONS = ("all", "sig")
@@ -409,12 +401,148 @@ class ReportOptions(NamedTuple):
             ("tables", self.tables, TABLES),
             ("figures", self.figures, FIGURES),
         ):
-            unknown = [str(x) for x in asked if x not in known]
+            unknown = [str(x) or "''" for x in asked if x not in known]
             if unknown:
                 raise ValueError(
                     f"unknown {name} {', '.join(unknown)} "
                     f"(choose from {', '.join(map(str, known))})"
                 )
+
+
+class GridTable(NamedTuple):
+    """A PoS x relation table of RelationSummary values.
+
+    `values` gives one value per CSV column; each Markdown cell line is
+    one of those columns through a format template.  With a `metric`, the
+    first Markdown line is bold where that metric's relation is distinct,
+    and the CSV gets a last `distinct` column.
+    """
+
+    title: str
+    columns: tuple[str, ...]  # CSV columns after `pos` and `relation`
+    values: Callable[[RelationSummary, ReportOptions], tuple]
+    markdown: tuple[tuple[str, str], ...]  # (column, template) per cell line
+    metric: str | None = None
+
+
+GRID_TABLES = {
+    1: GridTable(
+        "Observed pair counts",
+        ("n_pairs",),
+        lambda s, o: (s.n_pairs,),
+        (("n_pairs", "{}"),),
+    ),
+    2: GridTable(
+        "Co-occurrence strength: average G2 and % significant",
+        ("n_pairs", "avg_g2", "pct_g2_sig", "avg_g2_all", "avg_g2_sig_only"),
+        lambda s, o: (
+            s.n_pairs,
+            s.avg_g2 if o.avg_population == "all" else s.avg_g2_sig,
+            s.pct_g2_sig,
+            s.avg_g2,
+            s.avg_g2_sig,
+        ),
+        (("avg_g2", "{:.1f}"), ("pct_g2_sig", "{:.0f}%")),
+        "g2",
+    ),
+    3: GridTable(
+        "Order preference: average order score and % preferred",
+        ("avg_order", "pct_order_pref", "n_sig_cooc"),
+        lambda s, o: (s.avg_order, s.pct_order_pref, s.n_sig_cooc),
+        (("avg_order", "{:.2f}"), ("pct_order_pref", "{:.0f}%")),
+        "order",
+    ),
+    4: GridTable(
+        "Average token distance of significant co-occurrence",
+        ("avg_distance", "avg_distance_pair_mean", "avg_distance_event_pooled", "n_sig_cooc"),
+        lambda s, o: (
+            s.avg_distance if o.distance_pooling == "pair" else s.avg_distance_pooled,
+            s.avg_distance,
+            s.avg_distance_pooled,
+            s.n_sig_cooc,
+        ),
+        (("avg_distance", "{:.1f}"),),
+        "distance",
+    ),
+}
+
+
+Rendered = tuple[list[str], list[list[str]], str]  # CSV header, CSV rows, Markdown
+
+
+def _grid_table(
+    table: GridTable,
+    summaries: Sequence[RelationSummary],
+    comparisons: Mapping[tuple[str, str], ComparisonMatrix],
+    options: ReportOptions,
+) -> Rendered:
+    header = ["pos", "relation", *table.columns]
+    if table.metric:
+        header.append("distinct")
+    rows, cells = [], {}
+    for s in summaries:
+        values = table.values(s, options)
+        matrix = comparisons.get((s.pos, table.metric))
+        distinct = bool(matrix and matrix.distinct.get(s.relation, False))
+        row = [s.pos, s.relation, *map(_csv_cell, values)]
+        if table.metric:
+            row.append(_flag(distinct))
+        rows.append(row)
+        by_column = dict(zip(table.columns, values))
+        lines = [_fmt_cell(by_column[col], template) for col, template in table.markdown]
+        lines[0] = _bold(lines[0], distinct)
+        cells[(s.pos, s.relation)] = lines
+    return header, rows, _md_grid(table.title, cells, len(table.markdown))
+
+
+def _derivation_table(rows: Sequence[DerivationRow]) -> Rendered:
+    lines = [
+        "## Significance persistence under derivation",
+        "",
+        "| Orig. PoS | Derv. PoS | Orig. Rel. | Derv. Rel. | Count |",
+        "|---|---|---|---|---|",
+    ]
+    lines += [
+        f"| {r.orig_pos} | {r.derv_pos} | {r.orig_rel} | {r.derv_rel} | "
+        f"{r.count} ({r.count_sustaining}) |"
+        for r in rows
+    ]
+    total = sum(r.count for r in rows), sum(r.count_sustaining for r in rows)
+    lines.append(f"| TOTAL | | | | {total[0]} ({total[1]}) |")
+    csv_rows = [[str(x) for x in r] for r in rows]
+    return list(DerivationRow._fields), csv_rows, "\n".join(lines) + "\n"
+
+
+def _associated_table(rows: Sequence[AssociatedRow], micro: Mapping[str, float]) -> Rendered:
+    cells = {(r.pos, r.relation): [format(r.avg, ".1f")] for r in rows}
+    md = _md_grid("Associated partner lemmas per frequent lemma", cells, 1)
+    md += "| Micro AVG | " + " | ".join(
+        _fmt_cell(micro.get(rel), "{:.1f}") for rel in REL_ORDER
+    ) + " |\n"
+    csv_rows = [[r.pos, r.relation, repr(r.avg)] for r in rows]
+    csv_rows += [["MICRO", rel, repr(micro[rel])] for rel in REL_ORDER if rel in micro]
+    return ["pos", "relation", "avg_associated"], csv_rows, md
+
+
+def _comparison_rows(
+    comparisons: Mapping[tuple[str, str], ComparisonMatrix], alpha: float
+) -> list[list[str]]:
+    """One row per tested relation pair; an untestable pair has empty test cells."""
+    rows = []
+    for (pos, metric), matrix in comparisons.items():
+        for i, rel_a in enumerate(matrix.relations):
+            for rel_b in matrix.relations[i + 1 :]:
+                res = matrix.result(rel_a, rel_b)
+                test = (
+                    [""] * 5
+                    if res is None
+                    else [
+                        *map(_csv_cell, (res.statistic, res.p_value, res.df, res.effect)),
+                        _flag(res.p_value < alpha),
+                    ]
+                )
+                rows.append([pos, metric, rel_a, rel_b, *test, _flag(res is None)])
+    return rows
 
 
 def write_report(
@@ -426,9 +554,8 @@ def write_report(
     """Emit every requested table and figure file; returns written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summaries = {(s.pos, s.relation): s for s in summarize(scored)}
+    summaries = summarize(scored)
     comparisons = compare_all(scored, options.alpha, options.avg_population)
-    stats_by_pair = {pair_key(item.pair): item.stats for item in scored}
     written: list[Path] = []
 
     def emit_csv(name, header, rows):
@@ -441,216 +568,28 @@ def write_report(
         path.write_text(text, encoding="utf-8")
         written.append(path)
 
-    if 1 in options.tables:
-        rows = []
-        cells = {}
-        for (pos, rel), s in summaries.items():
-            rows.append([pos, rel, str(s.n_pairs)])
-            cells[(pos, rel)] = [str(s.n_pairs)]
-        emit_csv("table1.csv", ["pos", "relation", "n_pairs"], rows)
-        emit_text("table1.md", _md_grid("Observed pair counts", cells, 1))
-
-    if 2 in options.tables:
-        rows = []
-        cells = {}
-        for (pos, rel), s in summaries.items():
-            headline = s.avg_g2 if options.avg_population == "all" else s.avg_g2_sig
-            distinct = _distinct_flag(comparisons, pos, "g2", rel)
-            rows.append(
-                [
-                    pos,
-                    rel,
-                    str(s.n_pairs),
-                    _csv_cell(headline),
-                    _csv_cell(s.pct_g2_sig),
-                    _csv_cell(s.avg_g2),
-                    _csv_cell(s.avg_g2_sig),
-                    "1" if distinct else "0",
-                ]
-            )
-            cells[(pos, rel)] = [
-                _bold(_fmt_cell(headline, ".1f"), distinct),
-                _fmt_cell(s.pct_g2_sig, ".0f") + "%",
-            ]
-        emit_csv(
-            "table2.csv",
-            [
-                "pos",
-                "relation",
-                "n_pairs",
-                "avg_g2",
-                "pct_g2_sig",
-                "avg_g2_all",
-                "avg_g2_sig_only",
-                "distinct",
-            ],
-            rows,
-        )
-        emit_text(
-            "table2.md",
-            _md_grid(
-                "Co-occurrence strength: average G2 and % significant", cells, 2
-            ),
-        )
-
-    if 3 in options.tables:
-        rows = []
-        cells = {}
-        for (pos, rel), s in summaries.items():
-            distinct = _distinct_flag(comparisons, pos, "order", rel)
-            rows.append(
-                [
-                    pos,
-                    rel,
-                    _csv_cell(s.avg_order),
-                    _csv_cell(s.pct_order_pref),
-                    str(s.n_sig_cooc),
-                    "1" if distinct else "0",
-                ]
-            )
-            cells[(pos, rel)] = [
-                _bold(_fmt_cell(s.avg_order, ".2f"), distinct),
-                (
-                    "--"
-                    if s.pct_order_pref is None
-                    else format(s.pct_order_pref, ".0f") + "%"
-                ),
-            ]
-        emit_csv(
-            "table3.csv",
-            ["pos", "relation", "avg_order", "pct_order_pref", "n_sig_cooc", "distinct"],
-            rows,
-        )
-        emit_text(
-            "table3.md",
-            _md_grid("Order preference: average order score and % preferred", cells, 2),
-        )
-
-    if 4 in options.tables:
-        rows = []
-        cells = {}
-        for (pos, rel), s in summaries.items():
-            value = (
-                s.avg_distance
-                if options.distance_pooling == "pair"
-                else s.avg_distance_pooled
-            )
-            distinct = _distinct_flag(comparisons, pos, "distance", rel)
-            rows.append(
-                [
-                    pos,
-                    rel,
-                    _csv_cell(value),
-                    _csv_cell(s.avg_distance),
-                    _csv_cell(s.avg_distance_pooled),
-                    str(s.n_sig_cooc),
-                    "1" if distinct else "0",
-                ]
-            )
-            cells[(pos, rel)] = [_bold(_fmt_cell(value, ".1f"), distinct)]
-        emit_csv(
-            "table4.csv",
-            [
-                "pos",
-                "relation",
-                "avg_distance",
-                "avg_distance_pair_mean",
-                "avg_distance_event_pooled",
-                "n_sig_cooc",
-                "distinct",
-            ],
-            rows,
-        )
-        emit_text(
-            "table4.md",
-            _md_grid("Average token distance of significant co-occurrence", cells, 1),
-        )
-
-    if 5 in options.tables:
-        der_rows = derivation_persistence(derived, stats_by_pair)
-        emit_csv(
-            "table5.csv",
-            ["orig_pos", "derv_pos", "orig_rel", "derv_rel", "count", "count_sustaining"],
-            [[r.orig_pos, r.derv_pos, r.orig_rel, r.derv_rel, str(r.count), str(r.count_sustaining)] for r in der_rows],
-        )
-        lines = [
-            "## Significance persistence under derivation",
-            "",
-            "| Orig. PoS | Derv. PoS | Orig. Rel. | Derv. Rel. | Count |",
-            "|---|---|---|---|---|",
-        ]
-        total = [0, 0]
-        for r in der_rows:
-            lines.append(
-                f"| {r.orig_pos} | {r.derv_pos} | {r.orig_rel} | {r.derv_rel} | "
-                f"{r.count} ({r.count_sustaining}) |"
-            )
-            total[0] += r.count
-            total[1] += r.count_sustaining
-        lines.append(f"| TOTAL | | | | {total[0]} ({total[1]}) |")
-        emit_text("table5.md", "\n".join(lines) + "\n")
-
-    if 6 in options.tables:
-        assoc_rows, micro = associated_counts([item.pair for item in scored])
-        by_cell = {(r.pos, r.relation): r.avg for r in assoc_rows}
-        rows = [[r.pos, r.relation, repr(r.avg)] for r in assoc_rows]
-        for rel in REL_ORDER:
-            if rel in micro:
-                rows.append(["MICRO", rel, repr(micro[rel])])
-        cells = {
-            key: [format(avg, ".1f")] for key, avg in by_cell.items()
-        }
-        md = _md_grid("Associated partner lemmas per frequent lemma", cells, 1)
-        micro_row = "| Micro AVG | " + " | ".join(
-            format(micro[rel], ".1f") if rel in micro else "--" for rel in REL_ORDER
-        ) + " |"
-        md += micro_row + "\n"
-        emit_csv("table6.csv", ["pos", "relation", "avg_associated"], rows)
-        emit_text("table6.md", md)
+    for number in TABLES:
+        if number not in options.tables:
+            continue
+        if number in GRID_TABLES:
+            header, rows, md = _grid_table(GRID_TABLES[number], summaries, comparisons, options)
+        elif number == 5:
+            stats_by_pair = {pair_key(item.pair): item.stats for item in scored}
+            header, rows, md = _derivation_table(derivation_persistence(derived, stats_by_pair))
+        else:
+            header, rows, md = _associated_table(*associated_counts([i.pair for i in scored]))
+        emit_csv(f"table{number}.csv", header, rows)
+        emit_text(f"table{number}.md", md)
 
     # Pairwise comparison dump (the boldface evidence for tables 2-4).
-    comp_rows = []
-    for (pos, metric), matrix in comparisons.items():
-        for i, rel_a in enumerate(matrix.relations):
-            for rel_b in matrix.relations[i + 1 :]:
-                res = matrix.result(rel_a, rel_b)
-                if res is None:
-                    comp_rows.append(
-                        [pos, metric, rel_a, rel_b, "", "", "", "", "", "1"]
-                    )
-                else:
-                    comp_rows.append(
-                        [
-                            pos,
-                            metric,
-                            rel_a,
-                            rel_b,
-                            repr(res.statistic),
-                            repr(res.p_value),
-                            _csv_cell(res.df),
-                            _csv_cell(res.effect),
-                            "1" if res.p_value < options.alpha else "0",
-                            "0",
-                        ]
-                    )
     emit_csv(
         "comparisons.csv",
-        [
-            "pos",
-            "metric",
-            "rel_a",
-            "rel_b",
-            "statistic",
-            "p_value",
-            "df",
-            "effect",
-            "significant",
-            "untestable",
-        ],
-        comp_rows,
+        ["pos", "metric", "rel_a", "rel_b", "statistic", "p_value", "df", "effect",
+         "significant", "untestable"],
+        _comparison_rows(comparisons, options.alpha),
     )
     distinct_rows = [
-        [pos, metric, rel, "1" if flag else "0"]
+        [pos, metric, rel, _flag(flag)]
         for (pos, metric), matrix in comparisons.items()
         for rel, flag in matrix.distinct.items()
     ]
@@ -660,23 +599,18 @@ def write_report(
         groups = distribution_groups(scored, metric, options.avg_population)
         if metric == "order_asym" and not groups:
             continue
-        summary_rows = []
-        value_rows = []
-        for (pos, rel), values in groups.items():
-            f = five_number(values)
-            summary_rows.append(
-                [pos, rel, str(f.n)]
-                + [repr(x) for x in (f.min, f.q1, f.median, f.q3, f.max)]
-            )
-            value_rows.extend([pos, rel, repr(v)] for v in values)
+        fives = {key: five_number(values) for key, values in groups.items()}
         emit_csv(
             f"fig_{metric}.csv",
-            ["pos", "relation", "n", "min", "q1", "median", "q3", "max"],
-            summary_rows,
+            ["pos", "relation", *FiveNumber._fields],
+            [[pos, rel, str(f.n), *map(repr, f[1:])] for (pos, rel), f in fives.items()],
         )
-        emit_csv(f"fig_{metric}_values.csv", ["pos", "relation", "value"], value_rows)
-        if options.svg:
-            fives = {key: five_number(vals) for key, vals in groups.items()}
+        emit_csv(
+            f"fig_{metric}_values.csv",
+            ["pos", "relation", "value"],
+            [[pos, rel, repr(v)] for (pos, rel), values in groups.items() for v in values],
+        )
+        if options.svg and fives:  # a box plot needs at least one box
             emit_text(f"fig_{metric}.svg", render_boxplot_svg(fives, metric))
 
     return written

@@ -131,6 +131,25 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(toy_config(toy_paths, tmp_path, alpha=1.5))
 
+    def test_svg_skips_a_figure_without_values(self, tmp_path, toy_paths):
+        # At this alpha no pair is significant, so the order and distance
+        # figures have no values; the G2 figure covers every pair.
+        out = tmp_path / "run"
+        rc = main([
+            "all", "--corpus", toy_paths["corpus"], "--lexicon", toy_paths["lexicon"],
+            "--lemma-attrs", toy_paths["lemma_attrs"], "--unr-n", "20",
+            "--out", str(out), "--svg", "--alpha", "1e-200",
+        ])
+        assert rc == 0
+        assert not (out / "_STALE").exists()
+        assert (out / "fig_g2.svg").exists()
+        for metric in ("order", "distance"):
+            assert not (out / f"fig_{metric}.svg").exists()
+            assert (out / f"fig_{metric}.csv").read_text() == (
+                "pos,relation,n,min,q1,median,q3,max\n"
+            )
+            assert (out / f"fig_{metric}_values.csv").read_text() == "pos,relation,value\n"
+
 
 class TestSubcommands:
     def test_missing_required_flag_exits_2(self, capsys):
@@ -261,6 +280,8 @@ class TestOptionChecks:
             ("report", ["--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
             ("report", ["--figures", "g2,foo"], "unknown figures foo (choose from "),
             ("report", ["--tables", "9"], "unknown tables 9 (choose from 1, 2, 3"),
+            ("report", ["--tables", "x"], "unknown tables x (choose from 1, 2, 3"),
+            ("report", ["--tables", "1,,2"], "unknown tables '' (choose from 1, 2, 3"),
         ],
     )
     def test_bad_option_exits_1_and_writes_nothing(
@@ -309,6 +330,34 @@ class TestFromManifest:
         rc, _, out = _rerun(tmp_path, toy_run, lambda m: m["config"].update({field: "bogus"}))
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: unknown {field} bogus (choose from ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("alpha", "x", 'config alpha must be float or int, got "x"'),
+            ("alpha", True, "config alpha must be float or int, got true"),
+            ("unr_n", "5", 'config unr_n must be int, got "5"'),
+            ("unr_n", True, "config unr_n must be int, got true"),
+            ("seed", 7.0, "config seed must be int, got 7.0"),
+            ("svg", "no", 'config svg must be bool, got "no"'),
+            ("derivations", 3, "config derivations must be str or null, got 3"),
+            ("corpus", None, "config corpus must be str, got null"),
+        ],
+    )
+    def test_wrong_config_type_names_the_manifest(
+        self, tmp_path, toy_run, capsys, field, value, message
+    ):
+        rc, path, out = _rerun(tmp_path, toy_run, lambda m: m["config"].update({field: value}))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_int_accepted_for_float_config(self, tmp_path, toy_run, capsys):
+        # The type check passes an int alpha; the range check then refuses 1.
+        rc, _, out = _rerun(tmp_path, toy_run, lambda m: m["config"].update(alpha=1))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: alpha must be in (0, 1), got 1")
         assert not out.exists()
 
     def test_retired_pool_keys_rerun_to_same_bytes(self, tmp_path, toy_run):

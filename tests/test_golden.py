@@ -1,11 +1,15 @@
 """Byte-identity of toy outputs against recorded SHA-256 values.
 
-Two runs are guarded: `all` (`tests/data/toy_sha256.json`) and the
+Three runs are guarded: `all` (`tests/data/toy_sha256.json`); the
 subcommand chain `extract-pairs` (with `--derivations` and
 `--dump-freqs`), `sample-unrelated`, `count`, `metrics` and
-`report --svg` (`tests/data/toy_chain_sha256.json`).  `manifest.json` is
-left out: it records absolute input paths and the Python version.  After a
-deliberate output change, regenerate both hash files with
+`report --svg` (`tests/data/toy_chain_sha256.json`); and two more `report`
+runs on the chain's `stats.tsv` with the options the other two leave at
+their defaults, `--avg-population sig --distance-pooling event --svg
+--derived` and `--tables 3,5 --figures order_asym`
+(`tests/data/toy_report_options_sha256.json`).  `manifest.json` is left
+out: it records absolute input paths and the Python version.  After a
+deliberate output change, regenerate all three hash files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,6 +29,7 @@ from coocstat.cli import main, run_pipeline
 TESTS_DIR = Path(__file__).resolve().parent
 HASHES = TESTS_DIR / "data" / "toy_sha256.json"
 CHAIN_HASHES = TESTS_DIR / "data" / "toy_chain_sha256.json"
+REPORT_OPTION_HASHES = TESTS_DIR / "data" / "toy_report_options_sha256.json"
 
 
 def _hashes(out_dir: Path) -> dict[str, str]:
@@ -62,6 +67,21 @@ def toy_chain_hashes(toy_paths: dict[str, str], out_dir: Path) -> dict[str, str]
     return _hashes(out_dir)
 
 
+def toy_report_option_hashes(toy_paths: dict[str, str], out_dir: Path) -> dict[str, str]:
+    chain = out_dir / "chain"
+    toy_chain_hashes(toy_paths, chain)
+    runs = {
+        "sig-event-svg": ["--avg-population", "sig", "--distance-pooling", "event",
+                          "--svg", "--derived", str(chain / "derived.tsv")],
+        "tables-3-5": ["--tables", "3,5", "--figures", "order_asym"],
+    }
+    reports = out_dir / "reports"
+    for name, options in runs.items():
+        argv = ["report", "--stats", str(chain / "stats.tsv"), "--out", str(reports / name)]
+        assert main(argv + options) == 0, name
+    return _hashes(reports)
+
+
 def test_toy_outputs_match_recorded_hashes(tmp_path, toy_paths):
     expected = json.loads(HASHES.read_text(encoding="utf-8"))
     assert toy_output_hashes(toy_paths, tmp_path / "run") == expected
@@ -72,10 +92,19 @@ def test_toy_chain_outputs_match_recorded_hashes(tmp_path, toy_paths):
     assert toy_chain_hashes(toy_paths, tmp_path / "chain") == expected
 
 
+def test_toy_report_options_match_recorded_hashes(tmp_path, toy_paths):
+    expected = json.loads(REPORT_OPTION_HASHES.read_text(encoding="utf-8"))
+    assert toy_report_option_hashes(toy_paths, tmp_path / "run") == expected
+
+
 if __name__ == "__main__":
     from conftest import TOY_PATHS
 
-    for path, generate in ((HASHES, toy_output_hashes), (CHAIN_HASHES, toy_chain_hashes)):
+    for path, generate in (
+        (HASHES, toy_output_hashes),
+        (CHAIN_HASHES, toy_chain_hashes),
+        (REPORT_OPTION_HASHES, toy_report_option_hashes),
+    ):
         with tempfile.TemporaryDirectory() as tmp:
             hashes = generate(TOY_PATHS, Path(tmp) / "run")
         path.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
