@@ -7,13 +7,14 @@ the toolkit agnostic about where the pairs come from.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS, VERB, LemmaKey, PairUniverse
-from coocstat.tsv import Table, read_table, write_table
+from coocstat.tsv import Table, read_rows, read_table, write_table
 
 ANT = "ANT"
 SYN = "SYN"
@@ -35,15 +36,6 @@ LIGHT_VERB = "LIGHT_VERB"
 FLAGS = frozenset({MWE, ABBREV, NAMED_ENTITY, LINKING_VERB, AUX_VERB, LIGHT_VERB})
 _UNIT_FLAGS = frozenset({MWE, ABBREV, NAMED_ENTITY})
 _VERB_CLASS_FLAGS = frozenset({LINKING_VERB, AUX_VERB, LIGHT_VERB})
-
-EXCLUSION_RULES = (
-    "mwe_abbrev_ne",
-    "low_wn_freq",
-    "multi_relation",
-    "verb_class",
-    "hyp_path",
-)
-
 
 @dataclass(frozen=True)
 class LexiconEntry:
@@ -114,6 +106,39 @@ class FilterResult(NamedTuple):
     excluded: dict[str, int]
 
 
+# An exclusion rule maps the entries that survived the rules before it to
+# a test of whether one of them is excluded.
+_Rule = Callable[[Sequence[LexiconEntry]], Callable[[LexiconEntry], bool]]
+
+
+def _each(excludes: Callable[[LexiconEntry], bool]) -> _Rule:
+    """A rule that looks at one entry at a time."""
+    return lambda survivors: excludes
+
+
+def _multi_relation(survivors: Sequence[LexiconEntry]) -> Callable[[LexiconEntry], bool]:
+    relations_of: dict[tuple[str, str, str], set[str]] = {}
+    for e in survivors:
+        relations_of.setdefault(unordered_key(e.a, e.b), set()).add(e.relation)
+    return lambda e: len(relations_of[unordered_key(e.a, e.b)]) > 1
+
+
+#: The exclusion rules in the order they apply, by the name their count
+#: goes under.
+_RULES: tuple[tuple[str, _Rule], ...] = (
+    ("mwe_abbrev_ne", _each(lambda e: bool((e.flags_a | e.flags_b) & _UNIT_FLAGS))),
+    ("low_wn_freq", _each(lambda e: e.wn_freq_a <= 1 or e.wn_freq_b <= 1)),
+    ("multi_relation", _multi_relation),
+    ("verb_class", _each(
+        lambda e: e.a.pos == VERB and bool((e.flags_a | e.flags_b) & _VERB_CLASS_FLAGS)
+    )),
+    ("hyp_path", _each(
+        lambda e: e.relation == HYP and e.path_length is not None and e.path_length > 2
+    )),
+)
+EXCLUSION_RULES = tuple(name for name, _ in _RULES)
+
+
 def filter_pairs(entries: Sequence[LexiconEntry]) -> FilterResult:
     """Apply the five exclusion rules, in order, counting removals per rule.
 
@@ -125,46 +150,13 @@ def filter_pairs(entries: Sequence[LexiconEntry]) -> FilterResult:
     4. verb pairs with a linking/auxiliary/light verb on either side;
     5. hypernymy pairs with a hierarchy path length above two.
     """
-    excluded = {rule: 0 for rule in EXCLUSION_RULES}
-
-    stage1 = []
-    for e in entries:
-        if (e.flags_a | e.flags_b) & _UNIT_FLAGS:
-            excluded["mwe_abbrev_ne"] += 1
-        else:
-            stage1.append(e)
-
-    stage2 = []
-    for e in stage1:
-        if e.wn_freq_a <= 1 or e.wn_freq_b <= 1:
-            excluded["low_wn_freq"] += 1
-        else:
-            stage2.append(e)
-
-    relations_of: dict[tuple[str, str, str], set[str]] = {}
-    for e in stage2:
-        relations_of.setdefault(unordered_key(e.a, e.b), set()).add(e.relation)
-    stage3 = []
-    for e in stage2:
-        if len(relations_of[unordered_key(e.a, e.b)]) > 1:
-            excluded["multi_relation"] += 1
-        else:
-            stage3.append(e)
-
-    stage4 = []
-    for e in stage3:
-        if e.a.pos == VERB and (e.flags_a | e.flags_b) & _VERB_CLASS_FLAGS:
-            excluded["verb_class"] += 1
-        else:
-            stage4.append(e)
-
-    kept = []
-    for e in stage4:
-        if e.relation == HYP and e.path_length is not None and e.path_length > 2:
-            excluded["hyp_path"] += 1
-        else:
-            kept.append(e)
-
+    kept = list(entries)
+    excluded: dict[str, int] = {}
+    for name, rule in _RULES:
+        excludes = rule(kept)
+        survivors = [e for e in kept if not excludes(e)]
+        excluded[name] = len(kept) - len(survivors)
+        kept = survivors
     return FilterResult(kept, excluded)
 
 
@@ -332,14 +324,55 @@ def derived_pairs(
 # ---------------------------------------------------------------------------
 # File formats
 
-def _parse_flags(text: str, path: str, line_no: int) -> frozenset[str]:
+def _parse_flags(text: str) -> frozenset[str]:
     if not text:
         return frozenset()
     flags = frozenset(text.split(","))
     bad = flags - FLAGS
     if bad:
-        raise ValueError(f"{path} line {line_no}: unknown flags {sorted(bad)}")
+        raise ValueError(f"unknown flags {sorted(bad)}")
     return flags
+
+
+def _count(text: str) -> int:
+    return int(text) if text else 0
+
+
+def _lemma_key(lemma: str, pos: str) -> LemmaKey:
+    pos = pos.upper()
+    if pos not in CONTENT_POS:
+        raise ValueError(f"bad pos {pos!r}")
+    # One string per PoS for all rows, not one per row and side.
+    return LemmaKey(lemma.casefold(), sys.intern(pos))
+
+
+def _entry_from_fields(f: list[str]) -> LexiconEntry:
+    lemma_a, pos, lemma_b, relation, head, plen, freq_a, freq_b, flags_a, flags_b = f
+    a, b = _lemma_key(lemma_a, pos), _lemma_key(lemma_b, pos)
+    relation = relation.upper()
+    if relation not in RELATED:
+        raise ValueError(f"bad relation {relation!r}")
+    if a == b:
+        raise ValueError("identical lemmas")
+    if head not in ("", "a", "b"):
+        raise ValueError(f"bad directed_head {head!r}")
+    if head and relation not in (HYP, HOL):
+        raise ValueError(f"directed_head given for {relation}")
+    if relation == HYP and not plen:
+        raise ValueError("HYP needs path_length")
+    if plen and relation != HYP:
+        raise ValueError(f"path_length given for {relation}")
+    return LexiconEntry(
+        a=a,
+        b=b,
+        relation=relation,
+        directed_head=head or None,
+        path_length=int(plen) if plen else None,
+        wn_freq_a=_count(freq_a),
+        wn_freq_b=_count(freq_b),
+        flags_a=_parse_flags(flags_a),
+        flags_b=_parse_flags(flags_b),
+    )
 
 
 def load_lexicon(path: str) -> list[LexiconEntry]:
@@ -349,99 +382,28 @@ def load_lexicon(path: str) -> list[LexiconEntry]:
     wn_freq_a wn_freq_b flags_a flags_b.  Empty fields mean "absent";
     flags are comma-separated.
     """
-    entries = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            f = line.split("\t")
-            if len(f) != 10:
-                raise ValueError(
-                    f"{path} line {line_no}: expected 10 fields, got {len(f)}"
-                )
-            lemma_a, pos, lemma_b, relation, head, plen, freq_a, freq_b = f[:8]
-            pos = pos.upper()
-            relation = relation.upper()
-            if pos not in CONTENT_POS:
-                raise ValueError(f"{path} line {line_no}: bad pos {pos!r}")
-            if relation not in RELATED:
-                raise ValueError(f"{path} line {line_no}: bad relation {relation!r}")
-            lemma_a = lemma_a.casefold()
-            lemma_b = lemma_b.casefold()
-            if lemma_a == lemma_b:
-                raise ValueError(f"{path} line {line_no}: identical lemmas")
-            if head not in ("", "a", "b"):
-                raise ValueError(f"{path} line {line_no}: bad directed_head {head!r}")
-            if head and relation not in (HYP, HOL):
-                raise ValueError(
-                    f"{path} line {line_no}: directed_head given for {relation}"
-                )
-            if relation == HYP:
-                if not plen:
-                    raise ValueError(f"{path} line {line_no}: HYP needs path_length")
-                path_length = int(plen)
-            else:
-                if plen:
-                    raise ValueError(
-                        f"{path} line {line_no}: path_length given for {relation}"
-                    )
-                path_length = None
-            entries.append(
-                LexiconEntry(
-                    a=LemmaKey(lemma_a, pos),
-                    b=LemmaKey(lemma_b, pos),
-                    relation=relation,
-                    directed_head=head or None,
-                    path_length=path_length,
-                    wn_freq_a=int(freq_a) if freq_a else 0,
-                    wn_freq_b=int(freq_b) if freq_b else 0,
-                    flags_a=_parse_flags(f[8], path, line_no),
-                    flags_b=_parse_flags(f[9], path, line_no),
-                )
-            )
-    return entries
+    return list(read_rows(path, 10, _entry_from_fields))
+
+
+def _link_from_fields(f: list[str]) -> DerivationLink:
+    link = DerivationLink(_lemma_key(f[0], f[1]), _lemma_key(f[2], f[3]))
+    if link.source == link.derived:
+        raise ValueError("self-link")
+    return link
 
 
 def load_derivations(path: str) -> list[DerivationLink]:
     """Read derivation links: lemma pos derived_lemma derived_pos."""
-    links = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            f = line.split("\t")
-            if len(f) != 4:
-                raise ValueError(
-                    f"{path} line {line_no}: expected 4 fields, got {len(f)}"
-                )
-            source = LemmaKey(f[0].casefold(), f[1].upper())
-            derived = LemmaKey(f[2].casefold(), f[3].upper())
-            if source.pos not in CONTENT_POS or derived.pos not in CONTENT_POS:
-                raise ValueError(f"{path} line {line_no}: bad pos")
-            if source == derived:
-                raise ValueError(f"{path} line {line_no}: self-link")
-            links.append(DerivationLink(source, derived))
-    return links
+    return list(read_rows(path, 4, _link_from_fields))
+
+
+def _attrs_from_fields(f: list[str]) -> tuple[LemmaKey, LemmaMeta]:
+    return _lemma_key(f[0], f[1]), LemmaMeta(_count(f[2]), _parse_flags(f[3]))
 
 
 def load_lemma_attrs(path: str) -> dict[LemmaKey, LemmaMeta]:
     """Read per-lemma attributes: lemma pos wn_freq flags."""
-    meta = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            f = line.split("\t")
-            if len(f) != 4:
-                raise ValueError(
-                    f"{path} line {line_no}: expected 4 fields, got {len(f)}"
-                )
-            key = LemmaKey(f[0].casefold(), f[1].upper())
-            meta[key] = LemmaMeta(int(f[2]) if f[2] else 0, _parse_flags(f[3], path, line_no))
-    return meta
+    return dict(read_rows(path, 4, _attrs_from_fields))
 
 
 def lemma_meta_from_entries(entries: Iterable[LexiconEntry]) -> dict[LemmaKey, LemmaMeta]:
@@ -449,11 +411,8 @@ def lemma_meta_from_entries(entries: Iterable[LexiconEntry]) -> dict[LemmaKey, L
     meta: dict[LemmaKey, LemmaMeta] = {}
     for e in entries:
         for key, freq, flags in ((e.a, e.wn_freq_a, e.flags_a), (e.b, e.wn_freq_b, e.flags_b)):
-            old = meta.get(key)
-            if old is None:
-                meta[key] = LemmaMeta(freq, flags)
-            else:
-                meta[key] = LemmaMeta(max(old.wn_freq, freq), old.flags | flags)
+            old = meta.get(key, LemmaMeta(freq, flags))
+            meta[key] = LemmaMeta(max(old.wn_freq, freq), old.flags | flags)
     return meta
 
 
@@ -464,19 +423,18 @@ _VERB_CLASS_NAMES = {
 }
 
 
+def _verb_class_from_fields(f: list[str]) -> tuple[str, str]:
+    if f[1] not in _VERB_CLASS_NAMES:
+        raise ValueError(f"unknown verb class {f[1]!r} (choose from linking, aux, light)")
+    return f[0].casefold(), _VERB_CLASS_NAMES[f[1]]
+
+
 def load_verb_classes(path: str) -> dict[str, frozenset[str]]:
     """Read the verb word list: lemma class, class in {linking, aux, light}."""
-    classes: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            f = line.split("\t")
-            if len(f) != 2 or f[1] not in _VERB_CLASS_NAMES:
-                raise ValueError(f"{path} line {line_no}: expected 'lemma<TAB>class'")
-            classes.setdefault(f[0].casefold(), set()).add(_VERB_CLASS_NAMES[f[1]])
-    return {lemma: frozenset(flags) for lemma, flags in classes.items()}
+    classes: dict[str, frozenset[str]] = {}
+    for lemma, flag in read_rows(path, 2, _verb_class_from_fields):
+        classes[lemma] = classes.get(lemma, frozenset()) | {flag}
+    return classes
 
 
 def apply_verb_class_flags(

@@ -268,6 +268,12 @@ def _parse_flag(field: str) -> bool:
 
 
 def _scored_from_fields(f: list[str]) -> ScoredPair:
+    # `compute_pair_stats` writes order_p and mean_dist exactly when n_cooc > 0.
+    n_cooc = int(f[10])
+    if n_cooc > 0 and "" in (f[8], f[9]):
+        raise ValueError("order_p and mean_dist are required when n_cooc > 0")
+    if n_cooc == 0 and (f[8] or f[9]):
+        raise ValueError("order_p and mean_dist must be empty when n_cooc is 0")
     stats = PairStats(
         g2=float(f[4]),
         g2_significant=_parse_flag(f[5]),
@@ -275,7 +281,7 @@ def _scored_from_fields(f: list[str]) -> ScoredPair:
         has_preferred_order=_parse_flag(f[7]),
         order_p=_opt_float(f[8]),
         mean_distance=_opt_float(f[9]),
-        n_cooc=int(f[10]),
+        n_cooc=n_cooc,
         asym_order_score=_opt_float(f[12]),
         asym_has_preferred_order=None if f[13] == "" else _parse_flag(f[13]),
         asym_order_p=_opt_float(f[14]),

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,7 +26,8 @@ from coocstat.lexicon import (
     unordered_key,
     write_pairs,
 )
-from conftest import pair
+from coocstat.cli import DEFAULT_VERB_CLASSES, main
+from conftest import TOY_PATHS, pair
 
 
 def entry(a, b, pos="NOUN", relation=ANT, head=None, plen=None,
@@ -345,3 +348,72 @@ class TestLoaders:
         path = tmp_path / "pairs.tsv"
         write_pairs(pairs, str(path))
         assert read_pairs(str(path)) == pairs
+
+
+# -- malformed input files -----------------------------------------------------
+
+INPUT_FILES = {**TOY_PATHS, "verb_classes": str(DEFAULT_VERB_CLASSES)}
+
+# A subcommand that reads each input file, given that file's path; the
+# caller adds the corpus and the output.
+INPUT_COMMANDS = {
+    "lexicon": lambda path: ["extract-pairs", "--lexicon", path],
+    "verb_classes": lambda path: [
+        "extract-pairs", "--lexicon", TOY_PATHS["lexicon"], "--verb-classes", path,
+    ],
+    "derivations": lambda path: [
+        "extract-pairs", "--lexicon", TOY_PATHS["lexicon"], "--derivations", path,
+    ],
+    "lemma_attrs": lambda path: [
+        "sample-unrelated", "--lexicon", TOY_PATHS["lexicon"], "--lemma-attrs", path,
+        "--n", "5",
+    ],
+}
+
+# (case, file, malformed row appended to the file)
+MALFORMED_ROWS = [
+    ("field-count", "lexicon", "a\tNOUN\tb\tANT\t\t\t5\t5\t"),
+    ("bad-pos", "lexicon", "a\tNOUNS\tb\tANT\t\t\t5\t5\t\t"),
+    ("bad-relation", "lexicon", "a\tNOUN\tb\tMER\t\t\t5\t5\t\t"),
+    ("identical-lemmas", "lexicon", "a\tNOUN\tA\tANT\t\t\t5\t5\t\t"),
+    ("bad-head", "lexicon", "a\tNOUN\tb\tHYP\tc\t1\t5\t5\t\t"),
+    ("misplaced-head", "lexicon", "a\tNOUN\tb\tANT\ta\t\t5\t5\t\t"),
+    ("hyp-without-path", "lexicon", "a\tNOUN\tb\tHYP\tb\t\t5\t5\t\t"),
+    ("path-on-non-hyp", "lexicon", "a\tNOUN\tb\tANT\t\t2\t5\t5\t\t"),
+    ("unknown-flag", "lexicon", "a\tNOUN\tb\tANT\t\t\t5\t5\tMWE,FOO\t"),
+    ("field-count", "lemma_attrs", "a\tNOUN\t5"),
+    ("unknown-flag", "lemma_attrs", "a\tNOUN\t5\tFOO"),
+    ("field-count", "derivations", "a\tADJ\tb"),
+    ("bad-pos", "derivations", "a\tADJ\tb\tX"),
+    ("self-link", "derivations", "a\tADJ\tA\tadj"),
+    ("field-count", "verb_classes", "be\tlinking\textra"),
+    ("unknown-class", "verb_classes", "be\tmodal"),
+    # Rows that the per-file loops let through to a message without the file.
+    ("non-integer-wn-freq", "lexicon", "a\tNOUN\tb\tANT\t\t\tfive\t5\t\t"),
+    ("non-integer-path", "lexicon", "a\tNOUN\tb\tHYP\tb\tx\t5\t5\t\t"),
+    ("non-integer-wn-freq", "lemma_attrs", "a\tNOUN\tmany\t"),
+    ("bad-pos", "lemma_attrs", "a\tNOUNS\t5\t"),
+    ("invalid-utf8", "lexicon", b"caf\xe9\tNOUN\tb\tANT\t\t\t5\t5\t\t"),
+    ("invalid-utf8", "lemma_attrs", b"caf\xe9\tNOUN\t5\t"),
+    ("invalid-utf8", "derivations", b"caf\xe9\tADJ\tb\tADV"),
+    ("invalid-utf8", "verb_classes", b"caf\xe9\tlight"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,row",
+    [pytest.param(name, row, id=f"{case}-{name}") for case, name, row in MALFORMED_ROWS],
+)
+def test_malformed_input_file_exits_1(tmp_path, capsys, name, row):
+    lines = Path(INPUT_FILES[name]).read_bytes().splitlines()
+    bad = tmp_path / f"{name}.tsv"
+    row = row.encode("utf-8") if isinstance(row, str) else row
+    bad.write_bytes(b"".join(line + b"\n" for line in lines + [row]))
+    argv = INPUT_COMMANDS[name](str(bad)) + [
+        "--corpus", TOY_PATHS["corpus"], "--out", str(tmp_path / "out.tsv"),
+    ]
+
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} line {len(lines) + 1}: ")
+    assert len(err.splitlines()) == 1

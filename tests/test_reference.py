@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from coocstat import counting
 from coocstat.corpus import Corpus, CorpusParseError, LemmaKey, Sentence, Token, read_corpus
 from coocstat.counting import MergeError, count, count_sharded, scan_corpus
 from coocstat.lexicon import FLAGS, LemmaMeta, LemmaPair, sample_unrelated, unordered_key
@@ -83,10 +85,17 @@ def test_count_repeated_sentence_ids_rejected():
 
 
 @settings(max_examples=300, deadline=None)
-@given(corpora(), st.one_of(st.none(), st.sets(keys, max_size=12)), st.booleans())
-def test_scan_matches_reference(sentences, vocab, collect_pairs):
+@given(
+    corpora(),
+    st.one_of(st.none(), st.sets(keys, max_size=12)),
+    st.booleans(),
+    # Small blocks make the scan merge per-block frequencies and pairs.
+    st.sampled_from((1, 2, 3, counting._SCAN_BLOCK)),
+)
+def test_scan_matches_reference(sentences, vocab, collect_pairs, block):
     freqs, pairs, n = reference.scan_corpus(sentences, collect_pairs, vocab)
-    scan = scan_corpus(sentences, collect_pairs, vocab)
+    with mock.patch.object(counting, "_SCAN_BLOCK", block):
+        scan = scan_corpus(sentences, collect_pairs, vocab)
     assert scan.freqs == freqs
     assert scan.n_sentences == n
     if pairs is None:

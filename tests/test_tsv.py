@@ -81,6 +81,11 @@ CASES = [
     ("long-row", list(READERS), _edit_row(lambda f: "\t".join(f + ["0"])), 2),
     *[("bad-int", [name], _set_field(i, "x"), 2) for name, i in INT_COLUMN.items()],
     ("bad-flag", ["stats.tsv"], _set_field(5, "yes"), 2),
+    # Stats rows: order_p and mean_dist exactly when n_cooc > 0 (the first
+    # toy row co-occurs and is significant).
+    ("co-occurring-without-mean-dist", ["stats.tsv"], _set_field(9, ""), 2),
+    ("co-occurring-without-order-p", ["stats.tsv"], _set_field(8, ""), 2),
+    ("no-co-occurrence-with-order", ["stats.tsv"], _set_field(10, "0"), 2),
     ("unknown-pair", ["events.tsv"], _set_field(0, "nosuchlemma"), 2),
     ("event-count-mismatch", ["events.tsv"], lambda lines: lines[:1] + lines[2:], None),
     # Observation rows: cells >= 0 that sum to n, and one n for all rows.
@@ -154,8 +159,9 @@ def test_damaged_file_loads_or_raises_value_error(
 
 def test_invalid_utf8_names_the_file(toy_run, tmp_path):
     d = shutil.copytree(toy_run, tmp_path / "run")
+    n_lines = len((d / "pairs.tsv").read_bytes().splitlines())
     with open(d / "pairs.tsv", "ab") as handle:
         handle.write(b"a\tb\tNOUN\tANT\t\xff\n")
     with pytest.raises(ValueError, match="can't decode") as err:
         lexicon.read_pairs(str(d / "pairs.tsv"))
-    assert str(err.value).startswith(str(d / "pairs.tsv"))
+    assert str(err.value).startswith(f"{d / 'pairs.tsv'} line {n_lines + 1}: ")
