@@ -18,9 +18,11 @@ import zlib
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from coocstat.tsv import _utf8_error
 
 NOUN = "NOUN"
 VERB = "VERB"
@@ -123,10 +125,13 @@ def map_pos(raw_tag: str) -> str:
     return OTHER
 
 
+def _opener(path: str) -> Callable[..., IO]:
+    """`gzip.open` for a ``.gz`` path, else the built-in `open`."""
+    return gzip.open if str(path).endswith(".gz") else open
+
+
 def _open_text(path: str) -> IO[str]:
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+    return _opener(path)(path, "rt", encoding="utf-8")
 
 
 def _parse_key(text: str, line_no: int, path: str) -> LemmaKey:
@@ -146,6 +151,16 @@ def _parse_key(text: str, line_no: int, path: str) -> LemmaKey:
 
 def _id_order(key: LemmaKey) -> tuple[str, str]:
     return (key.pos, key.lemma)
+
+
+def sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of `codes` in sorted order, as `np.unique`
+    returns them.  Since NumPy 2.3 a plain `np.unique` goes through a hash
+    table, many times slower on integer codes than this sort-and-mask."""
+    ordered = np.sort(codes)
+    keep = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 @dataclass(eq=False)
@@ -274,12 +289,12 @@ def read_corpus(path: str, min_len: int = 5) -> Corpus:
     """
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
-    try:
-        with _open_text(path) as handle:
-            keys, token_ids, bounds = _parse(handle, path)
-    except UnicodeDecodeError as exc:
-        # Text is decoded in blocks, so the line is not known.
-        raise ValueError(f"{path}: invalid UTF-8: {exc}") from None
+    try:  # the outer handler also covers damage met while locating a bad line
+        try:
+            with _open_text(path) as handle:
+                keys, token_ids, bounds = _parse(handle, path)
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(path, exc, _opener(path)) from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"{path}: unreadable gzip data: {exc}") from exc
     ids = np.array(token_ids, dtype=np.int32)
@@ -321,7 +336,7 @@ class PairUniverse(Set):
         codes = [
             min(ids[a], ids[b]) * len(keys) + max(ids[a], ids[b]) for a, b in kept
         ]
-        return cls(keys, np.unique(np.array(codes, dtype=np.int64)))
+        return cls(keys, sorted_unique(np.array(codes, dtype=np.int64)))
 
     @cached_property
     def key_ids(self) -> dict[LemmaKey, int]:

@@ -21,7 +21,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from coocstat.corpus import CONTENT_POS, Corpus, LemmaKey, PairUniverse, Sentence, as_corpus
+from coocstat.corpus import (
+    CONTENT_POS, Corpus, LemmaKey, PairUniverse, Sentence, as_corpus, sorted_unique,
+)
 from coocstat.lexicon import PAIRS, LemmaPair, pair_fields, pair_from_fields
 from coocstat.tsv import Table, read_table, write_table
 
@@ -235,7 +237,7 @@ def _same_pos_pairs(sent: np.ndarray, key: np.ndarray, pos: np.ndarray, size: in
     later = np.repeat(start + length, length) - np.arange(len(key)) - 1
     left = np.repeat(np.arange(len(key)), later)
     right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(later) - later, later)
-    return np.unique(key[left] * size + key[right])
+    return sorted_unique(key[left] * size + key[right])
 
 
 def scan_corpus(
@@ -249,7 +251,8 @@ def scan_corpus(
 
     Pair collection is quadratic in the number of matching lemmas per
     sentence, so callers should restrict it with `vocab` on large
-    corpora.
+    corpora.  Each block of sentences contributes its distinct pair codes,
+    and one sort over all blocks' codes makes the universe.
     """
     corpus = as_corpus(sentences)
     keys, size = corpus.keys, len(corpus.keys)
@@ -257,19 +260,23 @@ def scan_corpus(
     eligible = content & np.array([vocab is None or k in vocab for k in keys], dtype=bool)
     pos = np.unique([k.pos for k in keys], return_inverse=True)[1]
     counts = np.zeros(size, dtype=np.int64)
-    found = np.empty(0, dtype=np.int64)
+    found = [np.empty(0, dtype=np.int64)]  # each block's distinct pair codes
     for lo in range(0, len(corpus), _SCAN_BLOCK):
         block = corpus.sentence_slice(lo, lo + _SCAN_BLOCK)
         sent, ids = block.sentence_index(), block.token_ids
         mask = content[ids]
-        present = np.unique(sent[mask] * size + ids[mask])
+        present = sorted_unique(sent[mask] * size + ids[mask])
         key = present % size
         counts += np.bincount(key, minlength=size)
         if collect_pairs:
             keep = eligible[key]
-            found = np.union1d(found, _same_pos_pairs(present[keep] // size, key[keep], pos, size))
+            found.append(_same_pos_pairs(present[keep] // size, key[keep], pos, size))
     freqs = {keys[i]: int(counts[i]) for i in np.flatnonzero(counts).tolist()}
-    pairs = PairUniverse(keys, found) if collect_pairs else None
+    pairs = None
+    if collect_pairs:
+        codes = np.concatenate(found)
+        found.clear()  # free the parts before the sort copies `codes`
+        pairs = PairUniverse(keys, sorted_unique(codes))
     return UniverseScan(freqs, pairs, len(corpus))
 
 

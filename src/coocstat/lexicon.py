@@ -142,6 +142,9 @@ EXCLUSION_RULES = tuple(name for name, _ in _RULES)
 def filter_pairs(entries: Sequence[LexiconEntry]) -> FilterResult:
     """Apply the five exclusion rules, in order, counting removals per rule.
 
+    A pair listed more than once with one relation is one pair: only its
+    first entry goes through the rules.
+
     1. either side flagged as a multi-word expression, abbreviation or
        named entity;
     2. either side with a lexicon frequency of zero or one;
@@ -150,7 +153,10 @@ def filter_pairs(entries: Sequence[LexiconEntry]) -> FilterResult:
     4. verb pairs with a linking/auxiliary/light verb on either side;
     5. hypernymy pairs with a hierarchy path length above two.
     """
-    kept = list(entries)
+    first: dict[tuple[tuple[str, str, str], str], LexiconEntry] = {}
+    for e in entries:
+        first.setdefault((unordered_key(e.a, e.b), e.relation), e)
+    kept = list(first.values())
     excluded: dict[str, int] = {}
     for name, rule in _RULES:
         excludes = rule(kept)
@@ -362,12 +368,15 @@ def _entry_from_fields(f: list[str]) -> LexiconEntry:
         raise ValueError("HYP needs path_length")
     if plen and relation != HYP:
         raise ValueError(f"path_length given for {relation}")
+    path_length = int(plen) if plen else None
+    if path_length is not None and path_length < 0:
+        raise ValueError(f"path_length must be >= 0, got {path_length}")
     return LexiconEntry(
         a=a,
         b=b,
         relation=relation,
         directed_head=head or None,
-        path_length=int(plen) if plen else None,
+        path_length=path_length,
         wn_freq_a=_count(freq_a),
         wn_freq_b=_count(freq_b),
         flags_a=_parse_flags(flags_a),

@@ -9,7 +9,7 @@ report a bad row, or a line that is not UTF-8, as ``<path> line N: ...``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 T = TypeVar("T")
 
@@ -30,10 +30,13 @@ def write_table(path: str, table: Table, rows: Iterable[Sequence[str]]) -> None:
             out.write("\t".join(row) + "\n")
 
 
-def _utf8_error(path: str, exc: UnicodeDecodeError) -> ValueError:
-    """Locate the first line of `path` that is not UTF-8.  Text is decoded
-    in blocks, so `exc` alone does not tell which line it is."""
-    with open(path, "rb") as handle:
+def _utf8_error(
+    path: str, exc: UnicodeDecodeError, opener: Callable[..., IO[bytes]]
+) -> ValueError:
+    """Locate the first line of `path` that is not UTF-8, reading it as
+    bytes through `opener` (`open`, or `gzip.open` for a compressed file).
+    Text is decoded in blocks, so `exc` alone does not tell which line it is."""
+    with opener(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
                 line.decode("utf-8")
@@ -58,7 +61,7 @@ def _read(
                     raise ValueError(f"expected {width} fields, got {len(fields)}")
                 yield decode(fields)
     except UnicodeDecodeError as exc:
-        raise _utf8_error(path, exc) from None
+        raise _utf8_error(path, exc, open) from None
     except ValueError as exc:
         raise ValueError(f"{path} line {line_no}: {exc}") from None
 

@@ -185,7 +185,8 @@ class TestSubcommands:
         "data,message",
         [
             (b"a\ta\tNOUN\nbad\tNOUN\n\n", " line 2: expected 3 tab-separated fields, got 2\n"),
-            (b"a\ta\tNOUN\nb\t\xffb\tNOUN\n\n", ": invalid UTF-8: "),
+            (b"a\ta\tNOUN\nb\t\xffb\tNOUN\n\n",
+             " line 2: 'utf-8' codec can't decode byte 0xff in position 2: "),
         ],
         ids=["field-count", "invalid-utf8"],
     )
@@ -199,6 +200,26 @@ class TestSubcommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus}{message}")
+
+    @pytest.mark.parametrize("suffix", [".tsv", ".tsv.gz"], ids=["plain", "gzip"])
+    def test_invalid_utf8_corpus_names_the_line(self, tmp_path, toy_paths, capsys, suffix):
+        lines = Path(toy_paths["corpus"]).read_bytes().splitlines(keepends=True)
+        line_no = 1000  # a token line past the first 8 KB decode block
+        assert lines[line_no - 1].count(b"\t") == 2
+        lines[line_no - 1] = b"caf\xe9" + lines[line_no - 1]
+        data = b"".join(lines)
+        corpus = tmp_path / f"bad{suffix}"
+        corpus.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        rc = main([
+            "extract-pairs", "--lexicon", toy_paths["lexicon"],
+            "--corpus", str(corpus), "--out", str(tmp_path / "pairs.tsv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {corpus} line {line_no}: 'utf-8' codec can't decode byte 0xe9 in position 3: "
+        )
+        assert len(err.splitlines()) == 1
 
     def test_stagewise_matches_orchestrator(self, tmp_path, toy_paths):
         # extract-pairs -> sample-unrelated -> count -> metrics -> report

@@ -1,7 +1,11 @@
+import ast
 import gzip
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coocstat.corpus import (
     ADJ,
@@ -13,7 +17,10 @@ from coocstat.corpus import (
     CorpusParseError,
     map_pos,
     read_corpus,
+    sorted_unique,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "coocstat"
 
 SIMPLE = """\
 # a comment line
@@ -176,3 +183,54 @@ def _prop_corpus() -> str:
         with open(fd, "w", encoding="utf-8") as out:
             out.write(text)
     return _PROP_PATH
+
+
+# -- sorted_unique -------------------------------------------------------------
+
+_INT64 = st.integers(min_value=np.iinfo(np.int64).min, max_value=np.iinfo(np.int64).max)
+
+
+@given(st.one_of(
+    hnp.arrays(np.int64, st.integers(0, 200), elements=_INT64),
+    # heavy repeats
+    hnp.arrays(np.int64, st.integers(0, 200), elements=st.integers(-3, 3)),
+))
+@example(np.array([], dtype=np.int64))
+@example(np.array([5], dtype=np.int64))
+@example(np.array([2, 2, 2, 2], dtype=np.int64))
+def test_sorted_unique_equals_np_unique(codes):
+    before = codes.copy()
+    out = sorted_unique(codes)
+    expected = np.unique(codes)
+    assert out.dtype == expected.dtype
+    assert np.array_equal(out, expected)
+    assert np.array_equal(codes, before)  # the input is left as it was
+
+
+def _hash_table_calls(tree: ast.AST) -> list[str]:
+    """`np.union1d` calls, and `np.unique` calls without a ``return_*``
+    keyword: both take NumPy's hash-table path (NumPy >= 2.3)."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        name = node.func.attr
+        flags = [k.arg for k in node.keywords if k.arg and k.arg.startswith("return_")]
+        if name == "union1d" or (name == "unique" and not flags):
+            found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+    return found
+
+
+def test_guard_spots_hash_table_calls():
+    code = "np.unique(x)\nnp.union1d(a, b)\nnp.unique(x, return_index=True)\n"
+    assert _hash_table_calls(ast.parse(code)) == ["line 1: np.unique", "line 2: np.union1d"]
+
+
+def test_no_hash_table_unique_in_the_package():
+    # Dedupe integer codes with `sorted_unique` instead.
+    offenders = [
+        f"{path.name} {call}"
+        for path in sorted(SRC.rglob("*.py"))
+        for call in _hash_table_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []

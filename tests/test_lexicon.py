@@ -91,8 +91,20 @@ class TestFilterPairs:
     def test_duplicate_same_relation_not_multi(self):
         entries = [entry("a", "b"), entry("a", "b")]
         kept, excluded = filter_pairs(entries)
-        assert len(kept) == 2
+        assert kept == [entry("a", "b")]
         assert excluded["multi_relation"] == 0
+
+    def test_duplicates_keep_the_first_entry(self):
+        first = entry("dog", "animal", relation=HYP, head="b", plen=1)
+        entries = [
+            first,
+            entry("hot", "cold", pos="ADJ"),
+            entry("animal", "dog", relation=HYP, head="a", plen=1),  # same unordered pair
+            entry("dog", "animal", relation=HYP, head="b", plen=1, freq_a=9),
+        ]
+        kept, excluded = filter_pairs(entries)
+        assert kept == [first, entry("hot", "cold", pos="ADJ")]
+        assert sum(excluded.values()) == 0
 
     def test_verb_rule_only_for_verbs(self):
         # LIGHT_VERB-style flag on a noun entry is ignored by rule 4
@@ -417,3 +429,39 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, name, row):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad} line {len(lines) + 1}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_negative_path_length_names_the_row(tmp_path, capsys):
+    lines = Path(TOY_PATHS["lexicon"]).read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "lexicon.tsv"
+    bad.write_text("\n".join(lines + ["dog\tNOUN\tanimal\tHYP\tb\t-4\t5\t5\t\t"]) + "\n",
+                   encoding="utf-8")
+    argv = ["extract-pairs", "--lexicon", str(bad), "--corpus", TOY_PATHS["corpus"],
+            "--out", str(tmp_path / "pairs.tsv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad} line {len(lines) + 1}: path_length must be >= 0, got -4\n"
+    )
+
+
+def test_duplicate_lexicon_row_is_written_once(tmp_path, capsys):
+    """A repeated `dog NOUN animal HYP` row leaves the pairs file as it is
+    without the repeat, and every pair written is counted."""
+    text = Path(TOY_PATHS["lexicon"]).read_text(encoding="utf-8")
+    assert "dog\tNOUN\tanimal\tHYP\tb\t1\t8\t9\t\t\n" in text
+    dup = tmp_path / "lexicon.tsv"
+    dup.write_text(text + "dog\tNOUN\tanimal\tHYP\tb\t1\t8\t9\t\t\n", encoding="utf-8")
+
+    outputs = {}
+    for name, lex in (("toy", TOY_PATHS["lexicon"]), ("dup", str(dup))):
+        out = tmp_path / f"{name}-pairs.tsv"
+        assert main(["extract-pairs", "--lexicon", lex, "--corpus", TOY_PATHS["corpus"],
+                     "--out", str(out), "--counts-json", str(tmp_path / f"{name}.json")]) == 0
+        outputs[name] = (out.read_bytes(), (tmp_path / f"{name}.json").read_bytes())
+        written = capsys.readouterr().out
+        assert main(["count", "--corpus", TOY_PATHS["corpus"], "--pairs", str(out),
+                     "--out", str(tmp_path / f"{name}-counts")]) == 0
+        counted = capsys.readouterr().out
+        n_written = int(written.split("pairs written: ")[1].split()[0])
+        assert f"pairs counted: {n_written} ->" in counted
+    assert outputs["dup"] == outputs["toy"]
