@@ -7,6 +7,11 @@ pair costs time in proportion to its keys' postings, not to the corpus
 Cooccurrences*, ch. 2-3).  Any iterable of `Sentence` is compiled into a
 `Corpus` first.
 
+Each pair's co-occurrence events are one `(m, 3)` int64 array with the
+columns `sentence_id, pos_w, pos_v`, 24 bytes per event, from `count`
+through `read_observations` to the metrics; no Python object is built
+per event.
+
 `merge` combines the results of disjoint sentence-id ranges exactly as
 one pass would count them; `count_sharded` counts contiguous sentence
 blocks in one process and merges them in block order.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -47,7 +53,8 @@ class ContingencyTable(NamedTuple):
 
 
 class CooccurrenceEvent(NamedTuple):
-    """First-occurrence token positions of both lemmas in one sentence."""
+    """The columns of one row of `PairObservations.events`: the sentence
+    and the first-occurrence token positions of both lemmas in it."""
 
     sentence_id: int
     pos_w: int
@@ -56,9 +63,12 @@ class CooccurrenceEvent(NamedTuple):
 
 @dataclass
 class PairObservations:
+    """One pair's table and its `(o_wv, 3)` int64 array of events, one
+    `sentence_id, pos_w, pos_v` row per sentence where both lemmas occur."""
+
     pair: LemmaPair
     table: ContingencyTable
-    events: list[CooccurrenceEvent]
+    events: np.ndarray
 
 
 class MergeError(ValueError):
@@ -145,12 +155,10 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
         )
         n_w, n_v, n_wv = hi_w - lo_w, hi_v - lo_v, len(both)
         table = ContingencyTable(n_wv, n_w - n_wv, n_v - n_wv, n - n_w - n_v + n_wv, n)
-        events = list(map(
-            CooccurrenceEvent,
-            corpus.sentence_ids[both].tolist(),
-            first[lo_w:hi_w][iw].tolist(),
-            first[lo_v:hi_v][iv].tolist(),
-        ))
+        events = np.empty((n_wv, 3), dtype=np.int64)
+        events[:, 0] = corpus.sentence_ids[both]
+        events[:, 1] = first[lo_w:hi_w][iw]
+        events[:, 2] = first[lo_v:hi_v][iv]
         observations[pair] = PairObservations(pair, table, events)
     return CountResult(observations, n, _id_runs(corpus.sentence_ids))
 
@@ -188,7 +196,8 @@ def merge(a: CountResult, b: CountResult) -> CountResult:
             ta.o_notw_notv + tb.o_notw_notv,
             n,
         )
-        events = sorted(obs_a.events + obs_b.events, key=lambda e: e.sentence_id)
+        events = np.concatenate((obs_a.events, obs_b.events))
+        events = events[np.argsort(events[:, 0], kind="stable")]
         observations[pair] = PairObservations(pair, table, events)
     return CountResult(observations, n, runs)
 
@@ -296,8 +305,8 @@ def _observation_fields(obs: PairObservations) -> tuple[str, ...]:
 
 def _event_rows(obs: PairObservations) -> Iterator[tuple[str, ...]]:
     prefix = pair_fields(obs.pair)[:4]
-    for e in obs.events:
-        yield (*prefix, str(e.sentence_id), str(e.pos_w), str(e.pos_v))
+    for sentence_id, pos_w, pos_v in obs.events.tolist():
+        yield (*prefix, str(sentence_id), str(pos_w), str(pos_v))
 
 
 def write_observations(result: CountResult, obs_path: str, events_path: str) -> None:
@@ -307,50 +316,97 @@ def write_observations(result: CountResult, obs_path: str, events_path: str) -> 
     write_table(events_path, EVENTS, rows)
 
 
-def _observation_from_fields(f: list[str]) -> PairObservations:
+def _observation_from_fields(f: list[str]) -> tuple[LemmaPair, ContingencyTable]:
     a, b, c, d, n = int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9])
     if a < 0 or b < 0 or c < 0 or d < 0:
         raise ValueError("negative cell count")
     if a + b + c + d != n:
         raise ValueError(f"cells sum to {a + b + c + d}, not n = {n}")
-    return PairObservations(pair_from_fields(f), ContingencyTable(a, b, c, d, n), [])
+    return pair_from_fields(f), ContingencyTable(a, b, c, d, n)
+
+
+def _repeats(pair: np.ndarray, sentence_id: np.ndarray) -> np.ndarray:
+    """Mark each row whose (pair, sentence_id) an earlier row already has."""
+    order = np.lexsort((sentence_id, pair))
+    pair, sentence_id = pair[order], sentence_id[order]
+    same = (pair[1:] == pair[:-1]) & (sentence_id[1:] == sentence_id[:-1])
+    out = np.zeros(len(order), dtype=bool)
+    out[order[1:][same]] = True
+    return out
+
+
+def _check_event_rows(rows: np.ndarray, path: str) -> None:
+    """Reject the first of the (pair index, sentence_id, pos_w, pos_v)
+    `rows` of `path` that has a negative value, equal positions, or a
+    sentence already seen for its pair (counting gives a pair at most one
+    event per sentence)."""
+    problems = np.stack((
+        (rows[:, 1:] < 0).any(axis=1),
+        rows[:, 2] == rows[:, 3],
+        _repeats(rows[:, 0], rows[:, 1]),
+    ))
+    bad = np.flatnonzero(problems.any(axis=0))
+    if len(bad):
+        what = (
+            "negative sentence_id, pos_w or pos_v",
+            "pos_w equals pos_v",
+            "sentence_id repeats within its pair",
+        )[int(np.argmax(problems[:, bad[0]]))]
+        raise ValueError(f"{path} line {bad[0] + 2}: {what}")
 
 
 def read_observations(obs_path: str, events_path: str) -> CountResult:
     """Load a dumped count; the result cannot be merged further.
 
-    Every row's cells must be non-negative and sum to its `n`, and every
-    row must have the first row's `n`.
+    Every row's cells must be non-negative and sum to its `n`, every row
+    must have the first row's `n`, and no pair may repeat.  Every event
+    row must name a listed pair and hold non-negative values with
+    `pos_w != pos_v`, no pair may have two events in one sentence, and
+    each pair must have `o_wv` events.
     """
-    observations: dict[LemmaPair, PairObservations] = {}
-    by_key: dict[tuple[str, ...], list[CooccurrenceEvent]] = {}
-    n = None  # the first row's n, set by the loop below
+    tables: list[tuple[LemmaPair, ContingencyTable]] = []
+    index: dict[tuple[str, ...], int] = {}  # a pair's event-row key -> its row
 
-    def observation_from_fields(f: list[str]) -> PairObservations:
-        obs = _observation_from_fields(f)
-        if n is not None and obs.table.n != n:
-            raise ValueError(f"n = {obs.table.n} differs from the first row's n = {n}")
-        return obs
+    def observation_from_fields(
+        f: list[str],
+    ) -> tuple[tuple[str, ...], LemmaPair, ContingencyTable]:
+        pair, table = _observation_from_fields(f)
+        if tables and table.n != tables[0][1].n:
+            raise ValueError(f"n = {table.n} differs from the first row's n = {tables[0][1].n}")
+        key = (f[0], f[1], f[2], f[3])
+        if key in index:
+            raise ValueError(f"duplicate pair {' '.join(key)}")
+        return key, pair, table
 
-    for obs in read_table(obs_path, OBSERVATIONS, observation_from_fields):
-        observations[obs.pair] = obs
-        by_key[pair_fields(obs.pair)[:4]] = obs.events
-        n = obs.table.n
+    for key, pair, table in read_table(obs_path, OBSERVATIONS, observation_from_fields):
+        index[key] = len(tables)
+        tables.append((pair, table))
 
-    def event_from_fields(f: list[str]) -> tuple[list[CooccurrenceEvent], CooccurrenceEvent]:
-        events = by_key.get((f[0], f[1], f[2], f[3]))
-        if events is None:
+    def event_from_fields(f: list[str]) -> tuple[int, int, int, int]:
+        i = index.get((f[0], f[1], f[2], f[3]))
+        if i is None:
             raise ValueError("event for unknown pair")
-        return events, CooccurrenceEvent(int(f[4]), int(f[5]), int(f[6]))
+        return i, int(f[4]), int(f[5]), int(f[6])
 
-    for events, event in read_table(events_path, EVENTS, event_from_fields):
-        events.append(event)
-    for obs in observations.values():
-        if len(obs.events) != obs.table.o_wv:
-            raise ValueError(
-                f"{events_path}: event count mismatch for pair {obs.pair}"
-            )
-    return CountResult(observations, n or 0, ())
+    flat = array("q")
+    try:
+        for row in read_table(events_path, EVENTS, event_from_fields):
+            flat.extend(row)
+    except OverflowError:
+        line_no = len(flat) // 4 + 2
+        raise ValueError(f"{events_path} line {line_no}: integer out of int64 range") from None
+    rows = np.frombuffer(flat, dtype=np.int64).reshape(-1, 4)
+    _check_event_rows(rows, events_path)
+    counts = np.bincount(rows[:, 0], minlength=len(tables))
+    for (pair, table), m in zip(tables, counts.tolist()):
+        if m != table.o_wv:
+            raise ValueError(f"{events_path}: event count mismatch for pair {pair}")
+    events = rows[np.argsort(rows[:, 0], kind="stable"), 1:]
+    observations = {
+        pair: PairObservations(pair, table, part)
+        for (pair, table), part in zip(tables, np.split(events, np.cumsum(counts)[:-1]))
+    }
+    return CountResult(observations, tables[0][1].n if tables else 0, ())
 
 
 def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:

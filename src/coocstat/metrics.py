@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from coocstat.counting import ContingencyTable, CooccurrenceEvent, PairObservations
 from coocstat.lexicon import HOL, HYP, PAIRS, LemmaPair, pair_fields, pair_from_fields
 from coocstat.stats import binom_test_two_sided, chi2_sf
@@ -101,9 +103,18 @@ def _order_test(k: int, m: int, alpha: float) -> OrderStats:
     return OrderStats((2 * k - m) / m if preferred else 0.0, preferred, p_value)
 
 
-def order_stats(
-    events: Sequence[CooccurrenceEvent], alpha: float = DEFAULT_ALPHA
-) -> OrderStats:
+# A pair's events: its `PairObservations.events` array, or any sequence
+# of `CooccurrenceEvent` rows.
+Events = np.ndarray | Sequence[CooccurrenceEvent]
+
+
+def _gaps(events: Events) -> np.ndarray:
+    """`pos_w - pos_v` for each event: negative where w comes first."""
+    rows = np.asarray(events, dtype=np.int64).reshape(-1, 3)
+    return rows[:, 1] - rows[:, 2]
+
+
+def order_stats(events: Events, alpha: float = DEFAULT_ALPHA) -> OrderStats:
     """Order preference of a pair over its co-occurrence events.
 
     Each event scores +1 when w (the more frequent lemma) precedes v and
@@ -111,11 +122,12 @@ def order_stats(
     whether the pair has a preferred order; the order score is the mean
     event score when it does and 0 otherwise.
     """
-    return _order_test(sum(1 for e in events if e.pos_w < e.pos_v), len(events), alpha)
+    gaps = _gaps(events)
+    return _order_test(int(np.count_nonzero(gaps < 0)), len(gaps), alpha)
 
 
 def asymmetric_order_stats(
-    events: Sequence[CooccurrenceEvent],
+    events: Events,
     pair: LemmaPair,
     alpha: float = DEFAULT_ALPHA,
 ) -> OrderStats:
@@ -129,18 +141,22 @@ def asymmetric_order_stats(
         raise ValueError(f"asymmetric order needs a directed relation, got {pair.relation}")
     if pair.head not in ("w", "v"):
         raise ValueError("asymmetric order needs a known head side")
-    if pair.head == "w":
-        k = sum(1 for e in events if e.pos_w < e.pos_v)
-    else:
-        k = sum(1 for e in events if e.pos_v < e.pos_w)
-    return _order_test(k, len(events), alpha)
+    gaps = _gaps(events)
+    head_first = gaps < 0 if pair.head == "w" else gaps > 0
+    return _order_test(int(np.count_nonzero(head_first)), len(gaps), alpha)
 
 
-def mean_distance(events: Sequence[CooccurrenceEvent]) -> float:
-    """Mean number of tokens strictly between the two first occurrences."""
-    if not events:
+def mean_distance(events: Events) -> float:
+    """Mean number of tokens strictly between the two first occurrences.
+
+    The distances are summed as integers and divided once, so the mean is
+    the correctly rounded quotient of two integers.
+    """
+    gaps = _gaps(events)
+    m = len(gaps)
+    if not m:
         raise UndefinedMetricError("distance is undefined without co-occurrences")
-    return sum(abs(e.pos_w - e.pos_v) - 1 for e in events) / len(events)
+    return (int(np.add.reduce(np.abs(gaps))) - m) / m
 
 
 @dataclass
@@ -173,7 +189,7 @@ def compute_pair_stats(
     g2 = g2_score(obs.table)
     significant = chi2_sf(g2, 1.0) < alpha
 
-    if obs.events:
+    if len(obs.events):
         order = order_stats(obs.events, alpha)
         dist = mean_distance(obs.events)
         order_score: float = order.order_score
@@ -192,7 +208,7 @@ def compute_pair_stats(
         n_cooc=obs.table.o_wv,
     )
     pair = obs.pair
-    if pair.relation in (HYP, HOL) and pair.head in ("w", "v") and obs.events:
+    if pair.relation in (HYP, HOL) and pair.head in ("w", "v") and len(obs.events):
         asym = asymmetric_order_stats(obs.events, pair, alpha)
         stats.asym_order_score = asym.order_score
         stats.asym_has_preferred_order = asym.has_preferred_order

@@ -1,11 +1,12 @@
 """Plain-Python reference versions of the corpus parser, the frequency and
-pair scan, the counter and the control-pair sampler.
+pair scan, the counter, the control-pair sampler and the event metrics.
 
 These are the loop implementations the array code in `coocstat.corpus`,
-`coocstat.counting` and `coocstat.lexicon` replaced: one Python object per
-token, a dict of first positions per sentence, and a tuple set for the
-pair universe.  `test_reference.py` requires the library to give exactly
-their results.
+`coocstat.counting`, `coocstat.lexicon` and `coocstat.metrics` replaced:
+one Python object per token and per co-occurrence event, a dict of first
+positions per sentence, and a tuple set for the pair universe.
+`test_reference.py` and `test_metrics.py` require the library to give
+exactly their results.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from coocstat.lexicon import (
     _orient,
     unordered_key,
 )
+from coocstat.metrics import DEFAULT_ALPHA, OrderStats, _order_test
 
 
 class ReferenceParseError(ValueError):
@@ -231,3 +233,25 @@ def sample_unrelated(
             )
         sampled.append(pair)
     return sampled
+
+
+# ---------------------------------------------------------------------------
+# Event metrics over a list of `CooccurrenceEvent` tuples
+
+
+def order_stats(events: Sequence[CooccurrenceEvent], alpha: float = DEFAULT_ALPHA) -> OrderStats:
+    return _order_test(sum(1 for e in events if e.pos_w < e.pos_v), len(events), alpha)
+
+
+def asymmetric_order_stats(
+    events: Sequence[CooccurrenceEvent], pair: LemmaPair, alpha: float = DEFAULT_ALPHA
+) -> OrderStats:
+    if pair.head == "w":
+        k = sum(1 for e in events if e.pos_w < e.pos_v)
+    else:
+        k = sum(1 for e in events if e.pos_v < e.pos_w)
+    return _order_test(k, len(events), alpha)
+
+
+def mean_distance(events: Sequence[CooccurrenceEvent]) -> float:
+    return sum(abs(e.pos_w - e.pos_v) - 1 for e in events) / len(events)

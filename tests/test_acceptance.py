@@ -219,7 +219,9 @@ def test_criterion_5_sharded_count_exactness():
         ok = ok and merged.n == single.n
         for p in pairs:
             ok = ok and merged.observations[p].table == single.observations[p].table
-            ok = ok and merged.observations[p].events == single.observations[p].events
+            ok = ok and np.array_equal(
+                merged.observations[p].events, single.observations[p].events
+            )
     report("criterion 5: sharded-count exactness", ok, "K in {2, 3, 7}, 500 pairs")
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from coocstat import cli
+from coocstat import cli, counting, metrics
 from coocstat.cli import RunConfig, main, run_pipeline
-from conftest import TOY_PATHS
+from coocstat.tsv import write_table
+from conftest import TOY_PATHS, pair, sent
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -291,6 +292,36 @@ class TestSubcommands:
         ])
         assert rc == 0
         assert pairs_a.read_bytes() == pairs_b.read_bytes()
+
+
+class TestMetricsOnCountDir:
+    def _metrics(self, counts: Path, tmp_path: Path) -> list[str]:
+        out = tmp_path / "stats.tsv"
+        assert main(["metrics", "--obs", str(counts), "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8").splitlines()
+
+    def test_header_only(self, tmp_path):
+        counts = tmp_path / "counts"
+        counts.mkdir()
+        write_table(str(counts / "observations.tsv"), counting.OBSERVATIONS, [])
+        write_table(str(counts / "events.tsv"), counting.EVENTS, [])
+        assert self._metrics(counts, tmp_path) == ["\t".join(metrics.STATS.columns)]
+
+    def test_pair_without_cooccurrence_among_others(self, tmp_path):
+        # b and c never share a sentence; a co-occurs with both.
+        sentences = [sent(0, "a", "x", "b"), sent(1, "c", "x"), sent(2, "c", "a")]
+        pairs = [pair("a", "b"), pair("b", "c"), pair("a", "c")]
+        result = counting.count(sentences, pairs)
+        counts = tmp_path / "counts"
+        counts.mkdir()
+        counting.write_observations(
+            result, str(counts / "observations.tsv"), str(counts / "events.tsv")
+        )
+        rows = [line.split("\t") for line in self._metrics(counts, tmp_path)[1:]]
+        # n_cooc, then order_p and mean_dist, empty without co-occurrences
+        assert [(f[10], f[8] == "", f[9]) for f in rows] == [
+            ("1", False, "1.0"), ("0", True, ""), ("1", False, "0.0"),
+        ]
 
 
 class TestOptionChecks:

@@ -1,5 +1,8 @@
+import gc
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from coocstat.counting import (
@@ -38,14 +41,15 @@ class TestCount:
         obs = result.observations[p]
         assert obs.table == ContingencyTable(3, 1, 2, 4, 10)
         assert result.n == 10
-        assert [e.sentence_id for e in obs.events] == [0, 1, 2]
+        assert obs.events[:, 0].tolist() == [0, 1, 2]
 
     def test_multiplicity_counts_once_first_positions(self):
         sentences = [sent(0, "hot/ADJ", "hot/ADJ", "cold/ADJ")]
         p = pair("hot", "cold", pos="ADJ")
         obs = count(sentences, [p]).observations[p]
         assert obs.table.o_wv == 1
-        assert obs.events == [(0, 0, 2)]
+        assert obs.events.dtype == np.int64
+        assert obs.events.tolist() == [[0, 0, 2]]
 
     def test_pos_must_match(self):
         sentences = [sent(0, "bank/VERB", "river/NOUN", "x/NOUN")]
@@ -78,8 +82,8 @@ class TestCount:
         scrambled = count(shuffled, pairs)
         for p in pairs:
             assert forward.observations[p].table == scrambled.observations[p].table
-            assert sorted(scrambled.observations[p].events) == sorted(
-                forward.observations[p].events
+            assert sorted(scrambled.observations[p].events.tolist()) == sorted(
+                forward.observations[p].events.tolist()
             )
 
     def test_empty_pairs_rejected(self):
@@ -101,7 +105,7 @@ class TestMerge:
         assert merged.n == full.n
         for p in pairs:
             assert merged.observations[p].table == full.observations[p].table
-            assert merged.observations[p].events == full.observations[p].events
+            assert np.array_equal(merged.observations[p].events, full.observations[p].events)
 
     def test_split_equals_single_pass_any_split(self):
         rng = random.Random(33)
@@ -113,7 +117,9 @@ class TestMerge:
             assert merged.n == full.n
             for p in pairs:
                 assert merged.observations[p].table == full.observations[p].table
-                assert merged.observations[p].events == full.observations[p].events
+                assert np.array_equal(
+                    merged.observations[p].events, full.observations[p].events
+                )
 
     def test_three_way_merge_any_order(self):
         rng = random.Random(34)
@@ -132,7 +138,9 @@ class TestMerge:
             assert combo.id_runs == ((0, 999),)
             for p in pairs:
                 assert combo.observations[p].table == full.observations[p].table
-                assert combo.observations[p].events == full.observations[p].events
+                assert np.array_equal(
+                    combo.observations[p].events, full.observations[p].events
+                )
 
     def test_overlap_rejected(self):
         sentences = random_corpus(random.Random(35), 50, vocab_size=20)
@@ -160,7 +168,7 @@ class TestCountSharded:
         assert blocked.n == full.n
         for p in pairs:
             assert blocked.observations[p].table == full.observations[p].table
-            assert blocked.observations[p].events == full.observations[p].events
+            assert np.array_equal(blocked.observations[p].events, full.observations[p].events)
 
 
 class TestScan:
@@ -197,7 +205,7 @@ class TestDistanceBound:
         pairs = [pair("w0", "w4"), pair("w1", "w5", "VERB"), pair("w2", "w6", "ADJ")]
         result = count(sentences, pairs)
         for obs in result.observations.values():
-            if obs.events:
+            if len(obs.events):
                 assert mean_distance(obs.events) <= max_len - 2
 
 
@@ -214,4 +222,25 @@ class TestObservationsRoundTrip:
         assert loaded.n == result.n
         for p in pairs:
             assert loaded.observations[p].table == result.observations[p].table
-            assert loaded.observations[p].events == result.observations[p].events
+            assert np.array_equal(loaded.observations[p].events, result.observations[p].events)
+
+    def test_loaded_events_are_compact(self, tmp_path):
+        # An event takes 24 bytes as an int64 row, and about 110 as a
+        # `CooccurrenceEvent` tuple in a list.
+        rng = random.Random(41)
+        sentences = random_corpus(rng, 3000, vocab_size=20)
+        pos = ("NOUN", "VERB", "ADJ", "ADV")
+        pairs = [pair(f"w{i}", f"w{i + 4}", pos[i % 4]) for i in range(16)]
+        obs_path, ev_path = str(tmp_path / "obs.tsv"), str(tmp_path / "events.tsv")
+        write_observations(count(sentences, pairs), obs_path, ev_path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = read_observations(obs_path, ev_path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_events = sum(len(obs.events) for obs in loaded.observations.values())
+        assert n_events > 10_000
+        assert held / n_events <= 40

@@ -1,8 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from coocstat.counting import ContingencyTable, CooccurrenceEvent
 from coocstat.metrics import (
     UndefinedMetricError,
@@ -162,6 +165,32 @@ class TestMeanDistance:
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
             mean_distance([])
+
+
+# Events with distinct positions; a small position range makes long runs of
+# one order, so some lists have a preferred order.
+event_lists = st.lists(
+    st.builds(
+        CooccurrenceEvent,
+        st.integers(0, 10**9),
+        st.one_of(st.integers(0, 3), st.integers(0, 2**40)),
+        st.one_of(st.integers(0, 3), st.integers(0, 2**40)),
+    ).filter(lambda e: e.pos_w != e.pos_v),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_lists, st.sampled_from(("HYP", "HOL")), st.sampled_from(("w", "v")))
+def test_event_metrics_match_tuple_reference(evts, relation, head):
+    directed = pair("a", "b", relation=relation, head=head)
+    for given_events in (np.array(evts, dtype=np.int64), evts):
+        assert order_stats(given_events) == reference.order_stats(evts)
+        assert asymmetric_order_stats(given_events, directed) == (
+            reference.asymmetric_order_stats(evts, directed)
+        )
+        assert mean_distance(given_events) == reference.mean_distance(evts)
 
 
 class TestComputePairStats:

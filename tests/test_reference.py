@@ -8,6 +8,7 @@ import os
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,7 +55,9 @@ def _same_count(got, want) -> None:
     assert list(got.observations) == list(want.observations)
     for pair, obs in want.observations.items():
         assert got.observations[pair].table == obs.table
-        assert got.observations[pair].events == obs.events
+        events = got.observations[pair].events
+        assert events.dtype == np.int64 and events.shape == (len(obs.events), 3)
+        assert events.tolist() == [list(e) for e in obs.events]
 
 
 @settings(max_examples=300, deadline=None)

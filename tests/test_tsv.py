@@ -71,6 +71,10 @@ def _set_field(index: int, value: str):
     return _edit_row(lambda f: "\t".join(f[:index] + [value] + f[index + 1:]))
 
 
+def _repeat_first_row(lines: list[str]) -> list[str]:
+    return lines[:2] + lines[1:]
+
+
 # (case, files, edit of the file's lines, line named in the error or None)
 CASES = [
     ("wrong-header", list(READERS), lambda lines: ["lemma\tpos"] + lines[1:], 1),
@@ -96,6 +100,15 @@ CASES = [
     ("n-differs-between-rows", ["observations.tsv"], _edit_row(lambda f: "\t".join(
         f[:8] + [str(int(f[8]) + 1), str(int(f[9]) + 1)]
     ), index=2), 3),
+    # A copy of the first data row as line 3.
+    ("duplicate-pair", ["observations.tsv"], _repeat_first_row, 3),
+    # Event rows: values >= 0 that fit int64, pos_w != pos_v, and at most
+    # one event per sentence for each pair (a copy of a row repeats both).
+    *[(f"negative-{column}", ["events.tsv"], _set_field(i, "-1"), 2)
+      for i, column in enumerate(("sentence-id", "pos-w", "pos-v"), start=4)],
+    ("equal-positions", ["events.tsv"], _edit_row(lambda f: "\t".join(f[:6] + [f[5]])), 2),
+    ("repeated-sentence", ["events.tsv"], _repeat_first_row, 3),
+    ("out-of-int64-range", ["events.tsv"], _set_field(4, str(2 ** 63)), 2),
 ]
 
 
