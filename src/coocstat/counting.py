@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -31,7 +30,7 @@ from coocstat.corpus import (
     CONTENT_POS, Corpus, LemmaKey, PairUniverse, Sentence, as_corpus, sorted_unique,
 )
 from coocstat.lexicon import PAIRS, LemmaPair, pair_fields, pair_from_fields
-from coocstat.tsv import Table, read_table, write_table
+from coocstat.tsv import Table, read_keyed_ints, read_table, write_table
 
 
 class ContingencyTable(NamedTuple):
@@ -325,25 +324,21 @@ def _observation_from_fields(f: list[str]) -> tuple[LemmaPair, ContingencyTable]
     return pair_from_fields(f), ContingencyTable(a, b, c, d, n)
 
 
-def _repeats(pair: np.ndarray, sentence_id: np.ndarray) -> np.ndarray:
-    """Mark each row whose (pair, sentence_id) an earlier row already has."""
-    order = np.lexsort((sentence_id, pair))
-    pair, sentence_id = pair[order], sentence_id[order]
-    same = (pair[1:] == pair[:-1]) & (sentence_id[1:] == sentence_id[:-1])
-    out = np.zeros(len(order), dtype=bool)
-    out[order[1:][same]] = True
-    return out
-
-
-def _check_event_rows(rows: np.ndarray, path: str) -> None:
-    """Reject the first of the (pair index, sentence_id, pos_w, pos_v)
-    `rows` of `path` that has a negative value, equal positions, or a
-    sentence already seen for its pair (counting gives a pair at most one
-    event per sentence)."""
+def _check_event_rows(pair: np.ndarray, values: np.ndarray, path: str) -> np.ndarray:
+    """Reject the first event row of `path`, given as its pair index `pair`
+    and its `sentence_id, pos_w, pos_v` `values`, that has a negative
+    value, equal positions, or a sentence already seen for its pair
+    (counting gives a pair at most one event per sentence).  Return the
+    row order by pair, then sentence_id."""
+    order = np.lexsort((values[:, 0], pair))
+    same = np.diff(pair[order]) == 0
+    same &= np.diff(values[order, 0]) == 0
+    repeats = np.zeros(len(order), dtype=bool)
+    repeats[order[1:][same]] = True  # the later row of each equal (pair, sentence_id)
     problems = np.stack((
-        (rows[:, 1:] < 0).any(axis=1),
-        rows[:, 2] == rows[:, 3],
-        _repeats(rows[:, 0], rows[:, 1]),
+        (values < 0).any(axis=1),
+        values[:, 1] == values[:, 2],
+        repeats,
     ))
     bad = np.flatnonzero(problems.any(axis=0))
     if len(bad):
@@ -353,6 +348,7 @@ def _check_event_rows(rows: np.ndarray, path: str) -> None:
             "sentence_id repeats within its pair",
         )[int(np.argmax(problems[:, bad[0]]))]
         raise ValueError(f"{path} line {bad[0] + 2}: {what}")
+    return order
 
 
 def read_observations(obs_path: str, events_path: str) -> CountResult:
@@ -362,7 +358,8 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
     must have the first row's `n`, and no pair may repeat.  Every event
     row must name a listed pair and hold non-negative values with
     `pos_w != pos_v`, no pair may have two events in one sentence, and
-    each pair must have `o_wv` events.
+    each pair must have `o_wv` events.  Each pair's events come back
+    sorted by `sentence_id`, whatever the row order of `events_path`.
     """
     tables: list[tuple[LemmaPair, ContingencyTable]] = []
     index: dict[tuple[str, ...], int] = {}  # a pair's event-row key -> its row
@@ -382,29 +379,22 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
         index[key] = len(tables)
         tables.append((pair, table))
 
-    def event_from_fields(f: list[str]) -> tuple[int, int, int, int]:
-        i = index.get((f[0], f[1], f[2], f[3]))
+    def event_pair(key: list[str]) -> int:
+        i = index.get(tuple(key))
         if i is None:
             raise ValueError("event for unknown pair")
-        return i, int(f[4]), int(f[5]), int(f[6])
+        return i
 
-    flat = array("q")
-    try:
-        for row in read_table(events_path, EVENTS, event_from_fields):
-            flat.extend(row)
-    except OverflowError:
-        line_no = len(flat) // 4 + 2
-        raise ValueError(f"{events_path} line {line_no}: integer out of int64 range") from None
-    rows = np.frombuffer(flat, dtype=np.int64).reshape(-1, 4)
-    _check_event_rows(rows, events_path)
-    counts = np.bincount(rows[:, 0], minlength=len(tables))
-    for (pair, table), m in zip(tables, counts.tolist()):
+    pair, values = read_keyed_ints(events_path, EVENTS, 4, event_pair)
+    order = _check_event_rows(pair, values, events_path)
+    counts = np.bincount(pair, minlength=len(tables))
+    for (p, table), m in zip(tables, counts.tolist()):
         if m != table.o_wv:
-            raise ValueError(f"{events_path}: event count mismatch for pair {pair}")
-    events = rows[np.argsort(rows[:, 0], kind="stable"), 1:]
+            raise ValueError(f"{events_path}: event count mismatch for pair {p}")
+    events = values[order]
     observations = {
-        pair: PairObservations(pair, table, part)
-        for (pair, table), part in zip(tables, np.split(events, np.cumsum(counts)[:-1]))
+        p: PairObservations(p, table, part)
+        for (p, table), part in zip(tables, np.split(events, np.cumsum(counts)[:-1]))
     }
     return CountResult(observations, tables[0][1].n if tables else 0, ())
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,10 +108,29 @@ def _order_test(k: int, m: int, alpha: float) -> OrderStats:
 Events = np.ndarray | Sequence[CooccurrenceEvent]
 
 
-def _gaps(events: Events) -> np.ndarray:
-    """`pos_w - pos_v` for each event: negative where w comes first."""
-    rows = np.asarray(events, dtype=np.int64).reshape(-1, 3)
-    return rows[:, 1] - rows[:, 2]
+class EventSums(NamedTuple):
+    """What the order and distance metrics need of a pair's events."""
+
+    w_first: int  # events with pos_w < pos_v
+    m: int  # events
+    gap_sum: int  # the sum of |pos_w - pos_v|
+
+
+def event_sums(batch: Sequence[Events]) -> list[EventSums]:
+    """The `EventSums` of each pair's events in a non-empty `batch`, from
+    one segmented reduction over all of them."""
+    rows = [np.asarray(events, dtype=np.int64).reshape(-1, 3) for events in batch]
+    m = np.array([len(r) for r in rows], dtype=np.int64)
+    events = np.concatenate(rows)
+    gaps = events[:, 1] - events[:, 2]
+    # reduceat cannot sum an empty segment, so pairs without events keep 0.
+    seen = m > 0
+    starts = (np.cumsum(m) - m)[seen]
+    w_first = np.zeros(len(rows), dtype=np.int64)
+    gap_sum = np.zeros(len(rows), dtype=np.int64)
+    w_first[seen] = np.add.reduceat(gaps < 0, starts, dtype=np.int64)
+    gap_sum[seen] = np.add.reduceat(np.abs(gaps), starts)
+    return list(map(EventSums, w_first.tolist(), m.tolist(), gap_sum.tolist()))
 
 
 def order_stats(events: Events, alpha: float = DEFAULT_ALPHA) -> OrderStats:
@@ -122,8 +141,13 @@ def order_stats(events: Events, alpha: float = DEFAULT_ALPHA) -> OrderStats:
     whether the pair has a preferred order; the order score is the mean
     event score when it does and 0 otherwise.
     """
-    gaps = _gaps(events)
-    return _order_test(int(np.count_nonzero(gaps < 0)), len(gaps), alpha)
+    sums = event_sums([events])[0]
+    return _order_test(sums.w_first, sums.m, alpha)
+
+
+def _head_first(sums: EventSums, pair: LemmaPair) -> int:
+    """Events where the head side comes first; positions never tie."""
+    return sums.w_first if pair.head == "w" else sums.m - sums.w_first
 
 
 def asymmetric_order_stats(
@@ -141,9 +165,14 @@ def asymmetric_order_stats(
         raise ValueError(f"asymmetric order needs a directed relation, got {pair.relation}")
     if pair.head not in ("w", "v"):
         raise ValueError("asymmetric order needs a known head side")
-    gaps = _gaps(events)
-    head_first = gaps < 0 if pair.head == "w" else gaps > 0
-    return _order_test(int(np.count_nonzero(head_first)), len(gaps), alpha)
+    sums = event_sums([events])[0]
+    return _order_test(_head_first(sums, pair), sums.m, alpha)
+
+
+def _mean_distance(sums: EventSums) -> float:
+    if not sums.m:
+        raise UndefinedMetricError("distance is undefined without co-occurrences")
+    return (sums.gap_sum - sums.m) / sums.m
 
 
 def mean_distance(events: Events) -> float:
@@ -152,11 +181,7 @@ def mean_distance(events: Events) -> float:
     The distances are summed as integers and divided once, so the mean is
     the correctly rounded quotient of two integers.
     """
-    gaps = _gaps(events)
-    m = len(gaps)
-    if not m:
-        raise UndefinedMetricError("distance is undefined without co-occurrences")
-    return (int(np.add.reduce(np.abs(gaps))) - m) / m
+    return _mean_distance(event_sums([events])[0])
 
 
 @dataclass
@@ -186,33 +211,35 @@ def compute_pair_stats(
     with_baselines: bool = False,
 ) -> PairStats:
     """Score one pair's observations; see PairStats for field semantics."""
+    return _pair_stats(obs, event_sums([obs.events])[0], alpha, with_baselines)
+
+
+def _pair_stats(
+    obs: PairObservations, sums: EventSums, alpha: float, with_baselines: bool
+) -> PairStats:
+    """`compute_pair_stats` given the `EventSums` of `obs.events`."""
     g2 = g2_score(obs.table)
-    significant = chi2_sf(g2, 1.0) < alpha
-
-    if len(obs.events):
-        order = order_stats(obs.events, alpha)
-        dist = mean_distance(obs.events)
-        order_score: float = order.order_score
-        has_pref: bool = order.has_preferred_order
-        order_p: float | None = order.order_p
-    else:
-        order_score, has_pref, order_p, dist = 0.0, False, None, None
-
     stats = PairStats(
         g2=g2,
-        g2_significant=significant,
-        order_score=order_score,
-        has_preferred_order=has_pref,
-        order_p=order_p,
-        mean_distance=dist,
+        g2_significant=chi2_sf(g2, 1.0) < alpha,
+        order_score=0.0,
+        has_preferred_order=False,
+        order_p=None,
+        mean_distance=None,
         n_cooc=obs.table.o_wv,
     )
-    pair = obs.pair
-    if pair.relation in (HYP, HOL) and pair.head in ("w", "v") and len(obs.events):
-        asym = asymmetric_order_stats(obs.events, pair, alpha)
-        stats.asym_order_score = asym.order_score
-        stats.asym_has_preferred_order = asym.has_preferred_order
-        stats.asym_order_p = asym.order_p
+    if sums.m:
+        order = _order_test(sums.w_first, sums.m, alpha)
+        stats.order_score = order.order_score
+        stats.has_preferred_order = order.has_preferred_order
+        stats.order_p = order.order_p
+        stats.mean_distance = _mean_distance(sums)
+        pair = obs.pair
+        if pair.relation in (HYP, HOL) and pair.head in ("w", "v"):
+            asym = _order_test(_head_first(sums, pair), sums.m, alpha)
+            stats.asym_order_score = asym.order_score
+            stats.asym_has_preferred_order = asym.has_preferred_order
+            stats.asym_order_p = asym.order_p
     if with_baselines:
         stats.pmi = pmi_score(obs.table)
     return stats
@@ -223,14 +250,37 @@ class ScoredPair(NamedTuple):
     stats: PairStats
 
 
+# Events per segmented reduction in `compute_all_stats`, which bounds its
+# scratch arrays (a pair with more events gets a batch of its own).
+_BATCH_EVENTS = 1 << 16
+
+
+def _batches(observations: Iterable[PairObservations]) -> Iterator[list[PairObservations]]:
+    """Consecutive runs of pairs with at most `_BATCH_EVENTS` events in all,
+    or one pair each where a pair alone has more."""
+    batch: list[PairObservations] = []
+    size = 0
+    for obs in observations:
+        if batch and size + len(obs.events) > _BATCH_EVENTS:
+            yield batch
+            batch, size = [], 0
+        batch.append(obs)
+        size += len(obs.events)
+    if batch:
+        yield batch
+
+
 def compute_all_stats(
     observations: Iterable[PairObservations],
     alpha: float = DEFAULT_ALPHA,
     with_baselines: bool = False,
 ) -> list[ScoredPair]:
+    """`compute_pair_stats` of every pair, with the event sums of each
+    batch of pairs taken in one pass."""
     return [
-        ScoredPair(obs.pair, compute_pair_stats(obs, alpha, with_baselines))
-        for obs in observations
+        ScoredPair(obs.pair, _pair_stats(obs, sums, alpha, with_baselines))
+        for batch in _batches(observations)
+        for obs, sums in zip(batch, event_sums([obs.events for obs in batch]))
     ]
 
 

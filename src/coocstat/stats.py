@@ -1,9 +1,11 @@
 """Self-contained statistical primitives.
 
-Everything here is pure stdlib float arithmetic: the chi-square survival
-function (via the regularized incomplete gamma function), an exact
-two-sided binomial test, midranks, and the Brunner-Munzel rank test
-(t-distribution tail via the regularized incomplete beta function).
+The chi-square survival function (the closed form ``erfc(sqrt(x / 2))``
+for one degree of freedom, the regularized incomplete gamma function
+otherwise), an exact two-sided binomial test, midranks, and the
+Brunner-Munzel rank test (t-distribution tail via the regularized
+incomplete beta function).  The special functions are stdlib float
+arithmetic; midranks sort with NumPy and stay exact multiples of 1/2.
 
 The special functions follow the classic series/continued-fraction
 split (Lentz's method for the continued fractions) and are accurate to
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _EPS = 1e-16
 _TINY = 1e-300
@@ -96,6 +100,8 @@ def chi2_sf(x: float, df: float) -> float:
         raise ValueError(f"df must be positive, got {df}")
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
+    if df == 1.0:
+        return math.erfc(math.sqrt(x / 2.0))  # Q(1/2, x/2), exactly
     return _reg_gamma_q(df / 2.0, x / 2.0)
 
 
@@ -248,19 +254,15 @@ def midranks(values: list[float]) -> list[float]:
     m = len(values)
     if m == 0:
         raise ValueError("midranks of an empty sequence are undefined")
-    order = sorted(range(m), key=values.__getitem__)
-    ranks = [0.0] * m
-    i = 0
-    while i < m:
-        j = i
-        vi = values[order[i]]
-        while j + 1 < m and values[order[j + 1]] == vi:
-            j += 1
-        avg = (i + j + 2) / 2.0  # ranks i+1 .. j+1, averaged
-        for t in range(i, j + 1):
-            ranks[order[t]] = avg
-        i = j + 1
-    return ranks
+    array = np.asarray(values, dtype=np.float64)
+    order = np.argsort(array, kind="stable")
+    ordered = array[order]
+    start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    end = np.append(start[1:], m) - 1
+    ranks = np.empty(m)
+    # Ranks start+1 .. end+1 of each tie run, averaged.
+    ranks[order] = np.repeat((start + end + 2) / 2.0, end - start + 1)
+    return ranks.tolist()
 
 
 def brunner_munzel(x: list[float], y: list[float]) -> TestResult:

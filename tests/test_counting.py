@@ -224,6 +224,25 @@ class TestObservationsRoundTrip:
             assert loaded.observations[p].table == result.observations[p].table
             assert np.array_equal(loaded.observations[p].events, result.observations[p].events)
 
+    def test_shuffled_events_load_as_written(self, tmp_path):
+        # Rows in any order, the pairs' rows interleaved, load to the arrays
+        # `count` returned: grouped by pair and sorted by sentence_id.
+        rng = random.Random(42)
+        sentences = random_corpus(rng, 200, vocab_size=20)
+        pos = ("NOUN", "VERB", "ADJ", "ADV")
+        pairs = [pair(f"w{i}", f"w{i + 4}", pos[i % 4]) for i in range(8)]
+        result = count(sentences, pairs)
+        obs_path, ev_path = str(tmp_path / "obs.tsv"), tmp_path / "events.tsv"
+        write_observations(result, obs_path, str(ev_path))
+        header, *rows = ev_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len({row.split("\t")[0] for row in rows}) > 1
+        rng.shuffle(rows)
+        ev_path.write_text("".join([header, *rows]), encoding="utf-8")
+        loaded = read_observations(obs_path, str(ev_path))
+        assert list(loaded.observations) == list(result.observations)
+        for p, obs in result.observations.items():
+            assert np.array_equal(loaded.observations[p].events, obs.events)
+
     def test_loaded_events_are_compact(self, tmp_path):
         # An event takes 24 bytes as an int64 row, and about 110 as a
         # `CooccurrenceEvent` tuple in a list.

@@ -1,15 +1,19 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from coocstat import metrics
+from coocstat.cli import run_pipeline
 from coocstat.counting import ContingencyTable, CooccurrenceEvent
 from coocstat.metrics import (
     UndefinedMetricError,
     asymmetric_order_stats,
+    compute_all_stats,
     compute_pair_stats,
     g2_score,
     mean_distance,
@@ -17,7 +21,9 @@ from coocstat.metrics import (
     pmi_score,
 )
 from coocstat.counting import PairObservations
-from conftest import pair
+from coocstat.stats import _reg_gamma_q
+from conftest import TOY_PATHS, pair
+from test_cli import toy_config
 
 
 def table(o_wv, o_w, o_v, o_nn):
@@ -222,3 +228,61 @@ class TestComputePairStats:
         stats = compute_pair_stats(PairObservations(p, t, evts))
         assert stats.asym_order_score is not None
         assert stats.asym_order_score > 0  # head (v side) precedes in 12/13
+
+
+@st.composite
+def pair_observations(draw) -> PairObservations:
+    """One pair of any relation and head side, with no events, a few, or
+    more than 1024 (where the binomial p-value comes from the incomplete
+    beta), a random share of them with w first, and given as an array or
+    as a list of `CooccurrenceEvent`."""
+    relation = draw(st.sampled_from(("ANT", "SYN", "HYP", "HOL", "UNR")))
+    head = draw(st.sampled_from(("w", "v", None))) if relation in ("HYP", "HOL") else None
+    m = draw(st.one_of(
+        st.sampled_from((0, 1, 1024)), st.integers(0, 12), st.integers(1025, 1500)
+    ))
+    w_share = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = rng.integers(0, 40, m)
+    gap = rng.integers(1, 30, m)
+    w_first = rng.random(m) < w_share
+    events = np.empty((m, 3), dtype=np.int64)
+    events[:, 0] = np.arange(m)
+    events[:, 1] = np.where(w_first, first, first + gap)
+    events[:, 2] = np.where(w_first, first + gap, first)
+    # Both marginals stay positive, so G2 is defined.
+    o_w, o_v = (draw(st.integers(0 if m else 1, 60)) for _ in range(2))
+    rest = draw(st.integers(0, 10**6))
+    table = ContingencyTable(m, o_w, o_v, rest, m + o_w + o_v + rest)
+    if draw(st.booleans()):
+        events = [CooccurrenceEvent(*row) for row in events.tolist()]
+    return PairObservations(pair("a", "b", relation=relation, head=head), table, events)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(pair_observations(), max_size=12),
+    st.integers(1, 3000),
+    st.booleans(),
+)
+def test_compute_all_stats_matches_compute_pair_stats(observations, batch_events, baselines):
+    """The batched event sums give every pair the stats it gets alone, with
+    the default batch size and with batches that split runs of pairs
+    anywhere (a pair with more events than a batch gets one of its own)."""
+    expected = [compute_pair_stats(obs, with_baselines=baselines) for obs in observations]
+    for limit in (metrics._BATCH_EVENTS, batch_events):
+        with mock.patch.object(metrics, "_BATCH_EVENTS", limit):
+            scored = compute_all_stats(iter(observations), with_baselines=baselines)
+        assert [s.pair for s in scored] == [obs.pair for obs in observations]
+        for got, want in zip(scored, expected):
+            assert vars(got.stats) == vars(want)
+
+
+def test_toy_g2_flags_match_incomplete_gamma(tmp_path):
+    """The 1-df closed form flags the same toy pairs as Q(1/2, G2 / 2)."""
+    run_pipeline(toy_config(TOY_PATHS, tmp_path))
+    scored = metrics.read_pair_stats(str(tmp_path / "stats.tsv"))
+    assert any(s.stats.g2_significant for s in scored)
+    assert any(not s.stats.g2_significant for s in scored)
+    for s in scored:
+        assert s.stats.g2_significant == (_reg_gamma_q(0.5, s.stats.g2 / 2.0) < 0.01)

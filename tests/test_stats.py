@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from coocstat.stats import (
     binom_test_two_sided,
     brunner_munzel,
+    _reg_gamma_q,
     chi2_sf,
     midranks,
     t_sf_two_sided,
@@ -68,6 +69,16 @@ class TestChi2Sf:
                 else:
                     hi = mid
             assert chi2_sf((lo + hi) / 2, 1.0) == pytest.approx(q, rel=1e-8)
+
+    def test_one_df_closed_form_matches_incomplete_gamma(self):
+        # erfc(sqrt(x / 2)) against Q(1/2, x / 2), through the alpha = 0.05
+        # and 0.01 critical values out to the smallest normal floats (x = 1400
+        # gives 2e-306), and both underflow to 0 by x = 1500.
+        xs = [3.8415, 6.6349, 1e-12, 1e-6, *np.linspace(0.0, 1400.0, 5601).tolist()]
+        for x in xs:
+            expected = _reg_gamma_q(0.5, x / 2.0)
+            assert chi2_sf(x, 1.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert chi2_sf(1500.0, 1.0) == _reg_gamma_q(0.5, 750.0) == 0.0
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

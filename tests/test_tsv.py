@@ -5,14 +5,16 @@ exit status 1."""
 from __future__ import annotations
 
 import shutil
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coocstat import counting, lexicon, metrics
 from coocstat.cli import main, run_pipeline
-from conftest import TOY_PATHS
+from conftest import TOY_PATHS, pair
 from test_cli import toy_config
 
 # Each file the pipeline reads back, with the reader that loads it and a
@@ -178,3 +180,50 @@ def test_invalid_utf8_names_the_file(toy_run, tmp_path):
     with pytest.raises(ValueError, match="can't decode") as err:
         lexicon.read_pairs(str(d / "pairs.tsv"))
     assert str(err.value).startswith(f"{d / 'pairs.tsv'} line {n_lines + 1}: ")
+
+
+@pytest.mark.parametrize("value", ["x", str(2 ** 63)])
+def test_bad_event_value_deep_in_a_long_file_names_its_line(tmp_path, value):
+    # NumPy parses the integers in chunks; the line it fails on is still
+    # named by its place in the whole file.
+    m = 70_000
+    events = np.zeros((m, 3), dtype=np.int64)
+    events[:, 0] = np.arange(m)
+    events[:, 2] = 1
+    p = pair("a", "b")
+    table = counting.ContingencyTable(m, 0, 0, 0, m)
+    result = counting.CountResult({p: counting.PairObservations(p, table, events)}, m, ())
+    counting.write_observations(
+        result, str(tmp_path / "observations.tsv"), str(tmp_path / "events.tsv")
+    )
+    assert READERS["events.tsv"](tmp_path).observations[p].events.tolist() == events.tolist()
+    lines = (tmp_path / "events.tsv").read_text(encoding="utf-8").splitlines()
+    fields = lines[60_001].split("\t")  # file line 60,002
+    lines[60_001] = "\t".join(fields[:4] + [value] + fields[5:])
+    (tmp_path / "events.tsv").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=value) as err:
+        READERS["events.tsv"](tmp_path)
+    assert str(err.value).startswith(f"{tmp_path / 'events.tsv'} line 60002: ")
+
+
+def test_crlf_events_load_identically(toy_run, tmp_path):
+    d = shutil.copytree(toy_run, tmp_path / "run")
+    text = (d / "events.tsv").read_bytes()
+    (d / "events.tsv").write_bytes(text.replace(b"\n", b"\r\n"))
+    loaded, expected = READERS["events.tsv"](d), READERS["events.tsv"](toy_run)
+    assert loaded.n == expected.n
+    assert list(loaded.observations) == list(expected.observations)
+    for p, obs in expected.observations.items():
+        assert loaded.observations[p].table == obs.table
+        assert np.array_equal(loaded.observations[p].events, obs.events)
+
+
+def test_header_only_count_files_load_without_warning(toy_run, tmp_path):
+    d = shutil.copytree(toy_run, tmp_path / "run")
+    for name in ("observations.tsv", "events.tsv"):
+        header = (d / name).read_text(encoding="utf-8").splitlines()[0]
+        (d / name).write_text(header + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = READERS["events.tsv"](d)
+    assert result.observations == {} and result.n == 0
