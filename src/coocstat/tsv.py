@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
@@ -118,6 +119,7 @@ def read_keyed_ints(
                 n_fields = line.count("\t") + 1
                 if n_fields != width:
                     raise ValueError(f"expected {width} fields, got {n_fields}")
+                # `count` writes each pair's rows together, so this runs once per pair
                 if prefix is None or not line.startswith(prefix):
                     fields = line.split("\t", n_key)[:n_key]
                     run_keys.append(key(fields))
@@ -134,11 +136,18 @@ def read_keyed_ints(
         ints = np.empty((0, width - n_key), dtype=np.int64)
         if first is not None:  # loadtxt warns on a file without data rows
             try:
-                ints = np.loadtxt(
-                    itertools.chain((first,), lines), dtype=np.int64, delimiter="\t",
-                    usecols=range(n_key, width), comments=None, ndmin=2,
-                )
-            except ValueError as exc:
+                with warnings.catch_warnings():
+                    # NumPy releases that still have this deprecated fallback
+                    # read a non-integer cell ("5.0", "1e3", 2**63) as a float
+                    # and truncate it, with only this warning to show for it.
+                    warnings.filterwarnings(
+                        "error", message=".*integer via a float", category=DeprecationWarning
+                    )
+                    ints = np.loadtxt(
+                        itertools.chain((first,), lines), dtype=np.int64, delimiter="\t",
+                        usecols=range(n_key, width), comments=None, ndmin=2,
+                    )
+            except (ValueError, DeprecationWarning) as exc:
                 parse_error = exc
     if failure and isinstance(failure[0][1], UnicodeDecodeError):
         raise _utf8_error(path, failure[0][1], open) from None

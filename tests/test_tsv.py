@@ -4,7 +4,10 @@ exit status 1."""
 
 from __future__ import annotations
 
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -227,3 +230,71 @@ def test_header_only_count_files_load_without_warning(toy_run, tmp_path):
         warnings.simplefilter("error")
         result = READERS["events.tsv"](d)
     assert result.observations == {} and result.n == 0
+
+
+def _with_event_cell(toy_run: Path, dest: Path, column: int, value: str) -> Path:
+    """A copy of the toy run whose first event row holds `value` in `column`."""
+    lines = (toy_run / "events.tsv").read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split("\t")
+    fields[column] = value
+    lines[1] = "\t".join(fields)
+    return _copy_with(toy_run, dest, "events.tsv", lines)
+
+
+@pytest.mark.parametrize(
+    "value", ["5.0", "2.7", "1e3", "5_0", "٥", str(2 ** 63), str(-(2 ** 63) - 1)]
+)
+def test_non_integer_event_value_rejected_with_warnings_ignored(toy_run, tmp_path, value):
+    # The check must not depend on the caller's warning filters, which
+    # ignore DeprecationWarning outside the test suite.
+    d = _with_event_cell(toy_run, tmp_path / "run", 4, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError) as err:
+            READERS["events.tsv"](d)
+    assert str(err.value).startswith(f"{d / 'events.tsv'} line 2: ")
+
+
+def test_float_fallback_of_older_numpy_is_rejected(toy_run, tmp_path, monkeypatch):
+    # NumPy releases with the deprecated float fallback read "3.0" as 3 and
+    # only warn; this stand-in does the same, wrapping a raised warning the
+    # way loadtxt wraps any conversion error.
+    def loadtxt(lines, dtype, delimiter, usecols, comments, ndmin):
+        rows = []
+        for r, line in enumerate(lines):
+            cells = line.rstrip("\n").split(delimiter)
+            for c in usecols:
+                if cells[c].isdigit():
+                    continue
+                try:
+                    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                                  DeprecationWarning)
+                except DeprecationWarning as exc:
+                    raise ValueError(
+                        f"could not convert string {cells[c]!r} to int64 at row {r}, column {c + 1}."
+                    ) from exc
+            rows.append([int(float(cells[c])) for c in usecols])
+        return np.array(rows, dtype=dtype).reshape(-1, len(usecols))
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    assert READERS["events.tsv"](toy_run).n > 0  # the stand-in reads plain integers
+    pos_w = (toy_run / "events.tsv").read_text(encoding="utf-8").splitlines()[1].split("\t")[5]
+    d = _with_event_cell(toy_run, tmp_path / "run", 5, f"{pos_w}.0")  # the same value as a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=f"'{pos_w}.0'") as err:
+            READERS["events.tsv"](d)
+    assert str(err.value).startswith(f"{d / 'events.tsv'} line 2: ")
+
+
+def test_cli_rejects_a_float_event_value(toy_run, tmp_path):
+    # A real `coocstat metrics` process, with Python's default warning filters.
+    d = _with_event_cell(toy_run, tmp_path / "run", 4, "5.0")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coocstat.cli", *COMMANDS["events.tsv"](d)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {d / 'events.tsv'} line 2: ")
