@@ -150,13 +150,11 @@ def count_pairs(
 
 def score_pairs(
     result: counting.CountResult, alpha: float, out: str, with_baselines: bool = False
-) -> list[metrics.ScoredPair]:
+) -> metrics.StatsTable:
     """Score every counted pair and write the stats table to `out`."""
-    scored = metrics.compute_all_stats(
-        result.observations.values(), alpha, with_baselines
-    )
-    metrics.write_pair_stats(scored, out)
-    return scored
+    table = metrics.compute_all_stats(result.observations.values(), alpha, with_baselines)
+    metrics.write_pair_stats(table, out)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +211,8 @@ def run_metrics(args: argparse.Namespace) -> int:
     result = counting.read_observations(
         str(obs_dir / "observations.tsv"), str(obs_dir / "events.tsv")
     )
-    scored = score_pairs(result, args.alpha, args.out, args.with_baselines)
-    print(f"pair stats written: {len(scored)} -> {args.out}")
+    table = score_pairs(result, args.alpha, args.out, args.with_baselines)
+    print(f"pair stats written: {len(table)} -> {args.out}")
     return 0
 
 
@@ -237,9 +235,9 @@ def run_report(args: argparse.Namespace) -> int:
         svg=args.svg,
     )
     options.validate()
-    scored = metrics.read_pair_stats(args.stats)
+    table = metrics.read_pair_stats(args.stats)
     derived = lexicon.read_derived_map(args.derived) if args.derived else ()
-    written = report.write_report(scored, args.out, options, derived)
+    written = report.write_report(table, args.out, options, derived)
     print(f"report files written: {len(written)} -> {args.out}")
     return 0
 
@@ -286,10 +284,10 @@ def run_pipeline(config: RunConfig) -> list[Path]:
     with _stage("count"):
         result = count_pairs(corp, all_pairs, out)
     with _stage("metrics"):
-        scored = score_pairs(result, config.alpha, str(out / "stats.tsv"))
+        table = score_pairs(result, config.alpha, str(out / "stats.tsv"))
     with _stage("report"):
         written = report.write_report(
-            scored, out, config.report_options(), extracted.derived
+            table, out, config.report_options(), extracted.derived
         )
 
     events = {rel: 0 for rel in lexicon.RELATIONS}

@@ -472,7 +472,24 @@ def pair_fields(p: LemmaPair) -> tuple[str, ...]:
     return (p.w.lemma, p.v.lemma, p.w.pos, p.relation, p.head or "")
 
 
+_HEADS = ("", "w", "v")
+
+
+def label_error(pos: str, relation: str, head: str) -> str | None:
+    """What is wrong with the `pos`, `relation` and `head` fields of a row
+    of a pair file, or None when they are labels a pair can have."""
+    if pos not in CONTENT_POS:
+        return f"unknown pos {pos!r}"
+    if relation not in RELATIONS:
+        return f"unknown relation {relation!r}"
+    if head not in _HEADS:
+        return f"unknown head {head!r} (expected w, v or empty)"
+    return None
+
+
 def pair_from_fields(f: Sequence[str]) -> LemmaPair:
+    if (error := label_error(f[2], f[3], f[4])) is not None:
+        raise ValueError(error)
     return LemmaPair(LemmaKey(f[0], f[2]), LemmaKey(f[1], f[2]), f[3], f[4] or None)
 
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from coocstat.corpus import CONTENT_POS
 from coocstat.counting import ContingencyTable, CooccurrenceEvent, PairObservations
-from coocstat.lexicon import HOL, HYP, PAIRS, LemmaPair, pair_fields, pair_from_fields
+from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, label_error
 from coocstat.stats import binom_test_two_sided, chi2_sf
-from coocstat.tsv import Table, read_table, write_table
+from coocstat.tsv import RowError, Table, read_columns, write_table
+
+T = TypeVar("T")
 
 DEFAULT_ALPHA = 0.01
 
@@ -94,6 +100,10 @@ class OrderStats(NamedTuple):
     order_p: float
 
 
+# Pairs share few (k, m): a 30,000-pair count with heavy-tailed event
+# counts has 1,772 distinct among 23,835 co-occurring pairs, and each
+# binomial p-value costs microseconds.
+@functools.lru_cache(maxsize=4096)
 def _order_test(k: int, m: int, alpha: float) -> OrderStats:
     """Order stats when k of m events score +1; see `order_stats`."""
     if m == 0:
@@ -184,7 +194,7 @@ def mean_distance(events: Events) -> float:
     return _mean_distance(event_sums([events])[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class PairStats:
     """All per-pair metrics for one lemma pair.
 
@@ -245,9 +255,85 @@ def _pair_stats(
     return stats
 
 
-class ScoredPair(NamedTuple):
-    pair: LemmaPair
-    stats: PairStats
+@dataclass(frozen=True, eq=False)
+class StatsTable:
+    """The `PairStats` of many pairs, one column per `stats.tsv` column and
+    one row per pair.
+
+    The key columns are lists of str, with `head` "" for a pair without
+    one.  Every other column is one NumPy array: the floats as float64 with
+    NaN for None, `g2_sig` and `order_pref` as bool, `asym_order_pref` as
+    int8 with -1 for None, and `n_cooc` as int64.
+    """
+
+    lemma_w: list[str]
+    lemma_v: list[str]
+    pos: list[str]
+    relation: list[str]
+    g2: np.ndarray
+    g2_sig: np.ndarray
+    order_score: np.ndarray
+    order_pref: np.ndarray
+    order_p: np.ndarray
+    mean_dist: np.ndarray
+    n_cooc: np.ndarray
+    head: list[str]
+    asym_order_score: np.ndarray
+    asym_order_pref: np.ndarray
+    asym_order_p: np.ndarray
+    pmi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lemma_w)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[LemmaPair, PairStats]]) -> StatsTable:
+        """The table of (pair, its stats) rows, in their order."""
+        rows = list(rows)
+        pairs = list(map(itemgetter(0), rows))
+        stats = list(map(itemgetter(1), rows))
+
+        def keys(name: str) -> list[str]:
+            return list(map(attrgetter(name), pairs))
+
+        def values(field: str, dtype: type) -> np.ndarray:
+            # One pass over the rows per field, making no tuple per row.
+            # A None becomes NaN.
+            return np.fromiter(map(attrgetter(field), stats), dtype=dtype, count=len(stats))
+
+        asym_pref = map(attrgetter("asym_has_preferred_order"), stats)
+        return cls(
+            keys("w.lemma"), keys("v.lemma"), keys("w.pos"), keys("relation"),
+            values("g2", np.float64), values("g2_significant", bool),
+            values("order_score", np.float64), values("has_preferred_order", bool),
+            values("order_p", np.float64), values("mean_distance", np.float64),
+            values("n_cooc", np.int64),
+            [head or "" for head in keys("head")],
+            values("asym_order_score", np.float64),
+            np.fromiter((-1 if f is None else f for f in asym_pref), dtype=np.int8, count=len(stats)),
+            values("asym_order_p", np.float64), values("pmi", np.float64),
+        )
+
+    @functools.cached_property
+    def groups(self) -> dict[tuple[str, str], np.ndarray]:
+        """The rows of each PoS x relation group with any, in `CONTENT_POS` x
+        `RELATIONS` order, each group's in row order.  A row with other
+        labels, which the readers reject, is in no group."""
+        codes = np.fromiter(
+            map(_CELL_CODE.get, zip(self.pos, self.relation), itertools.repeat(len(_CELLS))),
+            dtype=np.intp, count=len(self),
+        )
+        order = np.argsort(codes, kind="stable")
+        bounds = np.searchsorted(codes[order], np.arange(len(_CELLS) + 1)).tolist()
+        return {
+            cell: order[lo:hi]
+            for cell, lo, hi in zip(_CELLS, bounds, bounds[1:])
+            if hi > lo
+        }
+
+
+_CELLS = tuple(itertools.product(CONTENT_POS, RELATIONS))
+_CELL_CODE = {cell: code for code, cell in enumerate(_CELLS)}
 
 
 # Events per segmented reduction in `compute_all_stats`, which bounds its
@@ -274,87 +360,169 @@ def compute_all_stats(
     observations: Iterable[PairObservations],
     alpha: float = DEFAULT_ALPHA,
     with_baselines: bool = False,
-) -> list[ScoredPair]:
-    """`compute_pair_stats` of every pair, with the event sums of each
-    batch of pairs taken in one pass."""
-    return [
-        ScoredPair(obs.pair, _pair_stats(obs, sums, alpha, with_baselines))
+) -> StatsTable:
+    """`compute_pair_stats` of every pair, as one table, with the event sums
+    of each batch of pairs taken in one pass."""
+    return StatsTable.from_rows([
+        (obs.pair, _pair_stats(obs, sums, alpha, with_baselines))
         for batch in _batches(observations)
         for obs, sums in zip(batch, event_sums([obs.events for obs in batch]))
-    ]
+    ])
 
 
 # ---------------------------------------------------------------------------
 # File format for per-pair stats
 
-STATS = Table("pair-stats", PAIRS.columns[:4] + (
-    "g2", "g2_sig", "order_score", "order_pref", "order_p", "mean_dist", "n_cooc",
-    "head", "asym_order_score", "asym_order_pref", "asym_order_p", "pmi",
-))
+STATS = Table("pair-stats", tuple(f.name for f in fields(StatsTable)))
+
+_FLAG_TEXT = {False: "0", True: "1"}
+_OPT_FLAG_TEXT = {-1: "", 0: "0", 1: "1"}
 
 
-def _fmt_opt(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _opt_text(values: np.ndarray) -> Iterator[str]:
+    return ("" if x != x else repr(x) for x in values.tolist())
 
 
-def _fmt_flag(value: bool | None) -> str:
-    return "" if value is None else ("1" if value else "0")
-
-
-def _stats_fields(scored: ScoredPair) -> tuple[str, ...]:
-    pair, s = scored
-    return pair_fields(pair)[:4] + (
-        repr(s.g2),
-        _fmt_flag(s.g2_significant),
-        repr(s.order_score),
-        _fmt_flag(s.has_preferred_order),
-        _fmt_opt(s.order_p),
-        _fmt_opt(s.mean_distance),
-        str(s.n_cooc),
-        pair.head or "",
-        _fmt_opt(s.asym_order_score),
-        _fmt_flag(s.asym_has_preferred_order),
-        _fmt_opt(s.asym_order_p),
-        _fmt_opt(s.pmi),
+def write_pair_stats(table: StatsTable, path: str) -> None:
+    """Write `table` column by column: floats as their `repr`, None as an
+    empty field and flags as 0 or 1."""
+    t = table
+    columns = (
+        t.lemma_w, t.lemma_v, t.pos, t.relation,
+        map(repr, t.g2.tolist()),
+        map(_FLAG_TEXT.__getitem__, t.g2_sig.tolist()),
+        map(repr, t.order_score.tolist()),
+        map(_FLAG_TEXT.__getitem__, t.order_pref.tolist()),
+        _opt_text(t.order_p),
+        _opt_text(t.mean_dist),
+        map(str, t.n_cooc.tolist()),
+        t.head,
+        _opt_text(t.asym_order_score),
+        map(_OPT_FLAG_TEXT.__getitem__, t.asym_order_pref.tolist()),
+        _opt_text(t.asym_order_p),
+        _opt_text(t.pmi),
     )
+    write_table(path, STATS, zip(*columns))
 
 
-def write_pair_stats(scored: Iterable[ScoredPair], path: str) -> None:
-    write_table(path, STATS, map(_stats_fields, scored))
+class _Faults:
+    """The first bad row that each check of a stats file's columns finds;
+    the earliest of them is the one reported."""
+
+    def __init__(self) -> None:
+        self.found: list[tuple[int, str]] = []
+
+    def add(self, row: int, message: str) -> None:
+        self.found.append((row, message))
+
+    def where(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        if bad.any():
+            row = int(np.argmax(bad))
+            self.add(row, message(row))
+
+    def raise_first(self) -> None:
+        if self.found:
+            raise RowError(*min(self.found, key=lambda fault: fault[0]))
 
 
-def _opt_float(field: str) -> float | None:
-    return None if field == "" else float(field)
+def _convert(column: Sequence[str], convert: Callable[[str], T], faults: _Faults) -> list[T]:
+    """`convert` of each field of `column` before the first it rejects."""
+    try:
+        return list(map(convert, column))
+    except ValueError:
+        values = []
+        for text in column:
+            try:
+                values.append(convert(text))
+            except ValueError as exc:
+                faults.add(len(values), str(exc))
+                break
+        return values
 
 
-def _parse_flag(field: str) -> bool:
-    if field not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {field!r}")
-    return field == "1"
+def _opt_float(text: str) -> float:
+    return float(text) if text else math.nan
 
 
-def _scored_from_fields(f: list[str]) -> ScoredPair:
-    # `compute_pair_stats` writes order_p and mean_dist exactly when n_cooc > 0.
-    n_cooc = int(f[10])
-    if n_cooc > 0 and "" in (f[8], f[9]):
-        raise ValueError("order_p and mean_dist are required when n_cooc > 0")
-    if n_cooc == 0 and (f[8] or f[9]):
-        raise ValueError("order_p and mean_dist must be empty when n_cooc is 0")
-    stats = PairStats(
-        g2=float(f[4]),
-        g2_significant=_parse_flag(f[5]),
-        order_score=float(f[6]),
-        has_preferred_order=_parse_flag(f[7]),
-        order_p=_opt_float(f[8]),
-        mean_distance=_opt_float(f[9]),
-        n_cooc=n_cooc,
-        asym_order_score=_opt_float(f[12]),
-        asym_has_preferred_order=None if f[13] == "" else _parse_flag(f[13]),
-        asym_order_p=_opt_float(f[14]),
-        pmi=_opt_float(f[15]),
+def _floats(column: Sequence[str], faults: _Faults, optional: bool = False) -> np.ndarray:
+    """A float column; NaN stands for an empty field where it is `optional`,
+    so a field that reads as NaN is rejected."""
+    values = np.array(_convert(column, _opt_float if optional else float, faults))
+    nan = np.isnan(values)
+    if optional:
+        nan &= np.fromiter(map(bool, column), dtype=bool, count=len(values))
+    faults.where(nan, lambda row: f"not a number: {column[row]!r}")
+    return values
+
+
+_FLAG = {"0": False, "1": True}
+_OPT_FLAG = {"": -1, "0": 0, "1": 1}
+
+
+def _flags(column: Sequence[str], faults: _Faults, optional: bool = False) -> np.ndarray:
+    """A 0/1 column as bool, or as int8 with -1 for an empty field where
+    it is `optional`."""
+    codes = _OPT_FLAG if optional else _FLAG
+    values = list(map(codes.get, column))
+    if None in values:
+        row = values.index(None)
+        faults.add(row, f"expected 0 or 1, got {column[row]!r}")
+        del values[row:]
+    return np.array(values, dtype=np.int8 if optional else bool)
+
+
+def _counts(column: Sequence[str], faults: _Faults) -> np.ndarray:
+    values = _convert(column, int, faults)
+    if values and not (0 <= min(values) and max(values) < 1 << 63):
+        row = next(i for i, n in enumerate(values) if not 0 <= n < 1 << 63)
+        faults.add(row, "negative n_cooc" if values[row] < 0 else "integer out of int64 range")
+        del values[row:]
+    return np.array(values, dtype=np.int64)
+
+
+def _table_from_columns(columns: list[list[str]]) -> StatsTable:
+    (lemma_w, lemma_v, pos, relation, g2, g2_sig, order_score, order_pref, order_p,
+     mean_dist, n_cooc, head, asym_score, asym_pref, asym_p, pmi) = columns
+    faults = _Faults()
+    for row, error in enumerate(map(label_error, pos, relation, head)):
+        if error is not None:
+            faults.add(row, error)
+            break
+    keys = list(map("\t".join, zip(lemma_w, lemma_v, pos, relation)))
+    if len(set(keys)) < len(keys):
+        seen: set[str] = set()
+        for row, key in enumerate(keys):
+            if key in seen:
+                faults.add(row, "duplicate pair " + key.replace("\t", " "))
+                break
+            seen.add(key)
+    # `compute_pair_stats` gives order_p and mean_dist exactly when n_cooc > 0.
+    counts = _counts(n_cooc, faults)
+    cooc = counts > 0
+    given = [np.fromiter(map(bool, c), dtype=bool, count=len(counts)) for c in (order_p, mean_dist)]
+    faults.where(
+        cooc & ~(given[0] & given[1]),
+        lambda row: "order_p and mean_dist are required when n_cooc > 0",
     )
-    return ScoredPair(pair_from_fields([*f[:4], f[11]]), stats)
+    faults.where(
+        ~cooc & (given[0] | given[1]),
+        lambda row: "order_p and mean_dist must be empty when n_cooc is 0",
+    )
+    table = StatsTable(
+        lemma_w, lemma_v, pos, relation,
+        _floats(g2, faults), _flags(g2_sig, faults),
+        _floats(order_score, faults), _flags(order_pref, faults),
+        _floats(order_p, faults, optional=True), _floats(mean_dist, faults, optional=True),
+        counts, head,
+        _floats(asym_score, faults, optional=True), _flags(asym_pref, faults, optional=True),
+        _floats(asym_p, faults, optional=True), _floats(pmi, faults, optional=True),
+    )
+    faults.raise_first()
+    return table
 
 
-def read_pair_stats(path: str) -> list[ScoredPair]:
-    return list(read_table(path, STATS, _scored_from_fields))
+def read_pair_stats(path: str) -> StatsTable:
+    """Read `stats.tsv` as one table, rejecting the first row, in file
+    order, with an unknown label, a pair already listed, a bad value, or
+    `order_p` and `mean_dist` not given exactly when `n_cooc` > 0."""
+    return read_columns(path, STATS, _table_from_columns)

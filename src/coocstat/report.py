@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS
 from coocstat.lexicon import RELATIONS, DerivedPair, LemmaPair
-from coocstat.metrics import DEFAULT_ALPHA, PairStats, ScoredPair, check_alpha
-from coocstat.stats import TestResult, brunner_munzel
+from coocstat.metrics import DEFAULT_ALPHA, StatsTable, check_alpha
+from coocstat.stats import TestResult, brunner_munzel, sequential_sum
 
 POS_ORDER = CONTENT_POS
 REL_ORDER = RELATIONS
@@ -28,7 +28,7 @@ METRICS = ("g2", "order", "distance")
 
 def _mean(values: Sequence[float]) -> float | None:
     # Summed in sorted order so the result is exactly permutation-invariant.
-    return sum(sorted(values)) / len(values) if values else None
+    return sequential_sum(sorted(values)) / len(values) if values else None
 
 
 def pair_key(pair: LemmaPair) -> tuple[str, str, str, str]:
@@ -58,50 +58,31 @@ class RelationSummary:
     n_sig_cooc: int
 
 
-def group_scored(
-    scored: Iterable[ScoredPair],
-) -> dict[tuple[str, str], list[ScoredPair]]:
-    groups: dict[tuple[str, str], list[ScoredPair]] = {}
-    for item in scored:
-        groups.setdefault((item.pair.w.pos, item.pair.relation), []).append(item)
-    return groups
-
-
-def _cells(
-    scored: Iterable[ScoredPair],
-) -> Iterator[tuple[tuple[str, str], list[ScoredPair]]]:
-    """The non-empty PoS x relation groups, in POS_ORDER x REL_ORDER order."""
-    groups = group_scored(scored)
-    for pos in POS_ORDER:
-        for rel in REL_ORDER:
-            if group := groups.get((pos, rel)):
-                yield (pos, rel), group
-
-
-def summarize(scored: Sequence[ScoredPair]) -> list[RelationSummary]:
+def summarize(table: StatsTable) -> list[RelationSummary]:
     """One RelationSummary per PoS x relation cell that has any pairs."""
     summaries = []
-    for (pos, rel), group in _cells(scored):
-        g2_sig = metric_values(group, "g2", "sig")
-        sig_cooc = _sig_cooc(group)
-        n_events = sum(s.n_cooc for s in sig_cooc)
+    for (pos, rel), rows in table.groups.items():
+        g2_sig = metric_values(table, rows, "g2", "sig")
+        sig_cooc = _sig_cooc(table, rows)
+        n_events = int(table.n_cooc[sig_cooc].sum())
         summaries.append(
             RelationSummary(
                 pos=pos,
                 relation=rel,
-                n_pairs=len(group),
-                avg_g2=_mean(metric_values(group, "g2")),
+                n_pairs=len(rows),
+                avg_g2=_mean(metric_values(table, rows, "g2")),
                 avg_g2_sig=_mean(g2_sig),
-                pct_g2_sig=100.0 * len(g2_sig) / len(group),
-                avg_order=_mean(metric_values(group, "order")),
+                pct_g2_sig=100.0 * len(g2_sig) / len(rows),
+                avg_order=_mean(metric_values(table, rows, "order")),
                 pct_order_pref=(
-                    100.0 * sum(1 for s in sig_cooc if s.has_preferred_order) / len(sig_cooc)
-                    if sig_cooc
+                    100.0 * int(table.order_pref[sig_cooc].sum()) / len(sig_cooc)
+                    if len(sig_cooc)
                     else None
                 ),
-                avg_distance=_mean(metric_values(group, "distance")),
+                avg_distance=_mean(metric_values(table, rows, "distance")),
                 avg_distance_pooled=(
-                    sum(sorted(s.mean_distance * s.n_cooc for s in sig_cooc)) / n_events
+                    sequential_sum(np.sort(table.mean_dist[sig_cooc] * table.n_cooc[sig_cooc]))
+                    / n_events
                     if n_events
                     else None
                 ),
@@ -159,47 +140,48 @@ def compare_relations(
     return ComparisonMatrix(relations, results, distinct, alpha)
 
 
-def _sig_cooc(group: Sequence[ScoredPair]) -> list[PairStats]:
-    """The population of every metric but G2: significant pairs that co-occur."""
-    return [s.stats for s in group if s.stats.g2_significant and s.stats.n_cooc > 0]
+def _sig_cooc(table: StatsTable, rows: np.ndarray) -> np.ndarray:
+    """The population of every metric but G2: the `rows` of significant
+    pairs that co-occur."""
+    return rows[table.g2_sig[rows] & (table.n_cooc[rows] > 0)]
 
 
 def metric_values(
-    group: Sequence[ScoredPair], metric: str, g2_population: str = "all"
+    table: StatsTable, rows: np.ndarray, metric: str, g2_population: str = "all"
 ) -> list[float]:
-    """Per-pair values of one metric, over that metric's population."""
+    """Per-pair values of one metric over the `rows` of `table` in that
+    metric's population."""
     if metric == "g2":
         if g2_population == "all":
-            return [item.stats.g2 for item in group]
-        return [item.stats.g2 for item in group if item.stats.g2_significant]
-    stats = _sig_cooc(group)
+            return table.g2[rows].tolist()
+        return table.g2[rows[table.g2_sig[rows]]].tolist()
+    sig_cooc = _sig_cooc(table, rows)
     if metric == "order":
-        return [s.order_score for s in stats]
+        return table.order_score[sig_cooc].tolist()
     if metric == "distance":
-        return [s.mean_distance for s in stats if s.mean_distance is not None]
-    if metric == "order_asym":
-        return [s.asym_order_score for s in stats if s.asym_order_score is not None]
-    raise ValueError(f"unknown metric {metric!r}")
+        values = table.mean_dist[sig_cooc]
+    elif metric == "order_asym":
+        values = table.asym_order_score[sig_cooc]
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return values[~np.isnan(values)].tolist()  # NaN stands for None
 
 
 def compare_all(
-    scored: Sequence[ScoredPair],
+    table: StatsTable,
     alpha: float = DEFAULT_ALPHA,
     g2_population: str = "all",
 ) -> dict[tuple[str, str], ComparisonMatrix]:
     """ComparisonMatrix per (pos, metric) over all relations present."""
-    groups = group_scored(scored)
     out = {}
     for pos in POS_ORDER:
-        rel_groups = {
-            rel: group for (p, rel), group in groups.items() if p == pos
-        }
+        rel_groups = {rel: rows for (p, rel), rows in table.groups.items() if p == pos}
         if not rel_groups:
             continue
         for metric in METRICS:
             values = {
-                rel: metric_values(group, metric, g2_population)
-                for rel, group in rel_groups.items()
+                rel: metric_values(table, rows, metric, g2_population)
+                for rel, rows in rel_groups.items()
             }
             values = {rel: vals for rel, vals in values.items() if vals}
             if values:
@@ -220,8 +202,7 @@ class DerivationRow(NamedTuple):
 
 
 def derivation_persistence(
-    derived: Sequence[DerivedPair],
-    stats_by_pair: Mapping[tuple[str, str, str, str], "object"],
+    derived: Sequence[DerivedPair], table: StatsTable
 ) -> list[DerivationRow]:
     """Tally derived pairs whose original pair co-occurs significantly.
 
@@ -229,13 +210,20 @@ def derivation_persistence(
     the derived pair itself was scored; it also enters
     `count_sustaining` when it stays significant.
     """
+    if not derived:
+        return []
+    row_of = {
+        key: row
+        for row, key in enumerate(zip(table.lemma_w, table.lemma_v, table.pos, table.relation))
+    }
+    significant = table.g2_sig.tolist()
     counts: dict[tuple[str, str, str, str], list[int]] = {}
     for d in derived:
-        orig_stats = stats_by_pair.get(pair_key(d.original))
-        derv_stats = stats_by_pair.get(pair_key(d.derived))
-        if orig_stats is None or derv_stats is None:
+        orig_row = row_of.get(pair_key(d.original))
+        derv_row = row_of.get(pair_key(d.derived))
+        if orig_row is None or derv_row is None:
             continue
-        if not orig_stats.g2_significant:
+        if not significant[orig_row]:
             continue
         key = (
             d.original.w.pos,
@@ -245,7 +233,7 @@ def derivation_persistence(
         )
         cell = counts.setdefault(key, [0, 0])
         cell[0] += 1
-        if derv_stats.g2_significant:
+        if significant[derv_row]:
             cell[1] += 1
 
     def sort_key(key: tuple[str, str, str, str]):
@@ -271,31 +259,23 @@ class AssociatedRow(NamedTuple):
     avg: float
 
 
-def associated_counts(
-    pairs: Sequence[LemmaPair],
-) -> tuple[list[AssociatedRow], dict[str, float]]:
+def associated_counts(table: StatsTable) -> tuple[list[AssociatedRow], dict[str, float]]:
     """Average number of distinct partners per frequent-side lemma.
 
     Returns per PoS x relation rows plus a per-relation micro average
     (total pairs over total distinct frequent lemmas).
     """
-    partners: dict[tuple[str, str], dict[str, set[str]]] = {}
-    for p in pairs:
-        group = partners.setdefault((p.w.pos, p.relation), {})
-        group.setdefault(p.w.lemma, set()).add(p.v.lemma)
-
     rows = []
     totals: dict[str, list[int]] = {}
-    for pos in POS_ORDER:
-        for rel in REL_ORDER:
-            group = partners.get((pos, rel))
-            if not group:
-                continue
-            n_pairs = sum(len(vs) for vs in group.values())
-            rows.append(AssociatedRow(pos, rel, n_pairs / len(group)))
-            tot = totals.setdefault(rel, [0, 0])
-            tot[0] += n_pairs
-            tot[1] += len(group)
+    for (pos, rel), group in table.groups.items():
+        lemma_w = [table.lemma_w[i] for i in group.tolist()]
+        lemma_v = [table.lemma_v[i] for i in group.tolist()]
+        n_pairs = len(set(zip(lemma_w, lemma_v)))
+        n_lemmas = len(set(lemma_w))
+        rows.append(AssociatedRow(pos, rel, n_pairs / n_lemmas))
+        tot = totals.setdefault(rel, [0, 0])
+        tot[0] += n_pairs
+        tot[1] += n_lemmas
     micro = {rel: tot[0] / tot[1] for rel, tot in totals.items()}
     return rows, micro
 
@@ -320,11 +300,11 @@ def five_number(values: Sequence[float]) -> FiveNumber:
 
 
 def distribution_groups(
-    scored: Sequence[ScoredPair], metric: str, g2_population: str = "all"
+    table: StatsTable, metric: str, g2_population: str = "all"
 ) -> dict[tuple[str, str], list[float]]:
     out = {}
-    for key, group in _cells(scored):
-        values = metric_values(group, metric, g2_population)
+    for key, rows in table.groups.items():
+        values = metric_values(table, rows, metric, g2_population)
         if values:
             out[key] = values
     return out
@@ -507,7 +487,8 @@ def _derivation_table(rows: Sequence[DerivationRow]) -> Rendered:
         f"{r.count} ({r.count_sustaining}) |"
         for r in rows
     ]
-    total = sum(r.count for r in rows), sum(r.count_sustaining for r in rows)
+    counts = np.array([(r.count, r.count_sustaining) for r in rows], dtype=np.int64)
+    total = counts.reshape(-1, 2).sum(axis=0).tolist()
     lines.append(f"| TOTAL | | | | {total[0]} ({total[1]}) |")
     csv_rows = [[str(x) for x in r] for r in rows]
     return list(DerivationRow._fields), csv_rows, "\n".join(lines) + "\n"
@@ -546,7 +527,7 @@ def _comparison_rows(
 
 
 def write_report(
-    scored: Sequence[ScoredPair],
+    table: StatsTable,
     out_dir: str | Path,
     options: ReportOptions = ReportOptions(),
     derived: Sequence[DerivedPair] = (),
@@ -554,8 +535,8 @@ def write_report(
     """Emit every requested table and figure file; returns written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summaries = summarize(scored)
-    comparisons = compare_all(scored, options.alpha, options.avg_population)
+    summaries = summarize(table)
+    comparisons = compare_all(table, options.alpha, options.avg_population)
     written: list[Path] = []
 
     def emit_csv(name, header, rows):
@@ -574,10 +555,9 @@ def write_report(
         if number in GRID_TABLES:
             header, rows, md = _grid_table(GRID_TABLES[number], summaries, comparisons, options)
         elif number == 5:
-            stats_by_pair = {pair_key(item.pair): item.stats for item in scored}
-            header, rows, md = _derivation_table(derivation_persistence(derived, stats_by_pair))
+            header, rows, md = _derivation_table(derivation_persistence(derived, table))
         else:
-            header, rows, md = _associated_table(*associated_counts([i.pair for i in scored]))
+            header, rows, md = _associated_table(*associated_counts(table))
         emit_csv(f"table{number}.csv", header, rows)
         emit_text(f"table{number}.md", md)
 
@@ -596,7 +576,7 @@ def write_report(
     emit_csv("distinct.csv", ["pos", "metric", "relation", "distinct"], distinct_rows)
 
     for metric in options.figures:
-        groups = distribution_groups(scored, metric, options.avg_population)
+        groups = distribution_groups(table, metric, options.avg_population)
         if metric == "order_asym" and not groups:
             continue
         fives = {key: five_number(values) for key, values in groups.items()}
@@ -608,7 +588,7 @@ def write_report(
         emit_csv(
             f"fig_{metric}_values.csv",
             ["pos", "relation", "value"],
-            [[pos, rel, repr(v)] for (pos, rel), values in groups.items() for v in values],
+            ((pos, rel, repr(v)) for (pos, rel), values in groups.items() for v in values),
         )
         if options.svg and fives:  # a box plot needs at least one box
             emit_text(f"fig_{metric}.svg", render_boxplot_svg(fives, metric))

@@ -6,6 +6,8 @@ otherwise), an exact two-sided binomial test, midranks, and the
 Brunner-Munzel rank test (t-distribution tail via the regularized
 incomplete beta function).  The special functions are stdlib float
 arithmetic; midranks sort with NumPy and stay exact multiples of 1/2.
+Float sums are `sequential_sum`, which gives the same bits on every
+Python version.
 
 The special functions follow the classic series/continued-fraction
 split (Lentz's method for the continued fractions) and are accurate to
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +42,20 @@ class TestResult:
     df: float | None = None
     degenerate: bool = False
     effect: float | None = None
+
+
+def sequential_sum(values: Sequence[float] | np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, rounded after each addition.
+
+    This is the float sum of the builtin `sum` before Python 3.12, which
+    compensates for rounding instead; `np.sum` adds pairwise.  Both would
+    change the last bits of the report's means.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as `sum` gives them
+        partial = np.cumsum(np.asarray(values, dtype=np.float64))  # one addition at a time
+    # Adding 0.0 turns -0.0, the sum of values that are all -0.0, into the
+    # 0.0 that a sum from 0.0 gives, and changes no other sum.
+    return float(partial[-1]) + 0.0 if len(partial) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +303,20 @@ def brunner_munzel(x: list[float], y: list[float]) -> TestResult:
     inner_x = midranks(list(x))
     inner_y = midranks(list(y))
 
-    sum_rx = sum(ranks_x)
-    sum_ry = sum(ranks_y)
+    sum_rx = sequential_sum(ranks_x)
+    sum_ry = sequential_sum(ranks_y)
     mean_rx = sum_rx / nx
     mean_ry = sum_ry / ny
     # Midranks are multiples of 1/2, so this matches brute-force
     # (wins + ties/2) / (nx*ny) bit for bit.
     effect = (sum_ry - ny * (ny + 1) / 2.0) / (nx * ny)
 
-    sx2 = sum(
+    sx2 = sequential_sum([
         (ranks_x[i] - inner_x[i] - mean_rx + (nx + 1) / 2.0) ** 2 for i in range(nx)
-    ) / (nx - 1)
-    sy2 = sum(
+    ]) / (nx - 1)
+    sy2 = sequential_sum([
         (ranks_y[i] - inner_y[i] - mean_ry + (ny + 1) / 2.0) ** 2 for i in range(ny)
-    ) / (ny - 1)
+    ]) / (ny - 1)
 
     var_sum = nx * sx2 + ny * sy2
     if var_sum == 0.0:

@@ -6,7 +6,9 @@ files (lexicon, derivations, lemma attributes, verb classes), where blank
 and ``#`` lines are skipped.  Readers check every row's field count and
 report a bad row, or a line that is not UTF-8, as ``<path> line N: ...``.
 Integer columns of a long table can be read whole by NumPy's C parser
-(`read_keyed_ints`), which takes ASCII decimal integers only.
+(`read_keyed_ints`), which takes ASCII decimal integers only, and a table
+can be read as columns of text for its reader to convert whole
+(`read_columns`).
 """
 
 from __future__ import annotations
@@ -89,6 +91,51 @@ def read_table(
 ) -> Iterator[T]:
     """Yield `decode(fields)` per row after checking the header line."""
     return _read(path, len(table.columns), decode, _table_rows(table))
+
+
+class RowError(ValueError):
+    """A bad value in one data row of a table, named by the row's 0-based
+    index among the data rows."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def read_columns(
+    path: str, table: Table, decode: Callable[[list[list[str]]], T]
+) -> T:
+    """`decode` of the columns of a `table` file, each a list with one
+    field per data row.
+
+    The file is split whole, making no list or tuple per row.  The first
+    line with a wrong field count ends the rows, and `decode` still gets the
+    rows before it, so that a `RowError` it raises for an earlier row is
+    the error reported, as in `read_table`.
+    """
+    width = len(table.columns)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            if handle.readline().rstrip("\n") != "\t".join(table.columns):
+                raise ValueError(f"{path} line 1: not a {table.kind} file")
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, exc, open) from None
+    if lines[-1] == "":
+        lines.pop()  # after the newline that ends the last line
+    tabs = [line.count("\t") for line in lines]
+    n_rows = next((row for row, n in enumerate(tabs) if n != width - 1), len(lines))
+    fields = "\t".join(lines[:n_rows]).split("\t") if n_rows else []
+    del lines
+    try:
+        result = decode([fields[column::width] for column in range(width)])
+    except RowError as exc:
+        raise ValueError(f"{path} line {exc.row + 2}: {exc}") from None
+    if n_rows < len(tabs):
+        raise ValueError(
+            f"{path} line {n_rows + 2}: expected {width} fields, got {tabs[n_rows] + 1}"
+        )
+    return result
 
 
 # loadtxt names a bad value's 0-based row among the lines it was given.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from unittest import mock
@@ -11,6 +12,8 @@ from coocstat import metrics
 from coocstat.cli import run_pipeline
 from coocstat.counting import ContingencyTable, CooccurrenceEvent
 from coocstat.metrics import (
+    PairStats,
+    StatsTable,
     UndefinedMetricError,
     asymmetric_order_stats,
     compute_all_stats,
@@ -269,20 +272,68 @@ def test_compute_all_stats_matches_compute_pair_stats(observations, batch_events
     """The batched event sums give every pair the stats it gets alone, with
     the default batch size and with batches that split runs of pairs
     anywhere (a pair with more events than a batch gets one of its own)."""
-    expected = [compute_pair_stats(obs, with_baselines=baselines) for obs in observations]
+    expected = StatsTable.from_rows(
+        (obs.pair, compute_pair_stats(obs, with_baselines=baselines)) for obs in observations
+    )
     for limit in (metrics._BATCH_EVENTS, batch_events):
         with mock.patch.object(metrics, "_BATCH_EVENTS", limit):
-            scored = compute_all_stats(iter(observations), with_baselines=baselines)
-        assert [s.pair for s in scored] == [obs.pair for obs in observations]
-        for got, want in zip(scored, expected):
-            assert vars(got.stats) == vars(want)
+            got = compute_all_stats(iter(observations), with_baselines=baselines)
+        assert_same_table(got, expected)
+
+
+def assert_same_table(got: StatsTable, want: StatsTable) -> None:
+    """Equal key columns, and numeric columns of one dtype and equal bits."""
+    for field in dataclasses.fields(StatsTable):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, list):
+            assert type(a) is list and a == b, field.name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+
+def test_stats_file_round_trip_column_for_column(tmp_path):
+    """`write_pair_stats` then `read_pair_stats` gives back every column,
+    with every kind of None: no co-occurrence (no order_p or mean_dist),
+    no head, no asymmetric order and no pmi."""
+    rows = [
+        (pair("a", "b"), PairStats(12.5, True, 0.25, True, 0.001, 3.5, 4)),
+        (pair("c", "d", relation="HYP", head="w"),
+         PairStats(0.0, False, 0.0, False, None, None, 0)),
+        (pair("e", "f", pos="VERB", relation="HOL", head="v"),
+         PairStats(7.0, True, -1 / 3, True, 1e-300, 0.1 + 0.2, 9, -0.5, True, 2e-5, -1.25)),
+        (pair("g", "h", pos="ADV", relation="HYP", head="v"),
+         PairStats(3.0, False, 0.0, False, 0.5, 2.0, 2, 0.0, False, 0.5)),
+        (pair("i", "j", pos="ADJ", relation="UNR"),
+         PairStats(1e-12, False, 0.0, False, 1.0, 0.0, 1, pmi=5.0)),
+    ]
+    table = StatsTable.from_rows(rows)
+    assert table.head == ["", "w", "v", "v", ""]
+    assert table.asym_order_pref.tolist() == [-1, -1, 1, 0, -1]
+    assert np.isnan(table.order_p).tolist() == [False, True, False, False, False]
+    assert np.isnan(table.pmi).tolist() == [True, True, False, True, False]
+    for written in (table, StatsTable.from_rows([])):
+        path = tmp_path / "stats.tsv"
+        metrics.write_pair_stats(written, str(path))
+        assert_same_table(metrics.read_pair_stats(str(path)), written)
+
+
+def test_stats_table_groups_rows_by_pos_and_relation():
+    stats = PairStats(1.0, False, 0.0, False, None, None, 0)
+    table = StatsTable.from_rows(
+        (pair(w, "x", pos=pos, relation=rel), stats)
+        for w, pos, rel in [("a", "VERB", "SYN"), ("b", "NOUN", "UNR"), ("c", "VERB", "SYN"),
+                            ("d", "NOUN", "ANT"), ("e", "NOUN", "FOO")]
+    )
+    assert {key: rows.tolist() for key, rows in table.groups.items()} == {
+        ("NOUN", "ANT"): [3], ("NOUN", "UNR"): [1], ("VERB", "SYN"): [0, 2],
+    }
+    assert list(table.groups) == [("NOUN", "ANT"), ("NOUN", "UNR"), ("VERB", "SYN")]
 
 
 def test_toy_g2_flags_match_incomplete_gamma(tmp_path):
     """The 1-df closed form flags the same toy pairs as Q(1/2, G2 / 2)."""
     run_pipeline(toy_config(TOY_PATHS, tmp_path))
-    scored = metrics.read_pair_stats(str(tmp_path / "stats.tsv"))
-    assert any(s.stats.g2_significant for s in scored)
-    assert any(not s.stats.g2_significant for s in scored)
-    for s in scored:
-        assert s.stats.g2_significant == (_reg_gamma_q(0.5, s.stats.g2 / 2.0) < 0.01)
+    table = metrics.read_pair_stats(str(tmp_path / "stats.tsv"))
+    assert table.g2_sig.any() and not table.g2_sig.all()
+    for g2, significant in zip(table.g2.tolist(), table.g2_sig.tolist()):
+        assert significant == (_reg_gamma_q(0.5, g2 / 2.0) < 0.01)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from coocstat.lexicon import ANT, HOL, HYP, SYN, UNR, DerivedPair
-from coocstat.metrics import PairStats, ScoredPair
+from coocstat.metrics import PairStats, StatsTable
 from coocstat.report import (
     ReportOptions,
     associated_counts,
@@ -12,7 +12,6 @@ from coocstat.report import (
     derivation_persistence,
     distribution_groups,
     five_number,
-    pair_key,
     summarize,
     write_report,
 )
@@ -21,6 +20,7 @@ from conftest import pair
 
 def scored(w, v, pos="NOUN", relation=ANT, g2=10.0, sig=True, order=0.0,
            pref=False, dist=5.0, n_cooc=10, head=None, asym=None):
+    """A (pair, stats) row for `StatsTable.from_rows`."""
     stats = PairStats(
         g2=g2,
         g2_significant=sig,
@@ -33,7 +33,16 @@ def scored(w, v, pos="NOUN", relation=ANT, g2=10.0, sig=True, order=0.0,
         asym_has_preferred_order=None if asym is None else asym != 0,
         asym_order_p=None if asym is None else 0.001,
     )
-    return ScoredPair(pair(w, v, pos, relation, head), stats)
+    return pair(w, v, pos, relation, head), stats
+
+
+def table(rows):
+    return StatsTable.from_rows(rows)
+
+
+def pairs_table(pairs):
+    """A table of `pairs`, each with the default stats of `scored`."""
+    return table((p, scored("w", "v")[1]) for p in pairs)
 
 
 class TestSummarize:
@@ -43,7 +52,7 @@ class TestSummarize:
             scored("c", "d", g2=2.0, sig=False),
             scored("e", "f", g2=3.0, sig=False),
         ]
-        (summary,) = summarize(items)
+        (summary,) = summarize(table(items))
         assert summary.n_pairs == 3
         assert summary.avg_g2 == pytest.approx(5.0)
         assert summary.pct_g2_sig == pytest.approx(100 / 3)
@@ -55,7 +64,7 @@ class TestSummarize:
 
     def test_empty_populations_are_none(self):
         items = [scored("a", "b", sig=False)]
-        (summary,) = summarize(items)
+        (summary,) = summarize(table(items))
         assert summary.avg_order is None
         assert summary.avg_distance is None
         assert summary.pct_order_pref is None
@@ -68,17 +77,17 @@ class TestSummarize:
                    order=rng.uniform(-1, 1), dist=rng.uniform(0, 30))
             for i in range(40)
         ]
-        base = summarize(items)
+        base = summarize(table(items))
         shuffled = items[:]
         rng.shuffle(shuffled)
-        assert summarize(shuffled) == base
+        assert summarize(table(shuffled)) == base
 
     def test_pooled_distance_weighting(self):
         items = [
             scored("a", "b", dist=1.0, n_cooc=9),
             scored("c", "d", dist=11.0, n_cooc=1),
         ]
-        (summary,) = summarize(items)
+        (summary,) = summarize(table(items))
         assert summary.avg_distance == pytest.approx(6.0)
         assert summary.avg_distance_pooled == pytest.approx(2.0)
 
@@ -116,7 +125,7 @@ class TestCompareRelations:
             + [scored(f"c{i}", f"d{i}", relation=SYN, g2=5 + i, order=0.0, dist=20.0) for i in range(5)]
             + [scored(f"e{i}", f"f{i}", pos="ADJ", g2=9.0) for i in range(3)]
         )
-        matrices = compare_all(items)
+        matrices = compare_all(table(items))
         assert ("NOUN", "g2") in matrices
         noun_g2 = matrices[("NOUN", "g2")]
         assert noun_g2.distinct[ANT]
@@ -132,40 +141,37 @@ class TestDerivationPersistence:
         derv_insig = scored("bigness", "smallness", pos="NOUN", sig=False)
         orig_insig = scored("x", "y", pos="ADJ", sig=False)
         derv_of_insig = scored("xn", "yn", pos="NOUN")
-        stats_by = {
-            pair_key(s.pair): s.stats
-            for s in (orig_sig, derv_sig, derv_insig, orig_insig, derv_of_insig)
-        }
+        scored_rows = table([orig_sig, derv_sig, derv_insig, orig_insig, derv_of_insig])
         derived = [
-            DerivedPair(orig_sig.pair, derv_sig.pair),
-            DerivedPair(orig_sig.pair, derv_insig.pair),
-            DerivedPair(orig_insig.pair, derv_of_insig.pair),  # orig not significant
+            DerivedPair(orig_sig[0], derv_sig[0]),
+            DerivedPair(orig_sig[0], derv_insig[0]),
+            DerivedPair(orig_insig[0], derv_of_insig[0]),  # orig not significant
         ]
-        rows = derivation_persistence(derived, stats_by)
+        rows = derivation_persistence(derived, scored_rows)
         assert [(r.orig_pos, r.derv_pos, r.count, r.count_sustaining) for r in rows] == [
             ("ADJ", "NOUN", 1, 0),
             ("ADJ", "ADV", 1, 1),
         ]
 
     def test_no_derived_pairs(self):
-        assert derivation_persistence([], {}) == []
+        assert derivation_persistence([], table([])) == []
 
 
 class TestAssociatedCounts:
     def test_shared_w(self):
         pairs = [pair("w", "v1"), pair("w", "v2"), pair("u", "x")]
-        rows, micro = associated_counts(pairs)
+        rows, micro = associated_counts(pairs_table(pairs))
         assert rows[0].avg == pytest.approx(1.5)
         assert micro[ANT] == pytest.approx(1.5)
 
     def test_all_unique(self):
         pairs = [pair(f"w{i}", f"v{i}") for i in range(5)]
-        rows, micro = associated_counts(pairs)
+        rows, micro = associated_counts(pairs_table(pairs))
         assert rows[0].avg == 1.0 and micro[ANT] == 1.0
 
     def test_single_w_many_partners(self):
         pairs = [pair("w", f"v{i}", relation=HYP) for i in range(6)]
-        rows, micro = associated_counts(pairs)
+        rows, micro = associated_counts(pairs_table(pairs))
         assert rows[0].avg == 6.0
 
     def test_micro_at_least_one(self):
@@ -173,7 +179,7 @@ class TestAssociatedCounts:
         pairs = [
             pair(f"w{rng.randint(0, 10)}", f"v{i}", relation=SYN) for i in range(40)
         ]
-        _, micro = associated_counts(pairs)
+        _, micro = associated_counts(pairs_table(pairs))
         assert micro[SYN] >= 1.0
 
     def test_micro_pools_across_pos(self):
@@ -182,7 +188,7 @@ class TestAssociatedCounts:
             pair("w", "v2", pos="NOUN", relation=HOL),
             pair("w", "v1", pos="VERB", relation=HOL),
         ]
-        rows, micro = associated_counts(pairs)
+        rows, micro = associated_counts(pairs_table(pairs))
         by_pos = {r.pos: r.avg for r in rows}
         assert by_pos["NOUN"] == 2.0 and by_pos["VERB"] == 1.0
         assert micro[HOL] == pytest.approx(3 / 2)
@@ -200,7 +206,7 @@ class TestDistributions:
 
     def test_empty_group_omitted(self):
         items = [scored("a", "b", sig=False)]  # no sig pairs -> no order values
-        groups = distribution_groups(items, "order")
+        groups = distribution_groups(table(items), "order")
         assert groups == {}
 
 
@@ -217,7 +223,7 @@ class TestWriteReport:
                                 head="w", asym=0.1))
             items.append(scored(f"u{i}", f"x{i}", relation=UNR, g2=0.5,
                                 sig=False, n_cooc=1, dist=20.0))
-        return items
+        return table(items)
 
     def test_emits_requested_files(self, tmp_path):
         written = write_report(self._items(), tmp_path, ReportOptions(svg=True))

@@ -1,11 +1,16 @@
+import ast
+import functools
 import math
+import operator
 import random
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coocstat.stats import (
     binom_test_two_sided,
@@ -13,8 +18,11 @@ from coocstat.stats import (
     _reg_gamma_q,
     chi2_sf,
     midranks,
+    sequential_sum,
     t_sf_two_sided,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "coocstat"
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +298,42 @@ class TestNullCalibration:
                 rejections += 1
         rate = rejections / N_TRIALS
         assert 0.005 <= rate <= 0.015, rate
+
+
+# ---------------------------------------------------------------------------
+# Float sums that do not depend on the Python version
+
+
+@given(st.lists(st.floats(width=64)) | st.lists(st.floats(-1e6, 1e6), min_size=500, max_size=3000))
+@example([-0.0])
+@example([-0.0, -0.0, 1.0])
+@example([1e16, 1.0, -1e16])
+def test_sequential_sum_adds_one_value_at_a_time(values):
+    want = functools.reduce(operator.add, values, 0.0)
+    for given_as in (values, np.array(values, dtype=np.float64)):
+        got = sequential_sum(given_as)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def _builtin_sum_calls(tree: ast.AST) -> list[int]:
+    """The lines of calls to the builtin `sum`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+
+
+def test_guard_spots_builtin_sum_calls():
+    code = "sum(x)\nnp.sum(x)\nx.sum()\nsequential_sum(x)\ny = sum(a for a in x)\n"
+    assert _builtin_sum_calls(ast.parse(code)) == [1, 5]
+
+
+@pytest.mark.parametrize("module", ["report.py", "stats.py"])
+def test_no_builtin_sum_where_floats_are_aggregated(module):
+    # From Python 3.12 the builtin `sum` compensates float rounding, which
+    # would change the last bits of the report.  Sum floats with
+    # `sequential_sum`; count with `len` or NumPy integer sums.
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert _builtin_sum_calls(tree) == []

@@ -63,6 +63,10 @@ COMMANDS["events.tsv"] = COMMANDS["observations.tsv"]
 INT_COLUMN = {
     "observations.tsv": 5, "events.tsv": 4, "corpus_freqs.tsv": 2, "stats.tsv": 10,
 }
+# The files that hold pairs, with the column of their (first pair's) head.
+HEAD_COLUMN = {
+    "pairs.tsv": 4, "derived_pairs.tsv": 4, "observations.tsv": 4, "stats.tsv": 11,
+}
 
 
 def _edit_row(edit, index: int = 1):
@@ -78,6 +82,15 @@ def _set_field(index: int, value: str):
 
 def _repeat_first_row(lines: list[str]) -> list[str]:
     return lines[:2] + lines[1:]
+
+
+def _then(*edits):
+    def edit(lines):
+        for one in edits:
+            lines = one(lines)
+        return lines
+
+    return edit
 
 
 # (case, files, edit of the file's lines, line named in the error or None)
@@ -106,7 +119,23 @@ CASES = [
         f[:8] + [str(int(f[8]) + 1), str(int(f[9]) + 1)]
     ), index=2), 3),
     # A copy of the first data row as line 3.
-    ("duplicate-pair", ["observations.tsv"], _repeat_first_row, 3),
+    ("duplicate-pair", ["observations.tsv", "stats.tsv"], _repeat_first_row, 3),
+    # Pair labels: pos in CONTENT_POS, relation in RELATIONS, head w, v or empty.
+    ("unknown-relation", list(HEAD_COLUMN), _set_field(3, "FOO"), 2),
+    ("unknown-pos", list(HEAD_COLUMN), _set_field(2, "XYZ"), 2),
+    *[("bad-head", [name], _set_field(i, "x"), 2) for name, i in HEAD_COLUMN.items()],
+    # Stats columns are converted whole; the earlier line is still the one
+    # named, whatever the columns of its fault and of a later line's.
+    ("bad-cells-in-two-columns", ["stats.tsv"], _then(
+        _edit_row(lambda f: "\t".join(f[:15] + ["x"]), index=1),
+        _edit_row(lambda f: "\t".join(f[:4] + ["x"] + f[5:]), index=2),
+    ), 2),
+    ("bad-cell-before-short-row", ["stats.tsv"], _then(
+        _edit_row(lambda f: "\t".join(f[:13] + ["2"] + f[14:]), index=1),
+        _edit_row(lambda f: "\t".join(f[:-1]), index=2),
+    ), 2),
+    ("nan-value", ["stats.tsv"], _set_field(4, "nan"), 2),
+    ("negative-count", ["stats.tsv"], _set_field(10, "-1"), 2),
     # Event rows: values >= 0 that fit int64, pos_w != pos_v, and at most
     # one event per sentence for each pair (a copy of a row repeats both).
     *[(f"negative-{column}", ["events.tsv"], _set_field(i, "-1"), 2)
