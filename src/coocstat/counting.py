@@ -1,11 +1,13 @@
 """Sentence counting for a fixed list of lemma pairs, over a `Corpus`.
 
-Counting builds posting lists (sentence index and first position) for
-the pairs' keys only, then intersects the two lists of each pair, so a
-pair costs time in proportion to its keys' postings, not to the corpus
-(the inverted-index layout of Evert 2005, *The Statistics of Word
-Cooccurrences*, ch. 2-3).  Any iterable of `Sentence` is compiled into a
-`Corpus` first.
+Counting walks the corpus once in blocks of `_SCAN_BLOCK` sentences.
+Each block builds posting lists (sentence and first position) for the
+pairs' keys only, and every pair probes its shorter list against the
+other in one `np.searchsorted` over the block, so a pair costs time in
+proportion to its keys' postings, not to the corpus (the inverted-index
+layout of Evert 2005, *The Statistics of Word Cooccurrences*, ch. 2-3).
+One stable sort by pair after the walk puts each pair's events in input
+order.  Any iterable of `Sentence` is compiled into a `Corpus` first.
 
 Each pair's co-occurrence events are one `(m, 3)` int64 array with the
 columns `sentence_id, pos_w, pos_v`, 24 bytes per event, from `count`
@@ -13,13 +15,10 @@ through `read_observations` to the metrics; no Python object is built
 per event.
 
 `merge` combines the results of disjoint sentence-id ranges exactly as
-one pass would count them; `count_sharded` counts contiguous sentence
-blocks in one process and merges them in block order.
-"""
+one pass would count them."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -88,28 +87,7 @@ class CountResult:
 
 
 def _dedupe(pairs: Sequence[LemmaPair]) -> list[LemmaPair]:
-    seen = set()
-    out = []
-    for p in pairs:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
-def _postings(
-    corpus: Corpus, key_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Posting lists of `key_ids`: one entry per (key, sentence) where the
-    key occurs, sorted by key then sentence index, with the key's first
-    token position in that sentence."""
-    at = np.flatnonzero(np.isin(corpus.token_ids, key_ids))
-    sent = np.searchsorted(corpus.offsets, at, side="right") - 1
-    n = max(len(corpus), 1)
-    codes, first = np.unique(
-        corpus.token_ids[at].astype(np.int64) * n + sent, return_index=True
-    )
-    return codes // n, codes % n, at[first] - corpus.offsets[sent[first]]
+    return list(dict.fromkeys(pairs))
 
 
 def _id_runs(sentence_ids: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -121,45 +99,135 @@ def _id_runs(sentence_ids: np.ndarray) -> tuple[tuple[int, int], ...]:
     return _coalesce(tuple(zip(lo.tolist(), hi.tolist())))
 
 
+# Sentences per block of the corpus walks (scan and count), which bounds
+# their scratch arrays.
+_SCAN_BLOCK = 1 << 16
+# Probe entries per batch of the pair join, which bounds its scratch arrays.
+_JOIN_BATCH = 1 << 20
+
+
+def _blocks(corpus: Corpus, block_size: int) -> Iterator[tuple[int, Corpus]]:
+    """Consecutive blocks of `block_size` sentences, with each block's
+    first sentence index."""
+    for lo in range(0, len(corpus), block_size):
+        yield lo, corpus.sentence_slice(lo, lo + block_size)
+
+
+def _postings(
+    block: Corpus, rank: np.ndarray, n_ranks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posting codes ``rank * len(block) + sentence`` of the block's
+    distinct (key, sentence) entries whose key rank is below `n_ranks`,
+    sorted, with the key's first token position in that sentence."""
+    r = rank[block.token_ids]
+    at = np.flatnonzero(r < n_ranks)
+    # Sorting ``rank * tokens + token`` orders the entries by key, then
+    # sentence, then position; ranks never exceed the vocabulary, so the
+    # codes fit in int64 for any block that fits in memory.
+    key, at = np.divmod(np.sort(r[at] * len(r) + at), len(r))
+    sent = block.sentence_index()[at]
+    first = np.ones(len(at), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]) | (sent[1:] != sent[:-1])
+    sent = sent[first]
+    return key[first] * len(block) + sent, at[first] - block.offsets[sent]
+
+
+def _join(
+    codes: np.ndarray, first: np.ndarray, start: np.ndarray, nb: int,
+    w: np.ndarray, v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The block's events of the pairs of key ranks `w`, `v`: the pair
+    index and a ``sentence, pos_w, pos_v`` row per sentence holding both
+    keys, in pair-then-sentence order.  Key rank ``k`` has the postings
+    ``codes[start[k]:start[k + 1]]``, and `first` their positions; each
+    pair probes its shorter list against the other."""
+    len_w, len_v = start[w + 1] - start[w], start[v + 1] - start[v]
+    w_probes = len_w <= len_v
+    probe, target = np.where(w_probes, w, v), np.where(w_probes, v, w)
+    length = np.minimum(len_w, len_v)
+    pair = np.repeat(np.arange(len(w)), length)
+    entry = np.repeat(start[probe] - np.cumsum(length) + length, length) + np.arange(len(pair))
+    sent = codes[entry] % nb
+    wanted = target[pair] * nb + sent
+    j = np.searchsorted(codes, wanted)
+    j[j == len(codes)] = 0
+    hit = codes[j] == wanted
+    pair, sent, at_probe, at_target = pair[hit], sent[hit], first[entry[hit]], first[j[hit]]
+    from_w = w_probes[pair]
+    return pair, np.stack((
+        sent,
+        np.where(from_w, at_probe, at_target),
+        np.where(from_w, at_target, at_probe),
+    ), axis=1)
+
+
+def _count(corpus: Corpus, pairs: Sequence[LemmaPair], block_size: int) -> CountResult:
+    """The pass behind `count` and `count_sharded`: one walk over blocks of
+    `block_size` sentences, joining every pair per block."""
+    if not pairs:
+        raise ValueError("pair list must be non-empty")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    pairs = _dedupe(pairs)
+    n, size = len(corpus), len(corpus.keys)
+    ids = dict(zip(corpus.keys, range(size)))
+    keys = [k for p in pairs for k in (p.w, p.v)]
+    key_of = np.fromiter(
+        map(ids.get, keys, itertools.repeat(size)), dtype=np.int64, count=len(keys)
+    ).reshape(-1, 2)
+    # Rank the pairs' keys densely; a key absent from the corpus, and every
+    # token of a key no pair has, gets the empty rank `n_ranks`.
+    wanted = sorted_unique(key_of[key_of < size])
+    n_ranks = len(wanted)
+    rank = np.full(size + 1, n_ranks, dtype=np.int64)
+    rank[wanted] = np.arange(n_ranks)
+    w, v = rank[key_of[:, 0]], rank[key_of[:, 1]]
+
+    key_count = np.zeros(n_ranks + 1, dtype=np.int64)
+    pair_parts, event_parts = [np.empty(0, dtype=np.int64)], [np.empty((0, 3), dtype=np.int64)]
+    for lo, block in _blocks(corpus, block_size):
+        codes, first = _postings(block, rank, n_ranks)
+        per_key = np.bincount(codes // len(block), minlength=n_ranks + 1)
+        key_count += per_key
+        start = np.concatenate(([0], np.cumsum(per_key)))
+        # Batches of pairs with about `_JOIN_BATCH` probes each.
+        probes = np.cumsum(np.minimum(per_key[w], per_key[v]))
+        cuts = np.searchsorted(probes, np.arange(_JOIN_BATCH, probes[-1], _JOIN_BATCH)) + 1
+        bounds = sorted_unique(np.concatenate(([0], cuts, [len(pairs)]))).tolist()
+        for a, b in itertools.pairwise(bounds):
+            pair, events = _join(codes, first, start, len(block), w[a:b], v[a:b])
+            events[:, 0] += lo
+            pair_parts.append(pair + a)
+            event_parts.append(events)
+
+    pair = np.concatenate(pair_parts)
+    events = np.concatenate(event_parts)
+    del pair_parts, event_parts  # free the parts before the sort copies `events`
+    events = events[np.argsort(pair, kind="stable")]
+    events[:, 0] = corpus.sentence_ids[events[:, 0]]
+    n_wv = np.bincount(pair, minlength=len(pairs))
+    n_w, n_v = key_count[w], key_count[v]
+    tables = map(
+        ContingencyTable, n_wv.tolist(), (n_w - n_wv).tolist(), (n_v - n_wv).tolist(),
+        (n - n_w - n_v + n_wv).tolist(), itertools.repeat(n),
+    )
+    ends = np.cumsum(n_wv).tolist()
+    observations = {
+        p: PairObservations(p, table, events[lo:hi])
+        for p, table, lo, hi in zip(pairs, tables, [0, *ends], ends)
+    }
+    return CountResult(observations, n, _id_runs(corpus.sentence_ids))
+
+
 def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
     """Count sentence-level (co-)occurrences of every pair.
 
     A sentence contributes at most one to each cell no matter how many
     times a lemma repeats; event positions are the first occurrence of
-    each lemma with the pair's PoS.  Each pair's table and events come
-    from one intersection of its two keys' posting lists.
+    each lemma with the pair's PoS.  Each pair's events are in input
+    order.
     """
-    if not pairs:
-        raise ValueError("pair list must be non-empty")
-    pairs = _dedupe(pairs)
-    corpus = as_corpus(sentences)
-    n = len(corpus)
-    ids = {k: i for i, k in enumerate(corpus.keys)}
-    wanted = np.array(
-        sorted({ids[k] for p in pairs for k in (p.w, p.v) if k in ids}), dtype=np.int64
-    )
-    key, sent, first = _postings(corpus, wanted)
-    span = dict(zip(
-        wanted.tolist(),
-        zip(np.searchsorted(key, wanted).tolist(),
-            np.searchsorted(key, wanted, side="right").tolist()),
-    ))
-
-    observations = {}
-    for pair in pairs:
-        lo_w, hi_w = span.get(ids.get(pair.w), (0, 0))
-        lo_v, hi_v = span.get(ids.get(pair.v), (0, 0))
-        both, iw, iv = np.intersect1d(
-            sent[lo_w:hi_w], sent[lo_v:hi_v], assume_unique=True, return_indices=True
-        )
-        n_w, n_v, n_wv = hi_w - lo_w, hi_v - lo_v, len(both)
-        table = ContingencyTable(n_wv, n_w - n_wv, n_v - n_wv, n - n_w - n_v + n_wv, n)
-        events = np.empty((n_wv, 3), dtype=np.int64)
-        events[:, 0] = corpus.sentence_ids[both]
-        events[:, 1] = first[lo_w:hi_w][iw]
-        events[:, 2] = first[lo_v:hi_v][iv]
-        observations[pair] = PairObservations(pair, table, events)
-    return CountResult(observations, n, _id_runs(corpus.sentence_ids))
+    return _count(as_corpus(sentences), pairs, _SCAN_BLOCK)
 
 
 def _coalesce(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -204,22 +272,15 @@ def merge(a: CountResult, b: CountResult) -> CountResult:
 def count_sharded(
     sentences: Iterable[Sentence],
     pairs: Sequence[LemmaPair],
-    block_size: int = 20000,
+    block_size: int | None = None,
 ) -> CountResult:
-    """Count contiguous blocks of `block_size` sentences one after another
-    and merge them in block order; the outcome is identical to a single
-    `count` pass."""
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    pairs = _dedupe(pairs)
+    """`count` with blocks of `block_size` sentences (default
+    `_SCAN_BLOCK`); the outcome is identical.  An empty corpus with no
+    pairs gives an empty result."""
     corpus = as_corpus(sentences)
-    blocks = [
-        corpus.sentence_slice(lo, lo + block_size)
-        for lo in range(0, len(corpus), block_size)
-    ]
-    if not blocks:
-        return count(corpus, pairs) if pairs else CountResult({}, 0, ())
-    return functools.reduce(merge, map(count, blocks, itertools.repeat(pairs)))
+    if not pairs and not len(corpus):
+        return CountResult({}, 0, ())
+    return _count(corpus, pairs, _SCAN_BLOCK if block_size is None else block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +290,6 @@ class UniverseScan(NamedTuple):
     freqs: dict[LemmaKey, int]
     pairs: PairUniverse | None
     n_sentences: int
-
-
-# Sentences per block of the scan, which bounds its scratch arrays.
-_SCAN_BLOCK = 1 << 16
 
 
 def _same_pos_pairs(sent: np.ndarray, key: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
@@ -269,8 +326,7 @@ def scan_corpus(
     pos = np.unique([k.pos for k in keys], return_inverse=True)[1]
     counts = np.zeros(size, dtype=np.int64)
     found = [np.empty(0, dtype=np.int64)]  # each block's distinct pair codes
-    for lo in range(0, len(corpus), _SCAN_BLOCK):
-        block = corpus.sentence_slice(lo, lo + _SCAN_BLOCK)
+    for _, block in _blocks(corpus, _SCAN_BLOCK):
         sent, ids = block.sentence_index(), block.token_ids
         mask = content[ids]
         present = sorted_unique(sent[mask] * size + ids[mask])

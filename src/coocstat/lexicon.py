@@ -228,6 +228,10 @@ def _meta_ok(key: LemmaKey, lemma_meta: Mapping[LemmaKey, LemmaMeta]) -> bool:
     )
 
 
+# Universe codes per chunk of the meta check, which bounds its scratch arrays.
+_META_CHUNK = 1 << 18
+
+
 def sample_unrelated(
     corpus_pairs: PairUniverse | Iterable[tuple[LemmaKey, LemmaKey]],
     related: set[tuple[str, str, str]],
@@ -252,15 +256,23 @@ def sample_unrelated(
     keys, codes, size = corpus_pairs.keys, corpus_pairs.codes, len(corpus_pairs.keys)
     ids = corpus_pairs.key_ids
 
+    keep = np.ones(len(codes), dtype=bool)
     if lemma_meta is not None:
         ok = np.array([_meta_ok(k, lemma_meta) for k in keys], dtype=bool)
-        codes = codes[ok[codes // size] & ok[codes % size]]
-    related_codes = [
+        for i in range(0, len(codes), _META_CHUNK):
+            first, second = np.divmod(codes[i:i + _META_CHUNK], size)
+            keep[i:i + _META_CHUNK] = ok[first] & ok[second]
+    related_codes = np.array([
         ids[a] * size + ids[b]
         for pos, lo, hi in related
         if (a := LemmaKey(lo, pos)) in ids and (b := LemmaKey(hi, pos)) in ids
-    ]
-    universe = codes[~np.isin(codes, np.array(related_codes, dtype=np.int64))]
+    ], dtype=np.int64)
+    # The universe codes are sorted, so each related code is found by bisection.
+    at = np.searchsorted(codes, related_codes)
+    inside = at < len(codes)
+    at = at[inside]
+    keep[at[codes[at] == related_codes[inside]]] = False
+    universe = codes[keep]
 
     k = min(n, len(universe))
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -21,9 +21,12 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from test_cli import toy_config
 
+from coocstat import counting
 from coocstat.cli import main, run_pipeline
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -85,6 +88,14 @@ def toy_report_option_hashes(toy_paths: dict[str, str], out_dir: Path) -> dict[s
 def test_toy_outputs_match_recorded_hashes(tmp_path, toy_paths):
     expected = json.loads(HASHES.read_text(encoding="utf-8"))
     assert toy_output_hashes(toy_paths, tmp_path / "run") == expected
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_toy_outputs_match_recorded_hashes_in_small_blocks(tmp_path, toy_paths, block):
+    # The scan and the count walk the toy corpus in many blocks.
+    expected = json.loads(HASHES.read_text(encoding="utf-8"))
+    with mock.patch.object(counting, "_SCAN_BLOCK", block):
+        assert toy_output_hashes(toy_paths, tmp_path / "run") == expected
 
 
 def test_toy_chain_outputs_match_recorded_hashes(tmp_path, toy_paths):

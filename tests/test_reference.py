@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from coocstat import counting
+from coocstat import counting, lexicon
 from coocstat.corpus import Corpus, CorpusParseError, LemmaKey, Sentence, Token, read_corpus
 from coocstat.counting import MergeError, count, count_sharded, scan_corpus
 from coocstat.lexicon import FLAGS, LemmaMeta, LemmaPair, sample_unrelated, unordered_key
@@ -78,6 +78,18 @@ def test_count_sharded_matches_reference_in_id_order(sentences, pairs, block_siz
     _same_count(count_sharded(sentences, pairs, block_size=block_size), want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(corpora(), pair_lists, st.integers(1, 5), st.integers(1, 4))
+def test_count_in_blocks_matches_reference_in_input_order(sentences, pairs, block_size, batch):
+    # Shuffled ids over several blocks, and the pairs joined a few probes
+    # at a time: events stay in input order.
+    want = reference.count(sentences, pairs)
+    with mock.patch.object(counting, "_JOIN_BATCH", batch):
+        _same_count(count_sharded(sentences, pairs, block_size=block_size), want)
+        with mock.patch.object(counting, "_SCAN_BLOCK", block_size):
+            _same_count(count(sentences, pairs), want)
+
+
 def test_count_repeated_sentence_ids_rejected():
     sentences = [Sentence([Token("a", "a", "NOUN")], 3)] * 2
     pairs = [LemmaPair(LemmaKey("a", "NOUN"), LemmaKey("b", "NOUN"), "ANT")]
@@ -138,13 +150,17 @@ def _outcome(fn, *args):
     st.integers(1, 12),
     st.integers(0, 2**32),
     st.one_of(st.none(), metas),
+    # Small chunks make the meta check span several chunks.
+    st.sampled_from((1, 2, 3, lexicon._META_CHUNK)),
 )
-def test_sample_from_scan_matches_reference(sentences, related, n, seed, meta):
+def test_sample_from_scan_matches_reference(sentences, related, n, seed, meta, chunk):
     related = {(pos, *sorted((x, y))) for pos, x, y in related if x != y}
     freqs, pairs, _ = reference.scan_corpus(sentences, True, None)
     scan = scan_corpus(sentences, True, None)
     want = _outcome(reference.sample_unrelated, pairs, related, n, seed, freqs, meta)
-    assert _outcome(sample_unrelated, scan.pairs, related, n, seed, scan.freqs, meta) == want
+    with mock.patch.object(lexicon, "_META_CHUNK", chunk):
+        got = _outcome(sample_unrelated, scan.pairs, related, n, seed, scan.freqs, meta)
+    assert got == want
 
 
 @settings(max_examples=300, deadline=None)
