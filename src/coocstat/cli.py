@@ -152,7 +152,7 @@ def score_pairs(
     result: counting.CountResult, alpha: float, out: str, with_baselines: bool = False
 ) -> metrics.StatsTable:
     """Score every counted pair and write the stats table to `out`."""
-    table = metrics.compute_all_stats(result.observations.values(), alpha, with_baselines)
+    table = metrics.compute_all_stats(result, alpha, with_baselines)
     metrics.write_pair_stats(table, out)
     return table
 
@@ -201,7 +201,7 @@ def run_count(args: argparse.Namespace) -> int:
     pairs = [p for path in args.pairs for p in lexicon.read_pairs(path)]
     out = Path(args.out)
     result = count_pairs(corpus.read_corpus(args.corpus, args.min_sentence_len), pairs, out)
-    print(f"sentences: {result.n}; pairs counted: {len(result.observations)} -> {out}")
+    print(f"sentences: {result.n}; pairs counted: {len(result.pairs)} -> {out}")
     return 0
 
 
@@ -291,8 +291,8 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         )
 
     events = {rel: 0 for rel in lexicon.RELATIONS}
-    for obs in result.observations.values():
-        events[obs.pair.relation] += len(obs.events)
+    for pair, m in zip(result.pairs, result.cells[:, 0].tolist()):
+        events[pair.relation] += m
     manifest = {
         "config": asdict(config),
         "counters": {

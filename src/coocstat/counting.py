@@ -9,16 +9,19 @@ layout of Evert 2005, *The Statistics of Word Cooccurrences*, ch. 2-3).
 One stable sort by pair after the walk puts each pair's events in input
 order.  Any iterable of `Sentence` is compiled into a `Corpus` first.
 
-Each pair's co-occurrence events are one `(m, 3)` int64 array with the
-columns `sentence_id, pos_w, pos_v`, 24 bytes per event, from `count`
-through `read_observations` to the metrics; no Python object is built
-per event.
+A count is one columnar `CountResult` with one row per pair: a `(P, 4)`
+int64 array of the pairs' cells and one `(E, 3)` int64 array of every
+pair's co-occurrence events in pair order, with the columns
+`sentence_id, pos_w, pos_v`, 24 bytes per event.  It goes from `count`
+through `write_observations` and `read_observations` to the metrics as
+it is; no Python object is built per pair or per event on the way.
 
 `merge` combines the results of disjoint sentence-id ranges exactly as
 one pass would count them."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -51,8 +54,9 @@ class ContingencyTable(NamedTuple):
 
 
 class CooccurrenceEvent(NamedTuple):
-    """The columns of one row of `PairObservations.events`: the sentence
-    and the first-occurrence token positions of both lemmas in it."""
+    """The columns of one row of `CountResult.events` and
+    `PairObservations.events`: the sentence and the first-occurrence token
+    positions of both lemmas in it."""
 
     sentence_id: int
     pos_w: int
@@ -61,8 +65,9 @@ class CooccurrenceEvent(NamedTuple):
 
 @dataclass
 class PairObservations:
-    """One pair's table and its `(o_wv, 3)` int64 array of events, one
-    `sentence_id, pos_w, pos_v` row per sentence where both lemmas occur."""
+    """One pair's row of `CountResult.observations`: its table and its
+    `(o_wv, 3)` int64 array of events, one `sentence_id, pos_w, pos_v` row
+    per sentence where both lemmas occur."""
 
     pair: LemmaPair
     table: ContingencyTable
@@ -73,17 +78,29 @@ class MergeError(ValueError):
     """Shard results that cannot be combined (overlapping ids or pair mismatch)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class CountResult:
-    """Counts for one corpus segment.
-
-    `id_runs` records the sentence-id intervals the segment covered,
-    which is what lets `merge` reject overlapping shards.
+    """Counts for one corpus segment, one row per pair of `pairs`: `cells`
+    holds each pair's `o_wv, o_w_notv, o_notw_v, o_notw_notv`, and `events`
+    each pair's `o_wv` events in turn.  `id_runs` records the sentence-id
+    intervals the segment covered, which is what lets `merge` reject
+    overlapping shards; a count read back from files has none.
     """
 
-    observations: dict[LemmaPair, PairObservations]
+    pairs: list[LemmaPair]
+    cells: np.ndarray
+    events: np.ndarray
     n: int
     id_runs: tuple[tuple[int, int], ...]
+
+    @functools.cached_property
+    def observations(self) -> dict[LemmaPair, PairObservations]:
+        """Each pair's table and events, built on first access."""
+        ends = np.cumsum(self.cells[:, 0]).tolist()
+        return {
+            p: PairObservations(p, ContingencyTable(*cells, self.n), self.events[lo:hi])
+            for p, cells, lo, hi in zip(self.pairs, self.cells.tolist(), [0, *ends], ends)
+        }
 
 
 def _dedupe(pairs: Sequence[LemmaPair]) -> list[LemmaPair]:
@@ -207,16 +224,8 @@ def _count(corpus: Corpus, pairs: Sequence[LemmaPair], block_size: int) -> Count
     events[:, 0] = corpus.sentence_ids[events[:, 0]]
     n_wv = np.bincount(pair, minlength=len(pairs))
     n_w, n_v = key_count[w], key_count[v]
-    tables = map(
-        ContingencyTable, n_wv.tolist(), (n_w - n_wv).tolist(), (n_v - n_wv).tolist(),
-        (n - n_w - n_v + n_wv).tolist(), itertools.repeat(n),
-    )
-    ends = np.cumsum(n_wv).tolist()
-    observations = {
-        p: PairObservations(p, table, events[lo:hi])
-        for p, table, lo, hi in zip(pairs, tables, [0, *ends], ends)
-    }
-    return CountResult(observations, n, _id_runs(corpus.sentence_ids))
+    cells = np.stack((n_wv, n_w - n_wv, n_v - n_wv, n - n_w - n_v + n_wv), axis=1)
+    return CountResult(pairs, cells, events, n, _id_runs(corpus.sentence_ids))
 
 
 def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
@@ -246,27 +255,24 @@ def _coalesce(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 
 def merge(a: CountResult, b: CountResult) -> CountResult:
-    """Combine two shard results from disjoint sentence-id ranges."""
-    if set(a.observations) != set(b.observations):
+    """Combine two shard results from disjoint sentence-id ranges, over the
+    same pairs in any order.  The result has `a`'s pair order, and each
+    pair's events are `a`'s and `b`'s ordered stably by `sentence_id`."""
+    if any(r.n and not r.id_runs for r in (a, b)):
+        raise MergeError("a count read back from files has no sentence-id ranges to merge")
+    row = dict(zip(b.pairs, range(len(b.pairs))))
+    if len(row) != len(a.pairs) or row.keys() != set(a.pairs):
         raise MergeError("shards were counted over different pair lists")
     runs = _coalesce(tuple(a.id_runs) + tuple(b.id_runs))
 
-    n = a.n + b.n
-    observations = {}
-    for pair, obs_a in a.observations.items():
-        obs_b = b.observations[pair]
-        ta, tb = obs_a.table, obs_b.table
-        table = ContingencyTable(
-            ta.o_wv + tb.o_wv,
-            ta.o_w_notv + tb.o_w_notv,
-            ta.o_notw_v + tb.o_notw_v,
-            ta.o_notw_notv + tb.o_notw_notv,
-            n,
-        )
-        events = np.concatenate((obs_a.events, obs_b.events))
-        events = events[np.argsort(events[:, 0], kind="stable")]
-        observations[pair] = PairObservations(pair, table, events)
-    return CountResult(observations, n, runs)
+    in_b = np.fromiter(map(row.__getitem__, a.pairs), dtype=np.int64, count=len(a.pairs))
+    rank = np.concatenate((  # each event's pair, as its row in `a`
+        np.repeat(np.arange(len(in_b)), a.cells[:, 0]),
+        np.repeat(np.argsort(in_b), b.cells[:, 0]),
+    ))
+    events = np.concatenate((a.events, b.events))
+    events = events[np.lexsort((events[:, 0], rank))]
+    return CountResult(list(a.pairs), a.cells + b.cells[in_b], events, a.n + b.n, runs)
 
 
 def count_sharded(
@@ -279,7 +285,9 @@ def count_sharded(
     pairs gives an empty result."""
     corpus = as_corpus(sentences)
     if not pairs and not len(corpus):
-        return CountResult({}, 0, ())
+        return CountResult(
+            [], np.empty((0, 4), dtype=np.int64), np.empty((0, 3), dtype=np.int64), 0, ()
+        )
     return _count(corpus, pairs, _SCAN_BLOCK if block_size is None else block_size)
 
 
@@ -354,30 +362,19 @@ EVENTS = Table("events", PAIRS.columns[:4] + ("sentence_id", "pos_w", "pos_v"))
 LEMMA_FREQS = Table("lemma-frequency", ("lemma", "pos", "count"))
 
 
-def _observation_fields(obs: PairObservations) -> tuple[str, ...]:
-    return pair_fields(obs.pair) + tuple(map(str, obs.table))
-
-
-def _event_rows(obs: PairObservations) -> Iterator[tuple[str, ...]]:
-    prefix = pair_fields(obs.pair)[:4]
-    for sentence_id, pos_w, pos_v in obs.events.tolist():
-        yield (*prefix, str(sentence_id), str(pos_w), str(pos_v))
-
-
 def write_observations(result: CountResult, obs_path: str, events_path: str) -> None:
-    observations = result.observations.values()
-    write_table(obs_path, OBSERVATIONS, map(_observation_fields, observations))
-    rows = itertools.chain.from_iterable(map(_event_rows, observations))
-    write_table(events_path, EVENTS, rows)
-
-
-def _observation_from_fields(f: list[str]) -> tuple[LemmaPair, ContingencyTable]:
-    a, b, c, d, n = int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9])
-    if a < 0 or b < 0 or c < 0 or d < 0:
-        raise ValueError("negative cell count")
-    if a + b + c + d != n:
-        raise ValueError(f"cells sum to {a + b + c + d}, not n = {n}")
-    return pair_from_fields(f), ContingencyTable(a, b, c, d, n)
+    fields = list(map(pair_fields, result.pairs))
+    n = str(result.n)
+    write_table(obs_path, OBSERVATIONS, (
+        (*f, *map(str, cells), n) for f, cells in zip(fields, result.cells.tolist())
+    ))
+    # Each event row starts with its pair's first four fields, joined once.
+    keys = map("\t".join, (f[:4] for f in fields))
+    prefixes = itertools.chain.from_iterable(
+        map(itertools.repeat, keys, result.cells[:, 0].tolist())
+    )
+    columns = (map(str, column) for column in result.events.T.tolist())
+    write_table(events_path, EVENTS, zip(prefixes, *columns))
 
 
 def _check_event_rows(pair: np.ndarray, values: np.ndarray, path: str) -> np.ndarray:
@@ -408,7 +405,8 @@ def _check_event_rows(pair: np.ndarray, values: np.ndarray, path: str) -> np.nda
 
 
 def read_observations(obs_path: str, events_path: str) -> CountResult:
-    """Load a dumped count; the result cannot be merged further.
+    """Load a dumped count; the result has no sentence-id ranges, so it
+    cannot be merged further.
 
     Every row's cells must be non-negative and sum to its `n`, every row
     must have the first row's `n`, and no pair may repeat.  Every event
@@ -417,23 +415,30 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
     each pair must have `o_wv` events.  Each pair's events come back
     sorted by `sentence_id`, whatever the row order of `events_path`.
     """
-    tables: list[tuple[LemmaPair, ContingencyTable]] = []
+    pairs: list[LemmaPair] = []
+    rows: list[tuple[int, ...]] = []  # each pair's cells
     index: dict[tuple[str, ...], int] = {}  # a pair's event-row key -> its row
+    n = 0
 
     def observation_from_fields(
         f: list[str],
-    ) -> tuple[tuple[str, ...], LemmaPair, ContingencyTable]:
-        pair, table = _observation_from_fields(f)
-        if tables and table.n != tables[0][1].n:
-            raise ValueError(f"n = {table.n} differs from the first row's n = {tables[0][1].n}")
+    ) -> tuple[tuple[str, ...], LemmaPair, tuple[int, ...], int]:
+        a, b, c, d, row_n = int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9])
+        if a < 0 or b < 0 or c < 0 or d < 0:
+            raise ValueError("negative cell count")
+        if a + b + c + d != row_n:
+            raise ValueError(f"cells sum to {a + b + c + d}, not n = {row_n}")
+        if pairs and row_n != n:
+            raise ValueError(f"n = {row_n} differs from the first row's n = {n}")
         key = (f[0], f[1], f[2], f[3])
         if key in index:
             raise ValueError(f"duplicate pair {' '.join(key)}")
-        return key, pair, table
+        return key, pair_from_fields(f), (a, b, c, d), row_n
 
-    for key, pair, table in read_table(obs_path, OBSERVATIONS, observation_from_fields):
-        index[key] = len(tables)
-        tables.append((pair, table))
+    for key, pair, row, n in read_table(obs_path, OBSERVATIONS, observation_from_fields):
+        index[key] = len(pairs)
+        pairs.append(pair)
+        rows.append(row)
 
     def event_pair(key: list[str]) -> int:
         i = index.get(tuple(key))
@@ -443,16 +448,17 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
 
     pair, values = read_keyed_ints(events_path, EVENTS, 4, event_pair)
     order = _check_event_rows(pair, values, events_path)
-    counts = np.bincount(pair, minlength=len(tables))
-    for (p, table), m in zip(tables, counts.tolist()):
-        if m != table.o_wv:
-            raise ValueError(f"{events_path}: event count mismatch for pair {p}")
-    events = values[order]
-    observations = {
-        p: PairObservations(p, table, part)
-        for (p, table), part in zip(tables, np.split(events, np.cumsum(counts)[:-1]))
-    }
-    return CountResult(observations, tables[0][1].n if tables else 0, ())
+    cells = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    counts = np.bincount(pair, minlength=len(pairs))
+    wrong = np.flatnonzero(counts != cells[:, 0])
+    if len(wrong):
+        i = int(wrong[0])
+        key = " ".join(pair_fields(pairs[i])[:4])
+        raise ValueError(
+            f"{events_path}: {counts[i]} events for pair {key}, not its o_wv;"
+            f" {obs_path} line {i + 2}: o_wv = {cells[i, 0]}"
+        )
+    return CountResult(pairs, cells, values[order], n, ())
 
 
 def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:

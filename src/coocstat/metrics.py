@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS
-from coocstat.counting import ContingencyTable, CooccurrenceEvent, PairObservations
+from coocstat.counting import ContingencyTable, CooccurrenceEvent, CountResult, PairObservations
 from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, label_error
 from coocstat.stats import binom_test_two_sided, chi2_sf
 from coocstat.tsv import RowError, Table, read_columns, write_table
@@ -126,21 +126,25 @@ class EventSums(NamedTuple):
     gap_sum: int  # the sum of |pos_w - pos_v|
 
 
-def event_sums(batch: Sequence[Events]) -> list[EventSums]:
-    """The `EventSums` of each pair's events in a non-empty `batch`, from
-    one segmented reduction over all of them."""
-    rows = [np.asarray(events, dtype=np.int64).reshape(-1, 3) for events in batch]
-    m = np.array([len(r) for r in rows], dtype=np.int64)
-    events = np.concatenate(rows)
+def event_sums(events: np.ndarray, m: np.ndarray) -> list[EventSums]:
+    """The `EventSums` of each pair, given `events` as an `(E, 3)` int64
+    array holding each pair's `m` rows in turn, from one segmented
+    reduction over the whole array."""
     gaps = events[:, 1] - events[:, 2]
     # reduceat cannot sum an empty segment, so pairs without events keep 0.
     seen = m > 0
     starts = (np.cumsum(m) - m)[seen]
-    w_first = np.zeros(len(rows), dtype=np.int64)
-    gap_sum = np.zeros(len(rows), dtype=np.int64)
+    w_first = np.zeros(len(m), dtype=np.int64)
+    gap_sum = np.zeros(len(m), dtype=np.int64)
     w_first[seen] = np.add.reduceat(gaps < 0, starts, dtype=np.int64)
     gap_sum[seen] = np.add.reduceat(np.abs(gaps), starts)
     return list(map(EventSums, w_first.tolist(), m.tolist(), gap_sum.tolist()))
+
+
+def _sums(events: Events) -> EventSums:
+    """The `EventSums` of one pair's events."""
+    rows = np.asarray(events, dtype=np.int64).reshape(-1, 3)
+    return event_sums(rows, np.array([len(rows)], dtype=np.int64))[0]
 
 
 def order_stats(events: Events, alpha: float = DEFAULT_ALPHA) -> OrderStats:
@@ -151,7 +155,7 @@ def order_stats(events: Events, alpha: float = DEFAULT_ALPHA) -> OrderStats:
     whether the pair has a preferred order; the order score is the mean
     event score when it does and 0 otherwise.
     """
-    sums = event_sums([events])[0]
+    sums = _sums(events)
     return _order_test(sums.w_first, sums.m, alpha)
 
 
@@ -175,7 +179,7 @@ def asymmetric_order_stats(
         raise ValueError(f"asymmetric order needs a directed relation, got {pair.relation}")
     if pair.head not in ("w", "v"):
         raise ValueError("asymmetric order needs a known head side")
-    sums = event_sums([events])[0]
+    sums = _sums(events)
     return _order_test(_head_first(sums, pair), sums.m, alpha)
 
 
@@ -191,7 +195,7 @@ def mean_distance(events: Events) -> float:
     The distances are summed as integers and divided once, so the mean is
     the correctly rounded quotient of two integers.
     """
-    return _mean_distance(event_sums([events])[0])
+    return _mean_distance(_sums(events))
 
 
 @dataclass(slots=True)
@@ -221,14 +225,16 @@ def compute_pair_stats(
     with_baselines: bool = False,
 ) -> PairStats:
     """Score one pair's observations; see PairStats for field semantics."""
-    return _pair_stats(obs, event_sums([obs.events])[0], alpha, with_baselines)
+    return _pair_stats(obs.pair, obs.table, _sums(obs.events), alpha, with_baselines)
 
 
 def _pair_stats(
-    obs: PairObservations, sums: EventSums, alpha: float, with_baselines: bool
+    pair: LemmaPair, table: ContingencyTable, sums: EventSums, alpha: float,
+    with_baselines: bool,
 ) -> PairStats:
-    """`compute_pair_stats` given the `EventSums` of `obs.events`."""
-    g2 = g2_score(obs.table)
+    """`compute_pair_stats` of a pair given its table and the `EventSums` of
+    its events."""
+    g2 = g2_score(table)
     stats = PairStats(
         g2=g2,
         g2_significant=chi2_sf(g2, 1.0) < alpha,
@@ -236,7 +242,7 @@ def _pair_stats(
         has_preferred_order=False,
         order_p=None,
         mean_distance=None,
-        n_cooc=obs.table.o_wv,
+        n_cooc=table.o_wv,
     )
     if sums.m:
         order = _order_test(sums.w_first, sums.m, alpha)
@@ -244,14 +250,13 @@ def _pair_stats(
         stats.has_preferred_order = order.has_preferred_order
         stats.order_p = order.order_p
         stats.mean_distance = _mean_distance(sums)
-        pair = obs.pair
         if pair.relation in (HYP, HOL) and pair.head in ("w", "v"):
             asym = _order_test(_head_first(sums, pair), sums.m, alpha)
             stats.asym_order_score = asym.order_score
             stats.asym_has_preferred_order = asym.has_preferred_order
             stats.asym_order_p = asym.order_p
     if with_baselines:
-        stats.pmi = pmi_score(obs.table)
+        stats.pmi = pmi_score(table)
     return stats
 
 
@@ -336,37 +341,19 @@ _CELLS = tuple(itertools.product(CONTENT_POS, RELATIONS))
 _CELL_CODE = {cell: code for code, cell in enumerate(_CELLS)}
 
 
-# Events per segmented reduction in `compute_all_stats`, which bounds its
-# scratch arrays (a pair with more events gets a batch of its own).
-_BATCH_EVENTS = 1 << 16
-
-
-def _batches(observations: Iterable[PairObservations]) -> Iterator[list[PairObservations]]:
-    """Consecutive runs of pairs with at most `_BATCH_EVENTS` events in all,
-    or one pair each where a pair alone has more."""
-    batch: list[PairObservations] = []
-    size = 0
-    for obs in observations:
-        if batch and size + len(obs.events) > _BATCH_EVENTS:
-            yield batch
-            batch, size = [], 0
-        batch.append(obs)
-        size += len(obs.events)
-    if batch:
-        yield batch
-
-
 def compute_all_stats(
-    observations: Iterable[PairObservations],
+    result: CountResult,
     alpha: float = DEFAULT_ALPHA,
     with_baselines: bool = False,
 ) -> StatsTable:
-    """`compute_pair_stats` of every pair, as one table, with the event sums
-    of each batch of pairs taken in one pass."""
+    """`compute_pair_stats` of every pair of a count, as one table in pair
+    order, with every pair's event sums from one pass over `result.events`."""
+    cells = result.cells
+    tables = map(ContingencyTable, *cells.T.tolist(), itertools.repeat(result.n))
+    sums = event_sums(result.events, cells[:, 0])
     return StatsTable.from_rows([
-        (obs.pair, _pair_stats(obs, sums, alpha, with_baselines))
-        for batch in _batches(observations)
-        for obs, sums in zip(batch, event_sums([obs.events for obs in batch]))
+        (pair, _pair_stats(pair, table, pair_sums, alpha, with_baselines))
+        for pair, table, pair_sums in zip(result.pairs, tables, sums)
     ])
 
 

@@ -17,14 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS, PUNCT, LemmaKey, Sentence, Token, _open_text, map_pos
-from coocstat.counting import (
-    ContingencyTable,
-    CooccurrenceEvent,
-    CountResult,
-    PairObservations,
-    _coalesce,
-    _dedupe,
-)
+from coocstat.counting import CooccurrenceEvent, CountResult, _coalesce, _dedupe
 from coocstat.lexicon import (
     _UNIT_FLAGS,
     _VERB_CLASS_FLAGS,
@@ -143,14 +136,17 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
             else:
                 n_v[idx] += 1
 
-    observations = {}
-    for idx, pair in enumerate(pairs):
+    cells = []
+    for idx in range(len(pairs)):
         both = n_wv[idx]
-        table = ContingencyTable(
-            both, n_w[idx] - both, n_v[idx] - both, n - n_w[idx] - n_v[idx] + both, n
-        )
-        observations[pair] = PairObservations(pair, table, events[idx])
-    return CountResult(observations, n, _coalesce(tuple((lo, hi) for lo, hi in runs)))
+        cells.append((both, n_w[idx] - both, n_v[idx] - both, n - n_w[idx] - n_v[idx] + both))
+    return CountResult(
+        pairs,
+        np.array(cells, dtype=np.int64).reshape(-1, 4),
+        np.array([e for pair_events in events for e in pair_events], dtype=np.int64).reshape(-1, 3),
+        n,
+        _coalesce(tuple((lo, hi) for lo, hi in runs)),
+    )
 
 
 def scan_corpus(

@@ -273,7 +273,7 @@ def test_criterion_6_end_to_end_discrimination():
     rng = random.Random(106)
     sentences, pairs = _planted_corpus(rng)
     result = count(sentences, pairs)
-    scored = compute_all_stats(result.observations.values())
+    scored = compute_all_stats(result)
     matrices = compare_all(scored, alpha=0.01)
     flags = {
         metric: matrices[("NOUN", metric)].distinct[ANT]

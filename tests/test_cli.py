@@ -501,6 +501,14 @@ def test_call_order_and_traced_functions(tmp_path, toy_paths, monkeypatch):
         mod = getattr(cli, module)
         monkeypatch.setattr(mod, attr, _recorder(calls, f"{module}.{attr}", getattr(mod, attr)))
     first_reads = {f"{module}.{attr}" for module, attr in inproc.FIRST_READS}
+    counted = []  # what each `count_sharded` call returned
+    recorded_count = counting.count_sharded
+
+    def keep_count(*args, **kwargs):
+        counted.append(recorded_count(*args, **kwargs))
+        return counted[-1]
+
+    monkeypatch.setattr(counting, "count_sharded", keep_count)
 
     d = str(tmp_path)
     corpus, lexicon = toy_paths["corpus"], toy_paths["lexicon"]
@@ -527,3 +535,12 @@ def test_call_order_and_traced_functions(tmp_path, toy_paths, monkeypatch):
         setup = next(i for i, name in enumerate(calls) if name in first_reads) + 1
         seen[argv[0]] = (calls[:setup], set(calls))
     assert seen == EXPECTED_CALLS
+
+    # The tracer's count counters, on the `all` run's count, agree with the
+    # files it wrote.
+    pairs_lines = Path(f"{d}/all/pairs.tsv").read_text(encoding="utf-8").splitlines()
+    manifest = json.loads(Path(f"{d}/all/manifest.json").read_text(encoding="utf-8"))
+    assert inproc._count_counts(counted[0], (), {}) == {
+        "pairs": len(pairs_lines) - 1,
+        "events": sum(manifest["counters"]["events"].values()),
+    }

@@ -157,6 +157,39 @@ class TestMerge:
         with pytest.raises(MergeError):
             merge(a, b)
 
+    def test_pair_lists_in_different_orders_merge(self):
+        # The result follows the first shard's pair order, whichever it is;
+        # a rotation is not its own inverse, as the reversal is.
+        rng = random.Random(43)
+        sentences = random_corpus(rng, 300, vocab_size=20)
+        pos = ("NOUN", "VERB", "ADJ", "ADV")
+        pairs = [pair(f"w{i}", f"w{i + 4}", pos[i % 4]) for i in range(8)]
+        full = count(sentences, pairs)
+        head = count(sentences[:140], pairs)
+        for other in (pairs[::-1], pairs[3:] + pairs[:3]):
+            tail = count(sentences[140:], other)
+            for merged, order in ((merge(head, tail), pairs), (merge(tail, head), other)):
+                assert merged.n == full.n and merged.id_runs == full.id_runs
+                assert list(merged.observations) == order
+                for p in pairs:
+                    assert merged.observations[p].table == full.observations[p].table
+                    assert np.array_equal(
+                        merged.observations[p].events, full.observations[p].events
+                    )
+
+    def test_count_read_back_from_files_rejected(self, tmp_path):
+        # Its sentence-id ranges are not in the files, so a merge could not
+        # tell that it overlaps the other side, even when that is itself.
+        sentences = random_corpus(random.Random(44), 60, vocab_size=20)
+        pairs = self._pairs()
+        result = count(sentences, pairs)
+        obs_path, ev_path = str(tmp_path / "obs.tsv"), str(tmp_path / "events.tsv")
+        write_observations(result, obs_path, ev_path)
+        loaded = read_observations(obs_path, ev_path)
+        for a, b in ((loaded, loaded), (loaded, count([], pairs)), (count([], pairs), loaded)):
+            with pytest.raises(MergeError):
+                merge(a, b)
+
 
 class TestCountSharded:
     def test_matches_single_pass(self):

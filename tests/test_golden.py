@@ -103,6 +103,21 @@ def test_toy_chain_outputs_match_recorded_hashes(tmp_path, toy_paths):
     assert toy_chain_hashes(toy_paths, tmp_path / "chain") == expected
 
 
+def test_pipeline_reads_only_the_count_columns(tmp_path, toy_paths):
+    # `all`, `count` and `metrics` build no per-pair view of the count:
+    # with it patched to raise, they still write the recorded bytes.
+    def refuse(result):
+        raise AssertionError("CountResult.observations built on the pipeline path")
+
+    with mock.patch.object(counting.CountResult, "observations", property(refuse)):
+        assert toy_output_hashes(toy_paths, tmp_path / "run") == json.loads(
+            HASHES.read_text(encoding="utf-8")
+        )
+        assert toy_chain_hashes(toy_paths, tmp_path / "chain") == json.loads(
+            CHAIN_HASHES.read_text(encoding="utf-8")
+        )
+
+
 def test_toy_report_options_match_recorded_hashes(tmp_path, toy_paths):
     expected = json.loads(REPORT_OPTION_HASHES.read_text(encoding="utf-8"))
     assert toy_report_option_hashes(toy_paths, tmp_path / "run") == expected

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from coocstat.metrics import (
     order_stats,
     pmi_score,
 )
-from coocstat.counting import PairObservations
+from coocstat.counting import CountResult, PairObservations
 from coocstat.stats import _reg_gamma_q
 from conftest import TOY_PATHS, pair
 from test_cli import toy_config
@@ -262,23 +261,43 @@ def pair_observations(draw) -> PairObservations:
     return PairObservations(pair("a", "b", relation=relation, head=head), table, events)
 
 
+@st.composite
+def count_results(draw) -> tuple[list[PairObservations], CountResult]:
+    """The observations of up to 12 drawn pairs, each pair's `o_notw_notv`
+    raised so that all the tables share one n, and the `CountResult` that
+    holds them."""
+    drawn = draw(st.lists(pair_observations(), max_size=12))
+    n = max((obs.table.n for obs in drawn), default=0)
+    observations = [
+        PairObservations(
+            obs.pair,
+            obs.table._replace(o_notw_notv=obs.table.o_notw_notv + n - obs.table.n, n=n),
+            obs.events,
+        )
+        for obs in drawn
+    ]
+    result = CountResult(
+        [obs.pair for obs in observations],
+        np.array([obs.table[:4] for obs in observations], dtype=np.int64).reshape(-1, 4),
+        np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
+            np.asarray(obs.events, dtype=np.int64).reshape(-1, 3) for obs in observations
+        ]),
+        n,
+        (),
+    )
+    return observations, result
+
+
 @settings(max_examples=120, deadline=None)
-@given(
-    st.lists(pair_observations(), max_size=12),
-    st.integers(1, 3000),
-    st.booleans(),
-)
-def test_compute_all_stats_matches_compute_pair_stats(observations, batch_events, baselines):
-    """The batched event sums give every pair the stats it gets alone, with
-    the default batch size and with batches that split runs of pairs
-    anywhere (a pair with more events than a batch gets one of its own)."""
+@given(count_results(), st.booleans())
+def test_compute_all_stats_matches_compute_pair_stats(drawn, baselines):
+    """The one segmented reduction over a count's events gives every pair
+    the stats it gets alone."""
+    observations, result = drawn
     expected = StatsTable.from_rows(
         (obs.pair, compute_pair_stats(obs, with_baselines=baselines)) for obs in observations
     )
-    for limit in (metrics._BATCH_EVENTS, batch_events):
-        with mock.patch.object(metrics, "_BATCH_EVENTS", limit):
-            got = compute_all_stats(iter(observations), with_baselines=baselines)
-        assert_same_table(got, expected)
+    assert_same_table(compute_all_stats(result, with_baselines=baselines), expected)
 
 
 def assert_same_table(got: StatsTable, want: StatsTable) -> None:

@@ -72,7 +72,8 @@ def test_count_matches_reference(sentences, pairs):
 @settings(max_examples=100, deadline=None)
 @given(corpora(), pair_lists, st.integers(1, 5))
 def test_count_sharded_matches_reference_in_id_order(sentences, pairs, block_size):
-    # `merge` orders each pair's events by sentence id.
+    # Increasing ids, as `read_corpus` numbers them; the next test shuffles
+    # them.
     sentences = sorted(sentences, key=lambda s: s.id)
     want = reference.count(sentences, pairs)
     _same_count(count_sharded(sentences, pairs, block_size=block_size), want)

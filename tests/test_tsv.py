@@ -109,7 +109,8 @@ CASES = [
     ("co-occurring-without-order-p", ["stats.tsv"], _set_field(8, ""), 2),
     ("no-co-occurrence-with-order", ["stats.tsv"], _set_field(10, "0"), 2),
     ("unknown-pair", ["events.tsv"], _set_field(0, "nosuchlemma"), 2),
-    ("event-count-mismatch", ["events.tsv"], lambda lines: lines[:1] + lines[2:], None),
+    # One event fewer for the first pair, named by its observations.tsv line.
+    ("event-count-mismatch", ["events.tsv"], lambda lines: lines[:1] + lines[2:], 2),
     # Observation rows: cells >= 0 that sum to n, and one n for all rows.
     ("negative-cell", ["observations.tsv"], _edit_row(lambda f: "\t".join(
         f[:6] + ["-1", f[7], str(int(f[8]) + int(f[6]) + 1), f[9]]
@@ -223,8 +224,7 @@ def test_bad_event_value_deep_in_a_long_file_names_its_line(tmp_path, value):
     events[:, 0] = np.arange(m)
     events[:, 2] = 1
     p = pair("a", "b")
-    table = counting.ContingencyTable(m, 0, 0, 0, m)
-    result = counting.CountResult({p: counting.PairObservations(p, table, events)}, m, ())
+    result = counting.CountResult([p], np.array([[m, 0, 0, 0]]), events, m, ())
     counting.write_observations(
         result, str(tmp_path / "observations.tsv"), str(tmp_path / "events.tsv")
     )
