@@ -10,7 +10,7 @@ import contextlib
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, NamedTuple, get_args, get_type_hints
 
@@ -33,9 +33,12 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+_REPORT_DEFAULTS = report.ReportOptions()
+
+
 @dataclass
 class RunConfig:
-    """Everything the end-to-end run depends on."""
+    """Everything the end-to-end run depends on, with the command line's defaults."""
 
     corpus: str
     lexicon: str
@@ -44,12 +47,12 @@ class RunConfig:
     lemma_attrs: str | None = None
     verb_classes: str | None = None
     min_sentence_len: int = 5
-    alpha: float = 0.01
+    alpha: float = _REPORT_DEFAULTS.alpha
     seed: int = 0
     unr_n: int = 10000
-    avg_population: str = "all"
-    distance_pooling: str = "pair"
-    svg: bool = False
+    avg_population: str = _REPORT_DEFAULTS.avg_population
+    distance_pooling: str = _REPORT_DEFAULTS.distance_pooling
+    svg: bool = _REPORT_DEFAULTS.svg
 
     def report_options(self) -> report.ReportOptions:
         return report.ReportOptions(
@@ -224,16 +227,7 @@ def _table_number(text: str) -> int | str:
 
 
 def run_report(args: argparse.Namespace) -> int:
-    tables = tuple(map(_table_number, args.tables.split(","))) if args.tables else ()
-    figures = tuple(f for f in args.figures.split(",") if f) if args.figures else ()
-    options = report.ReportOptions(
-        alpha=args.alpha,
-        avg_population=args.avg_population,
-        distance_pooling=args.distance_pooling,
-        tables=tables,
-        figures=figures,
-        svg=args.svg,
-    )
+    options = report.ReportOptions(**{f: getattr(args, f) for f in report.ReportOptions._fields})
     options.validate()
     table = metrics.read_pair_stats(args.stats)
     derived = lexicon.read_derived_map(args.derived) if args.derived else ()
@@ -387,13 +381,20 @@ def run_all(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--corpus", required=True, help="vertical-format corpus file")
+# Each option's default is that of its field in `RunConfig`, or in
+# `report.ReportOptions` for `report`.
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+
+
+def _add_corpus_args(sub: argparse.ArgumentParser, corpus: bool = True) -> None:
+    """`--min-sentence-len`, after a required `--corpus` if `corpus`."""
+    if corpus:
+        sub.add_argument("--corpus", required=True, help="vertical-format corpus file")
     sub.add_argument(
         "--min-sentence-len",
         type=int,
-        default=5,
-        help="minimum non-punctuation tokens per sentence (default 5)",
+        default=_RUN_DEFAULTS["min_sentence_len"],
+        help="minimum non-punctuation tokens per sentence (default %(default)s)",
     )
 
 
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--corpus-freqs", help="precomputed lemma frequency TSV")
     group.add_argument("--corpus", help="corpus to scan for lemma frequencies")
-    p.add_argument("--min-sentence-len", type=int, default=5)
+    _add_corpus_args(p, corpus=False)
     p.add_argument("--derivations", help="derivation link TSV")
     p.add_argument("--verb-classes", help="linking/aux/light verb list (default bundled)")
     p.add_argument("--out", required=True, help="oriented pairs TSV to write")
@@ -422,8 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--lemma-attrs", help="per-lemma attribute TSV (freq + flags)")
-    p.add_argument("--n", type=int, default=10000, help="sample size (default 10000)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--n", type=int, default=_RUN_DEFAULTS["unr_n"], help="sample size (default %(default)s)"
+    )
+    p.add_argument("--seed", type=int, default=_RUN_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=run_sample_unrelated)
 
@@ -436,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="score counted pairs")
     p.add_argument("--obs", required=True, help="directory written by `count`")
     p.add_argument("--out", required=True, help="pair stats TSV to write")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=_RUN_DEFAULTS["alpha"])
     p.add_argument(
         "--with-baselines", action="store_true", help="also emit PMI (debug only)"
     )
@@ -445,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="aggregate stats into tables and figures")
     p.add_argument("--stats", required=True, help="pair stats TSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tables", default="1,2,3,4,5,6")
-    p.add_argument("--figures", default="g2,order,distance,order_asym")
-    p.add_argument("--avg-population", choices=report.AVG_POPULATIONS, default="all")
-    p.add_argument("--distance-pooling", choices=report.DISTANCE_POOLINGS, default="pair")
+    p.add_argument("--tables", type=lambda t: tuple(map(_table_number, t.split(","))) if t else ())
+    p.add_argument("--figures", type=lambda text: tuple(f for f in text.split(",") if f))
+    p.add_argument("--avg-population", choices=report.AVG_POPULATIONS)
+    p.add_argument("--distance-pooling", choices=report.DISTANCE_POOLINGS)
     p.add_argument("--derived", help="derived-pair map TSV")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--svg", action="store_true", help="also render SVG box plots")
-    p.set_defaults(func=run_report)
+    p.set_defaults(func=run_report, **_REPORT_DEFAULTS._asdict())
 
     p = sub.add_parser("all", help="run the whole pipeline")
     p.add_argument("--corpus")
@@ -461,15 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivations")
     p.add_argument("--lemma-attrs")
     p.add_argument("--verb-classes")
-    p.add_argument("--min-sentence-len", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unr-n", type=int, default=10000)
-    p.add_argument("--avg-population", choices=report.AVG_POPULATIONS, default="all")
-    p.add_argument("--distance-pooling", choices=report.DISTANCE_POOLINGS, default="pair")
+    _add_corpus_args(p, corpus=False)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--unr-n", type=int)
+    p.add_argument("--avg-population", choices=report.AVG_POPULATIONS)
+    p.add_argument("--distance-pooling", choices=report.DISTANCE_POOLINGS)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--from-manifest", help="rerun from a previous manifest.json")
-    p.set_defaults(func=run_all)
+    p.set_defaults(func=run_all, **_RUN_DEFAULTS)
 
     return parser
 

@@ -31,8 +31,8 @@ import numpy as np
 from coocstat.corpus import (
     CONTENT_POS, Corpus, LemmaKey, PairUniverse, Sentence, as_corpus, sorted_unique,
 )
-from coocstat.lexicon import PAIRS, LemmaPair, pair_fields, pair_from_fields
-from coocstat.tsv import Table, read_keyed_ints, read_table, write_table
+from coocstat.lexicon import PAIRS, LemmaPair, pair_fields, pair_name, pairs_from_columns
+from coocstat.tsv import Faults, Table, int64s, read_columns, read_keyed_ints, write_table
 
 
 class ContingencyTable(NamedTuple):
@@ -377,8 +377,8 @@ def write_observations(result: CountResult, obs_path: str, events_path: str) -> 
     write_table(events_path, EVENTS, zip(prefixes, *columns))
 
 
-def _check_event_rows(pair: np.ndarray, values: np.ndarray, path: str) -> np.ndarray:
-    """Reject the first event row of `path`, given as its pair index `pair`
+def _check_event_rows(pair: np.ndarray, values: np.ndarray, faults: Faults) -> np.ndarray:
+    """Add to `faults` the first event row, given as its pair index `pair`
     and its `sentence_id, pos_w, pos_v` `values`, that has a negative
     value, equal positions, or a sentence already seen for its pair
     (counting gives a pair at most one event per sentence).  Return the
@@ -388,20 +388,28 @@ def _check_event_rows(pair: np.ndarray, values: np.ndarray, path: str) -> np.nda
     same &= np.diff(values[order, 0]) == 0
     repeats = np.zeros(len(order), dtype=bool)
     repeats[order[1:][same]] = True  # the later row of each equal (pair, sentence_id)
-    problems = np.stack((
-        (values < 0).any(axis=1),
-        values[:, 1] == values[:, 2],
-        repeats,
-    ))
-    bad = np.flatnonzero(problems.any(axis=0))
-    if len(bad):
-        what = (
-            "negative sentence_id, pos_w or pos_v",
-            "pos_w equals pos_v",
-            "sentence_id repeats within its pair",
-        )[int(np.argmax(problems[:, bad[0]]))]
-        raise ValueError(f"{path} line {bad[0] + 2}: {what}")
+    faults.where((values < 0).any(axis=1), lambda row: "negative sentence_id, pos_w or pos_v")
+    faults.where(values[:, 1] == values[:, 2], lambda row: "pos_w equals pos_v")
+    faults.where(repeats, lambda row: "sentence_id repeats within its pair")
     return order
+
+
+def _observations_from_columns(
+    columns: list[list[str]], faults: Faults
+) -> tuple[list[LemmaPair], list[str], np.ndarray, int]:
+    """The pairs of an observations table, their key fields joined by tabs,
+    their `(P, 4)` cells and the count's `n`."""
+    pairs = pairs_from_columns(columns, faults)
+    keys = list(map("\t".join, zip(*columns[:4])))
+    faults.repeats(keys, lambda key: "duplicate pair " + key.replace("\t", " "))
+    cells = [int64s(columns.pop(5), faults) for _ in range(5)]  # freeing each text column
+    rows = min(map(len, cells))
+    cells, n = np.stack([c[:rows] for c in cells[:4]], axis=1), cells[4][:rows]
+    faults.where((cells < 0).any(axis=1), lambda row: "negative cell count")
+    sums = cells.sum(axis=1, dtype=object)  # exact: four int64 cells can pass 2**63
+    faults.where(sums != n, lambda row: f"cells sum to {sums[row]}, not n = {n[row]}")
+    faults.where(n != n[:1], lambda row: f"n = {n[row]} differs from the first row's n = {n[0]}")
+    return pairs, keys, cells, int(n[0]) if rows else 0
 
 
 def read_observations(obs_path: str, events_path: str) -> CountResult:
@@ -414,48 +422,27 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
     `pos_w != pos_v`, no pair may have two events in one sentence, and
     each pair must have `o_wv` events.  Each pair's events come back
     sorted by `sentence_id`, whatever the row order of `events_path`.
+    In each file the first bad line is reported.
     """
-    pairs: list[LemmaPair] = []
-    rows: list[tuple[int, ...]] = []  # each pair's cells
-    index: dict[tuple[str, ...], int] = {}  # a pair's event-row key -> its row
-    n = 0
+    pairs, keys, cells, n = read_columns(obs_path, OBSERVATIONS, _observations_from_columns)
+    index = {key: i for i, key in enumerate(keys)}
 
-    def observation_from_fields(
-        f: list[str],
-    ) -> tuple[tuple[str, ...], LemmaPair, tuple[int, ...], int]:
-        a, b, c, d, row_n = int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9])
-        if a < 0 or b < 0 or c < 0 or d < 0:
-            raise ValueError("negative cell count")
-        if a + b + c + d != row_n:
-            raise ValueError(f"cells sum to {a + b + c + d}, not n = {row_n}")
-        if pairs and row_n != n:
-            raise ValueError(f"n = {row_n} differs from the first row's n = {n}")
-        key = (f[0], f[1], f[2], f[3])
-        if key in index:
-            raise ValueError(f"duplicate pair {' '.join(key)}")
-        return key, pair_from_fields(f), (a, b, c, d), row_n
-
-    for key, pair, row, n in read_table(obs_path, OBSERVATIONS, observation_from_fields):
-        index[key] = len(pairs)
-        pairs.append(pair)
-        rows.append(row)
-
-    def event_pair(key: list[str]) -> int:
-        i = index.get(tuple(key))
+    def event_pair(key: str) -> int:
+        i = index.get(key)
         if i is None:
             raise ValueError("event for unknown pair")
         return i
 
-    pair, values = read_keyed_ints(events_path, EVENTS, 4, event_pair)
-    order = _check_event_rows(pair, values, events_path)
-    cells = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    faults = Faults(events_path)
+    pair, values = read_keyed_ints(events_path, EVENTS, 4, event_pair, faults)
+    order = _check_event_rows(pair, values, faults)
+    faults.raise_first()
     counts = np.bincount(pair, minlength=len(pairs))
     wrong = np.flatnonzero(counts != cells[:, 0])
     if len(wrong):
         i = int(wrong[0])
-        key = " ".join(pair_fields(pairs[i])[:4])
         raise ValueError(
-            f"{events_path}: {counts[i]} events for pair {key}, not its o_wv;"
+            f"{events_path}: {counts[i]} events for pair {pair_name(pairs[i])}, not its o_wv;"
             f" {obs_path} line {i + 2}: o_wv = {cells[i, 0]}"
         )
     return CountResult(pairs, cells, values[order], n, ())
@@ -466,9 +453,10 @@ def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:
     write_table(path, LEMMA_FREQS, rows)
 
 
-def _freq_from_fields(f: list[str]) -> tuple[LemmaKey, int]:
-    return LemmaKey(f[0], f[1]), int(f[2])
+def _freqs_from_columns(columns: list[list[str]], faults: Faults) -> dict[LemmaKey, int]:
+    lemma, pos, count = columns
+    return dict(zip(map(LemmaKey, lemma, pos), int64s(count, faults).tolist()))
 
 
 def read_lemma_freqs(path: str) -> dict[LemmaKey, int]:
-    return dict(read_table(path, LEMMA_FREQS, _freq_from_fields))
+    return read_columns(path, LEMMA_FREQS, _freqs_from_columns)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS, VERB, LemmaKey, PairUniverse
-from coocstat.tsv import Table, read_rows, read_table, write_table
+from coocstat.tsv import Faults, Table, read_columns, read_rows, write_table
 
 ANT = "ANT"
 SYN = "SYN"
@@ -480,8 +480,13 @@ DERIVED = Table("derived-pairs", tuple(
 
 
 def pair_fields(p: LemmaPair) -> tuple[str, ...]:
-    """A pair as the five `PAIRS` fields; `pair_from_fields` inverts it."""
+    """A pair as the five `PAIRS` fields; `pairs_from_columns` inverts it."""
     return (p.w.lemma, p.v.lemma, p.w.pos, p.relation, p.head or "")
+
+
+def pair_name(p: LemmaPair) -> str:
+    """A pair as its four key fields, `lemma_w lemma_v pos relation`."""
+    return " ".join(pair_fields(p)[:4])
 
 
 _HEADS = ("", "w", "v")
@@ -499,10 +504,22 @@ def label_error(pos: str, relation: str, head: str) -> str | None:
     return None
 
 
-def pair_from_fields(f: Sequence[str]) -> LemmaPair:
-    if (error := label_error(f[2], f[3], f[4])) is not None:
-        raise ValueError(error)
-    return LemmaPair(LemmaKey(f[0], f[2]), LemmaKey(f[1], f[2]), f[3], f[4] or None)
+def check_labels(labels: Sequence[list[str]], faults: Faults) -> None:
+    """Add the first row of the `pos`, `relation` and `head` columns of a
+    pair file with a label that no pair can have."""
+    for row, error in enumerate(map(label_error, *labels)):
+        if error is not None:
+            faults.add(row, error)
+            return
+
+
+def pairs_from_columns(columns: Sequence[list[str]], faults: Faults) -> list[LemmaPair]:
+    """The pairs of the five `PAIRS` columns, checking their labels."""
+    check_labels(columns[2:5], faults)
+    return [
+        LemmaPair(LemmaKey(w, pos), LemmaKey(v, pos), relation, head or None)
+        for w, v, pos, relation, head in zip(*columns[:5])
+    ]
 
 
 def write_pairs(pairs: Iterable[LemmaPair], path: str) -> None:
@@ -510,7 +527,7 @@ def write_pairs(pairs: Iterable[LemmaPair], path: str) -> None:
 
 
 def read_pairs(path: str) -> list[LemmaPair]:
-    return list(read_table(path, PAIRS, pair_from_fields))
+    return read_columns(path, PAIRS, pairs_from_columns)
 
 
 def write_derived_map(derived: Iterable[DerivedPair], path: str) -> None:
@@ -518,9 +535,11 @@ def write_derived_map(derived: Iterable[DerivedPair], path: str) -> None:
     write_table(path, DERIVED, rows)
 
 
-def _derived_from_fields(f: list[str]) -> DerivedPair:
-    return DerivedPair(pair_from_fields(f[:5]), pair_from_fields(f[5:]))
+def _derived_from_columns(columns: list[list[str]], faults: Faults) -> list[DerivedPair]:
+    original = pairs_from_columns(columns[:5], faults)
+    derived = pairs_from_columns(columns[5:], faults)
+    return list(map(DerivedPair, original, derived))
 
 
 def read_derived_map(path: str) -> list[DerivedPair]:
-    return list(read_table(path, DERIVED, _derived_from_fields))
+    return read_columns(path, DERIVED, _derived_from_columns)

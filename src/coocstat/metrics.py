@@ -7,17 +7,16 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS
 from coocstat.counting import ContingencyTable, CooccurrenceEvent, CountResult, PairObservations
-from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, label_error
+from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, check_labels, pair_name
 from coocstat.stats import binom_test_two_sided, chi2_sf
-from coocstat.tsv import RowError, Table, read_columns, write_table
+from coocstat.tsv import Faults, Table, convert, int64s, read_columns, write_table
 
-T = TypeVar("T")
 
 DEFAULT_ALPHA = 0.01
 
@@ -234,7 +233,10 @@ def _pair_stats(
 ) -> PairStats:
     """`compute_pair_stats` of a pair given its table and the `EventSums` of
     its events."""
-    g2 = g2_score(table)
+    try:
+        g2 = g2_score(table)
+    except UndefinedMetricError as exc:
+        raise UndefinedMetricError(f"pair {pair_name(pair)}: {exc}") from None
     stats = PairStats(
         g2=g2,
         g2_significant=chi2_sf(g2, 1.0) < alpha,
@@ -392,49 +394,14 @@ def write_pair_stats(table: StatsTable, path: str) -> None:
     write_table(path, STATS, zip(*columns))
 
 
-class _Faults:
-    """The first bad row that each check of a stats file's columns finds;
-    the earliest of them is the one reported."""
-
-    def __init__(self) -> None:
-        self.found: list[tuple[int, str]] = []
-
-    def add(self, row: int, message: str) -> None:
-        self.found.append((row, message))
-
-    def where(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
-        if bad.any():
-            row = int(np.argmax(bad))
-            self.add(row, message(row))
-
-    def raise_first(self) -> None:
-        if self.found:
-            raise RowError(*min(self.found, key=lambda fault: fault[0]))
-
-
-def _convert(column: Sequence[str], convert: Callable[[str], T], faults: _Faults) -> list[T]:
-    """`convert` of each field of `column` before the first it rejects."""
-    try:
-        return list(map(convert, column))
-    except ValueError:
-        values = []
-        for text in column:
-            try:
-                values.append(convert(text))
-            except ValueError as exc:
-                faults.add(len(values), str(exc))
-                break
-        return values
-
-
 def _opt_float(text: str) -> float:
     return float(text) if text else math.nan
 
 
-def _floats(column: Sequence[str], faults: _Faults, optional: bool = False) -> np.ndarray:
+def _floats(column: Sequence[str], faults: Faults, optional: bool = False) -> np.ndarray:
     """A float column; NaN stands for an empty field where it is `optional`,
     so a field that reads as NaN is rejected."""
-    values = np.array(_convert(column, _opt_float if optional else float, faults))
+    values = np.array(convert(column, _opt_float if optional else float, faults))
     nan = np.isnan(values)
     if optional:
         nan &= np.fromiter(map(bool, column), dtype=bool, count=len(values))
@@ -446,7 +413,7 @@ _FLAG = {"0": False, "1": True}
 _OPT_FLAG = {"": -1, "0": 0, "1": 1}
 
 
-def _flags(column: Sequence[str], faults: _Faults, optional: bool = False) -> np.ndarray:
+def _flags(column: Sequence[str], faults: Faults, optional: bool = False) -> np.ndarray:
     """A 0/1 column as bool, or as int8 with -1 for an empty field where
     it is `optional`."""
     codes = _OPT_FLAG if optional else _FLAG
@@ -458,33 +425,17 @@ def _flags(column: Sequence[str], faults: _Faults, optional: bool = False) -> np
     return np.array(values, dtype=np.int8 if optional else bool)
 
 
-def _counts(column: Sequence[str], faults: _Faults) -> np.ndarray:
-    values = _convert(column, int, faults)
-    if values and not (0 <= min(values) and max(values) < 1 << 63):
-        row = next(i for i, n in enumerate(values) if not 0 <= n < 1 << 63)
-        faults.add(row, "negative n_cooc" if values[row] < 0 else "integer out of int64 range")
-        del values[row:]
-    return np.array(values, dtype=np.int64)
-
-
-def _table_from_columns(columns: list[list[str]]) -> StatsTable:
+def _table_from_columns(columns: list[list[str]], faults: Faults) -> StatsTable:
     (lemma_w, lemma_v, pos, relation, g2, g2_sig, order_score, order_pref, order_p,
      mean_dist, n_cooc, head, asym_score, asym_pref, asym_p, pmi) = columns
-    faults = _Faults()
-    for row, error in enumerate(map(label_error, pos, relation, head)):
-        if error is not None:
-            faults.add(row, error)
-            break
-    keys = list(map("\t".join, zip(lemma_w, lemma_v, pos, relation)))
-    if len(set(keys)) < len(keys):
-        seen: set[str] = set()
-        for row, key in enumerate(keys):
-            if key in seen:
-                faults.add(row, "duplicate pair " + key.replace("\t", " "))
-                break
-            seen.add(key)
+    check_labels((pos, relation, head), faults)
+    faults.repeats(
+        list(map("\t".join, zip(lemma_w, lemma_v, pos, relation))),
+        lambda key: "duplicate pair " + key.replace("\t", " "),
+    )
+    counts = int64s(n_cooc, faults)
+    faults.where(counts < 0, lambda row: "negative n_cooc")
     # `compute_pair_stats` gives order_p and mean_dist exactly when n_cooc > 0.
-    counts = _counts(n_cooc, faults)
     cooc = counts > 0
     given = [np.fromiter(map(bool, c), dtype=bool, count=len(counts)) for c in (order_p, mean_dist)]
     faults.where(
@@ -495,7 +446,7 @@ def _table_from_columns(columns: list[list[str]]) -> StatsTable:
         ~cooc & (given[0] | given[1]),
         lambda row: "order_p and mean_dist must be empty when n_cooc is 0",
     )
-    table = StatsTable(
+    return StatsTable(
         lemma_w, lemma_v, pos, relation,
         _floats(g2, faults), _flags(g2_sig, faults),
         _floats(order_score, faults), _flags(order_pref, faults),
@@ -504,8 +455,6 @@ def _table_from_columns(columns: list[list[str]]) -> StatsTable:
         _floats(asym_score, faults, optional=True), _flags(asym_pref, faults, optional=True),
         _floats(asym_p, faults, optional=True), _floats(pmi, faults, optional=True),
     )
-    faults.raise_first()
-    return table
 
 
 def read_pair_stats(path: str) -> StatsTable:

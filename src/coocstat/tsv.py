@@ -1,14 +1,19 @@
-"""The one TSV layer behind every file the pipeline reads: the
-intermediate files it writes and reads back (pairs, derived map,
-observations, events, lemma frequencies, per-pair stats), each a header
-line of column names and then one line per row, and the headerless input
-files (lexicon, derivations, lemma attributes, verb classes), where blank
-and ``#`` lines are skipped.  Readers check every row's field count and
-report a bad row, or a line that is not UTF-8, as ``<path> line N: ...``.
-Integer columns of a long table can be read whole by NumPy's C parser
-(`read_keyed_ints`), which takes ASCII decimal integers only, and a table
-can be read as columns of text for its reader to convert whole
-(`read_columns`).
+"""The one TSV layer behind every file the pipeline reads.
+
+* `read_columns` reads each table the pipeline writes and reads back
+  (pairs, derived map, observations, lemma frequencies, per-pair stats):
+  a header line of column names, then one line per row.  It splits the
+  file whole into one list of text per column, for a decoder to check.
+* `read_keyed_ints` reads `events.tsv`, the one long table, whose integer
+  columns go to NumPy's C parser (ASCII decimal integers only).
+* `read_rows` reads the headerless input files (lexicon, derivations,
+  lemma attributes, verb classes) row by row, skipping blank and ``#``
+  lines, and stops at the first bad row.
+
+Every check of a headered table, each line's field count included, adds
+the first bad row it finds to the table's one `Faults`, and the earliest
+line in file order is reported as ``<path> line N: ...``.  A wrong header
+is line 1; a file that is not UTF-8 is reported at its first such line.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextI
 import numpy as np
 
 T = TypeVar("T")
-
-_Lines = Iterable[tuple[int, str]]  # numbered, each with its newline
 
 
 class Table(NamedTuple):
@@ -54,66 +57,83 @@ def _utf8_error(
     return ValueError(f"{path}: {exc}")
 
 
-def _read(
-    path: str, width: int, decode: Callable[[list[str]], T],
-    lines: Callable[[TextIO], _Lines],
-) -> Iterator[T]:
-    """Yield `decode(fields)` for each row that `lines` picks from the
-    open file; a `ValueError` from either comes back prefixed with the
-    file and line number."""
-    line_no = 1
+class Faults:
+    """The bad data rows of one headered table, each the first that one
+    check found, named by the row's 0-based index among the data rows;
+    `raise_first` reports the earliest of them."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.found: list[tuple[int, str]] = []
+
+    def add(self, row: int, message: str) -> None:
+        self.found.append((row, message))
+
+    def where(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """Add the first row that the mask `bad` marks."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            self.add(row, message(row))
+
+    def repeats(self, keys: Sequence[str], message: Callable[[str], str]) -> None:
+        """Add the first row whose key an earlier row already has."""
+        if len(set(keys)) < len(keys):
+            seen: set[str] = set()
+            for row, key in enumerate(keys):
+                if key in seen:
+                    self.add(row, message(key))
+                    return
+                seen.add(key)
+
+    def raise_first(self) -> None:
+        """Raise the fault on the earliest row, or the first added of two."""
+        if self.found:
+            row, message = min(self.found, key=lambda fault: fault[0])
+            raise ValueError(f"{self.path} line {row + 2}: {message}")
+
+
+def convert(column: Sequence[str], parse: Callable[[str], T], faults: Faults) -> list[T]:
+    """`parse` of each field of `column` before the first it rejects."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in lines(handle):
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != width:
-                    raise ValueError(f"expected {width} fields, got {len(fields)}")
-                yield decode(fields)
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(path, exc, open) from None
-    except ValueError as exc:
-        raise ValueError(f"{path} line {line_no}: {exc}") from None
+        return list(map(parse, column))
+    except ValueError:
+        values = []
+        for text in column:
+            try:
+                values.append(parse(text))
+            except ValueError as exc:
+                faults.add(len(values), str(exc))
+                break
+        return values
 
 
-def _table_rows(table: Table) -> Callable[[TextIO], _Lines]:
-    """The numbered data lines of an open `table` file, after its header."""
-
-    def rows(handle: TextIO) -> _Lines:
-        if handle.readline().rstrip("\n") != "\t".join(table.columns):
-            raise ValueError(f"not a {table.kind} file")
-        return enumerate(handle, start=2)
-
-    return rows
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
-def read_table(
-    path: str, table: Table, decode: Callable[[list[str]], T]
-) -> Iterator[T]:
-    """Yield `decode(fields)` per row after checking the header line."""
-    return _read(path, len(table.columns), decode, _table_rows(table))
-
-
-class RowError(ValueError):
-    """A bad value in one data row of a table, named by the row's 0-based
-    index among the data rows."""
-
-    def __init__(self, row: int, message: str) -> None:
-        super().__init__(message)
-        self.row = row
+def int64s(column: Sequence[str], faults: Faults) -> np.ndarray:
+    """An int64 array of the integers of `column` before the first field
+    that is not an integer or does not fit int64."""
+    values = convert(column, int, faults)
+    if values and not (min(values) in _INT64 and max(values) in _INT64):
+        row = next(row for row, n in enumerate(values) if n not in _INT64)
+        faults.add(row, "integer out of int64 range")
+        del values[row:]
+    return np.array(values, dtype=np.int64)
 
 
 def read_columns(
-    path: str, table: Table, decode: Callable[[list[list[str]]], T]
+    path: str, table: Table, decode: Callable[[list[list[str]], Faults], T]
 ) -> T:
-    """`decode` of the columns of a `table` file, each a list with one
-    field per data row.
+    """`decode(columns, faults)` of a `table` file, where each column is a
+    list with one field per data row and `faults` collects what `decode`
+    finds wrong, to be raised after it returns.
 
     The file is split whole, making no list or tuple per row.  The first
-    line with a wrong field count ends the rows, and `decode` still gets the
-    rows before it, so that a `RowError` it raises for an earlier row is
-    the error reported, as in `read_table`.
+    line with a wrong field count is a fault that ends the rows.  `decode`
+    may empty the list of columns as it converts them, to free their text.
     """
     width = len(table.columns)
+    faults = Faults(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             if handle.readline().rstrip("\n") != "\t".join(table.columns):
@@ -125,16 +145,15 @@ def read_columns(
         lines.pop()  # after the newline that ends the last line
     tabs = [line.count("\t") for line in lines]
     n_rows = next((row for row, n in enumerate(tabs) if n != width - 1), len(lines))
+    if n_rows < len(lines):
+        faults.add(n_rows, f"expected {width} fields, got {tabs[n_rows] + 1}")
+    del tabs
     fields = "\t".join(lines[:n_rows]).split("\t") if n_rows else []
     del lines
-    try:
-        result = decode([fields[column::width] for column in range(width)])
-    except RowError as exc:
-        raise ValueError(f"{path} line {exc.row + 2}: {exc}") from None
-    if n_rows < len(tabs):
-        raise ValueError(
-            f"{path} line {n_rows + 2}: expected {width} fields, got {tabs[n_rows] + 1}"
-        )
+    columns = [fields[column::width] for column in range(width)]
+    del fields
+    result = decode(columns, faults)
+    faults.raise_first()
     return result
 
 
@@ -143,79 +162,97 @@ _LOADTXT_ROW = re.compile(r" at row (\d+), column")
 
 
 def read_keyed_ints(
-    path: str, table: Table, n_key: int, key: Callable[[list[str]], int]
+    path: str, table: Table, n_key: int, key: Callable[[str], int], faults: Faults
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read a `table` file whose first `n_key` columns name a key and whose
-    other columns are integers, as each row's `key(key fields)` and an int64
-    array of its integers, one row per file row.
+    other columns are integers, as each row's `key(key fields joined by
+    tabs)` and an int64 array of its integers.
 
     A Python pass checks each line's field count and calls `key` only
     where a line's key fields differ from the previous line's; the same
     lines go to `np.loadtxt`, whose C parser reads the integers.  The first
-    bad line in file order is reported, as in `read_table`.
+    wrong field count, key that `key` rejects or cell that is not an int64
+    goes to `faults` and ends the rows, for the caller's checks of the rows
+    before it to add to `faults` too.
     """
     width = len(table.columns)
-    run_keys: list[int] = []  # the key of each run of lines with equal key fields
-    run_starts: list[int] = []  # the data row each run starts at
-    failure: list[tuple[int, ValueError]] = []  # the line that stopped the pass
 
-    def checked(handle: TextIO) -> Iterator[str]:
-        line_no, prefix = 1, None
-        try:
-            for line_no, line in _table_rows(table)(handle):
+    def parse(limit: int | None) -> tuple[np.ndarray, np.ndarray]:
+        run_keys: list[int] = []  # the key of each run of lines with equal key fields
+        run_starts: list[int] = []  # the data row each run starts at
+
+        def checked(handle: TextIO) -> Iterator[str]:
+            prefix = None
+            for row, line in enumerate(handle):
                 n_fields = line.count("\t") + 1
                 if n_fields != width:
-                    raise ValueError(f"expected {width} fields, got {n_fields}")
+                    faults.add(row, f"expected {width} fields, got {n_fields}")
+                    return
                 # `count` writes each pair's rows together, so this runs once per pair
                 if prefix is None or not line.startswith(prefix):
-                    fields = line.split("\t", n_key)[:n_key]
-                    run_keys.append(key(fields))
-                    run_starts.append(line_no - 2)
-                    prefix = "\t".join(fields) + "\t"
+                    prefix = "\t".join(line.split("\t", n_key)[:n_key]) + "\t"
+                    try:
+                        run_keys.append(key(prefix[:-1]))
+                    except ValueError as exc:
+                        faults.add(row, str(exc))
+                        return
+                    run_starts.append(row)
                 yield line
-        except ValueError as exc:  # UnicodeDecodeError included
-            failure.append((line_no, exc))
 
-    parse_error = None
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = checked(handle)
-        first = next(lines, None)
         ints = np.empty((0, width - n_key), dtype=np.int64)
-        if first is not None:  # loadtxt warns on a file without data rows
-            try:
-                with warnings.catch_warnings():
-                    # NumPy releases that still have this deprecated fallback
-                    # read a non-integer cell ("5.0", "1e3", 2**63) as a float
-                    # and truncate it, with only this warning to show for it.
-                    warnings.filterwarnings(
-                        "error", message=".*integer via a float", category=DeprecationWarning
-                    )
-                    ints = np.loadtxt(
-                        itertools.chain((first,), lines), dtype=np.int64, delimiter="\t",
-                        usecols=range(n_key, width), comments=None, ndmin=2,
-                    )
-            except (ValueError, DeprecationWarning) as exc:
-                parse_error = exc
-    if failure and isinstance(failure[0][1], UnicodeDecodeError):
-        raise _utf8_error(path, failure[0][1], open) from None
-    if parse_error is not None:  # loadtxt saw only the lines before `failure`
-        row = _LOADTXT_ROW.search(str(parse_error))
-        if row is None:
-            raise ValueError(f"{path}: {parse_error}") from None
-        message = _LOADTXT_ROW.sub(" at column", str(parse_error), count=1)
-        raise ValueError(f"{path} line {int(row.group(1)) + 2}: {message}") from None
-    if failure:
-        line_no, exc = failure[0]
-        raise ValueError(f"{path} line {line_no}: {exc}") from None
-    lengths = np.diff(np.array(run_starts + [len(ints)], dtype=np.int64))
-    return np.repeat(np.array(run_keys, dtype=np.int64), lengths), ints
+        with open(path, "r", encoding="utf-8") as handle:
+            if handle.readline().rstrip("\n") != "\t".join(table.columns):
+                raise ValueError(f"{path} line 1: not a {table.kind} file")
+            lines = itertools.islice(checked(handle), limit)
+            first = next(lines, None)
+            if first is not None:  # loadtxt warns on a file without data rows
+                try:
+                    with warnings.catch_warnings():
+                        # NumPy releases that still have this deprecated fallback
+                        # read a non-integer cell ("5.0", "1e3", 2**63) as a float
+                        # and truncate it, with only this warning to show for it.
+                        warnings.filterwarnings(
+                            "error", message=".*integer via a float", category=DeprecationWarning
+                        )
+                        ints = np.loadtxt(
+                            itertools.chain((first,), lines), dtype=np.int64, delimiter="\t",
+                            usecols=range(n_key, width), comments=None, ndmin=2,
+                        )
+                except UnicodeDecodeError:  # a ValueError too, located below
+                    raise
+                except (ValueError, DeprecationWarning) as exc:
+                    bad = _LOADTXT_ROW.search(str(exc))
+                    if bad is None:
+                        raise ValueError(f"{path}: {exc}") from None
+                    row = int(bad.group(1))
+                    faults.add(row, _LOADTXT_ROW.sub(" at column", str(exc), count=1))
+                    # loadtxt saw only the lines before any other fault; the
+                    # rows before its bad cell are read again.
+                    return parse(row)
+        lengths = np.diff(np.array(run_starts + [len(ints)], dtype=np.int64))
+        return np.repeat(np.array(run_keys, dtype=np.int64), lengths), ints
+
+    try:
+        return parse(None)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, exc, open) from None
 
 
 def read_rows(path: str, width: int, decode: Callable[[list[str]], T]) -> Iterator[T]:
     """Yield `decode(fields)` per row of a headerless file of `width`
-    fields, skipping blank and ``#`` lines."""
-
-    def rows(handle: TextIO) -> _Lines:
-        return (row for row in enumerate(handle, start=1) if row[1].strip() and row[1][0] != "#")
-
-    return _read(path, width, decode, rows)
+    fields, skipping blank and ``#`` lines; a `ValueError` from `decode`
+    comes back prefixed with the file and line number."""
+    line_no = 0
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip() or line[0] == "#":
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                yield decode(fields)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, exc, open) from None
+    except ValueError as exc:
+        raise ValueError(f"{path} line {line_no}: {exc}") from None

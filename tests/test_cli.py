@@ -2,11 +2,12 @@ import gzip
 import importlib.util
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from coocstat import cli, counting, metrics
+from coocstat import cli, counting, metrics, report
 from coocstat.cli import RunConfig, main, run_pipeline
 from coocstat.tsv import write_table
 from conftest import TOY_PATHS, pair, sent
@@ -322,6 +323,55 @@ class TestMetricsOnCountDir:
         assert [(f[10], f[8] == "", f[9]) for f in rows] == [
             ("1", False, "1.0"), ("0", True, ""), ("1", False, "0.0"),
         ]
+
+    def test_pair_absent_from_the_corpus_names_the_pair(self, tmp_path, capsys):
+        # A hand-written count of one pair whose lemmas occur in none of
+        # its 10 sentences: G2 is undefined.
+        counts = tmp_path / "counts"
+        counts.mkdir()
+        write_table(str(counts / "observations.tsv"), counting.OBSERVATIONS, [
+            ("cat", "dog", "NOUN", "SYN", "", "0", "0", "0", "10", "10"),
+        ])
+        write_table(str(counts / "events.tsv"), counting.EVENTS, [])
+        out = tmp_path / "stats.tsv"
+        assert main(["metrics", "--obs", str(counts), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: pair cat dog NOUN SYN: zero marginal (|w|=0, |v|=0): score undefined\n"
+        )
+        assert not out.exists()
+
+
+class TestParserDefaults:
+    """Each option's default comes from `RunConfig` or `report.ReportOptions`."""
+
+    def test_all_parses_to_run_config_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["all", "--corpus", "c.tsv", "--lexicon", "l.tsv", "--out", "out"]
+        )
+        parsed = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+        assert parsed == RunConfig("c.tsv", "l.tsv", "out")
+
+    def test_report_parses_to_report_options_defaults(self):
+        args = cli.build_parser().parse_args(["report", "--stats", "s.tsv", "--out", "out"])
+        parsed = report.ReportOptions(
+            **{name: getattr(args, name) for name in report.ReportOptions._fields}
+        )
+        assert parsed == report.ReportOptions()
+
+    @pytest.mark.parametrize("argv,dest,field", [
+        (["extract-pairs", "--lexicon", "l", "--corpus", "c", "--out", "o"],
+         "min_sentence_len", "min_sentence_len"),
+        (["sample-unrelated", "--corpus", "c", "--lexicon", "l", "--out", "o"],
+         "min_sentence_len", "min_sentence_len"),
+        (["sample-unrelated", "--corpus", "c", "--lexicon", "l", "--out", "o"], "n", "unr_n"),
+        (["sample-unrelated", "--corpus", "c", "--lexicon", "l", "--out", "o"], "seed", "seed"),
+        (["count", "--corpus", "c", "--pairs", "p", "--out", "o"],
+         "min_sentence_len", "min_sentence_len"),
+        (["metrics", "--obs", "d", "--out", "o"], "alpha", "alpha"),
+    ])
+    def test_subcommand_default_is_run_config_default(self, argv, dest, field):
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(args, dest) == getattr(RunConfig("c", "l", "o"), field)
 
 
 class TestOptionChecks:

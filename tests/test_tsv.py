@@ -67,6 +67,14 @@ INT_COLUMN = {
 HEAD_COLUMN = {
     "pairs.tsv": 4, "derived_pairs.tsv": 4, "observations.tsv": 4, "stats.tsv": 11,
 }
+# The files read as columns whose reader checks a column of values after
+# its label columns: a column checked late and one checked early.
+LATE_EARLY_COLUMNS = {"observations.tsv": (9, 4), "stats.tsv": (15, 4)}
+# A bad cell, (column, value), in each file read as columns.
+BAD_CELL = {
+    "pairs.tsv": (3, "FOO"), "derived_pairs.tsv": (8, "FOO"),
+    "observations.tsv": (5, "x"), "stats.tsv": (13, "2"),
+}
 
 
 def _edit_row(edit, index: int = 1):
@@ -76,8 +84,8 @@ def _edit_row(edit, index: int = 1):
     )
 
 
-def _set_field(index: int, value: str):
-    return _edit_row(lambda f: "\t".join(f[:index] + [value] + f[index + 1:]))
+def _set_field(index: int, value: str, row: int = 1):
+    return _edit_row(lambda f: "\t".join(f[:index] + [value] + f[index + 1:]), row)
 
 
 def _repeat_first_row(lines: list[str]) -> list[str]:
@@ -116,6 +124,10 @@ CASES = [
         f[:6] + ["-1", f[7], str(int(f[8]) + int(f[6]) + 1), f[9]]
     )), 2),
     ("cells-not-summing-to-n", ["observations.tsv"], _set_field(9, "50"), 2),
+    # Cells whose sum is n + 2**64, which int64 arithmetic would wrap to n.
+    ("cells-summing-past-int64", ["observations.tsv"], _edit_row(lambda f: "\t".join(
+        f[:6] + [str(2 ** 63 - 1)] * 2 + [str(int(f[9]) - int(f[5]) + 2), f[9]]
+    )), 2),
     ("n-differs-between-rows", ["observations.tsv"], _edit_row(lambda f: "\t".join(
         f[:8] + [str(int(f[8]) + 1), str(int(f[9]) + 1)]
     ), index=2), 3),
@@ -125,16 +137,15 @@ CASES = [
     ("unknown-relation", list(HEAD_COLUMN), _set_field(3, "FOO"), 2),
     ("unknown-pos", list(HEAD_COLUMN), _set_field(2, "XYZ"), 2),
     *[("bad-head", [name], _set_field(i, "x"), 2) for name, i in HEAD_COLUMN.items()],
-    # Stats columns are converted whole; the earlier line is still the one
-    # named, whatever the columns of its fault and of a later line's.
-    ("bad-cells-in-two-columns", ["stats.tsv"], _then(
-        _edit_row(lambda f: "\t".join(f[:15] + ["x"]), index=1),
-        _edit_row(lambda f: "\t".join(f[:4] + ["x"] + f[5:]), index=2),
-    ), 2),
-    ("bad-cell-before-short-row", ["stats.tsv"], _then(
-        _edit_row(lambda f: "\t".join(f[:13] + ["2"] + f[14:]), index=1),
+    # Columns are converted whole; the earlier line is still the one named,
+    # whatever the columns of its fault and of a later line's.
+    *[("bad-cells-in-two-columns", [name], _then(
+        _set_field(late, "x", row=1), _set_field(early, "x", row=2),
+    ), 2) for name, (late, early) in LATE_EARLY_COLUMNS.items()],
+    *[("bad-cell-before-short-row", [name], _then(
+        _set_field(column, value, row=1),
         _edit_row(lambda f: "\t".join(f[:-1]), index=2),
-    ), 2),
+    ), 2) for name, (column, value) in BAD_CELL.items()],
     ("nan-value", ["stats.tsv"], _set_field(4, "nan"), 2),
     ("negative-count", ["stats.tsv"], _set_field(10, "-1"), 2),
     # Event rows: values >= 0 that fit int64, pos_w != pos_v, and at most
@@ -144,6 +155,20 @@ CASES = [
     ("equal-positions", ["events.tsv"], _edit_row(lambda f: "\t".join(f[:6] + [f[5]])), 2),
     ("repeated-sentence", ["events.tsv"], _repeat_first_row, 3),
     ("out-of-int64-range", ["events.tsv"], _set_field(4, str(2 ** 63)), 2),
+    # An event row's value checks run after the rows are read, which ends
+    # at an unknown pair or a wrong field count; line 2 is still named.
+    ("negative-sentence-id-before-unknown-pair", ["events.tsv"], _then(
+        _set_field(4, "-1"), _set_field(0, "nosuchlemma", row=5),
+    ), 2),
+    ("equal-positions-before-short-row", ["events.tsv"], _then(
+        _edit_row(lambda f: "\t".join(f[:6] + [f[5]])),
+        _edit_row(lambda f: "\t".join(f[:-1]), index=7),
+    ), 2),
+    # NumPy stops at the bad integer on line 8; the rows before it are
+    # still checked.
+    ("negative-pos-w-before-bad-int", ["events.tsv"], _then(
+        _set_field(5, "-1"), _set_field(4, "x", row=7),
+    ), 2),
 ]
 
 
