@@ -19,7 +19,6 @@ from coocstat.counting import (
     CountResult,
     PairObservations,
     count,
-    count_sharded,
     merge,
 )
 from coocstat.lexicon import (
@@ -68,7 +67,6 @@ __all__ = [
     "PairObservations",
     "CountResult",
     "count",
-    "count_sharded",
     "merge",
     "TestResult",
     "chi2_sf",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gzip
 import zlib
+from array import array
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
@@ -201,7 +202,7 @@ class Corpus:
     def from_sentences(cls, sentences: Iterable[Sentence]) -> Corpus:
         """Compile sentences as given: no length filter, ids and order kept."""
         index: dict[tuple[str, str], int] = {}
-        ids: list[int] = []
+        ids = array("i")
         offsets = [0]
         sentence_ids = []
         for sent in sentences:
@@ -211,7 +212,7 @@ class Corpus:
             sentence_ids.append(sent.id)
         return _compile(
             [LemmaKey(*k) for k in index],
-            np.array(ids, dtype=np.int32),
+            np.frombuffer(ids, dtype=np.intc),
             np.array(offsets, dtype=np.int64),
             np.array(sentence_ids, dtype=np.int64),
             skipped=0,
@@ -247,20 +248,23 @@ def _compile(
     skipped: int,
 ) -> Corpus:
     """Drop the keys no token uses and renumber the rest in id order."""
-    used = np.flatnonzero(np.bincount(ids, minlength=len(keys))).tolist()
+    used = np.zeros(len(keys), dtype=bool)
+    used[ids] = True  # a mask, where `np.bincount` would copy `ids` as int64
+    used = np.flatnonzero(used).tolist()
     order = sorted(used, key=lambda i: _id_order(keys[i]))
     remap = np.zeros(len(keys), dtype=np.int32)
     remap[order] = np.arange(len(order), dtype=np.int32)
     return Corpus([keys[i] for i in order], remap[ids], offsets, sentence_ids, skipped)
 
 
-def _parse(handle: IO[str], path: str) -> tuple[list[LemmaKey], list[int], list[int]]:
+def _parse(handle: IO[str], path: str) -> tuple[list[LemmaKey], array, array]:
     """Intern every token line: the keys in first-seen order, each token's
-    key id, and the offsets of the non-empty sentences (0, then each end)."""
+    key id (C ints), and the offsets of the non-empty sentences (0, then
+    each end; int64)."""
     index: dict[LemmaKey, int] = {}
     by_line: dict[str, int] = {}  # a parsed raw line -> its key id
-    ids: list[int] = []
-    bounds = [0]
+    ids = array("i")
+    bounds = array("q", [0])
     lookup, append = by_line.get, ids.append
     for line_no, line in enumerate(handle, start=1):
         kid = lookup(line)
@@ -297,17 +301,18 @@ def read_corpus(path: str, min_len: int = 5) -> Corpus:
             raise _utf8_error(path, exc, _opener(path)) from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"{path}: unreadable gzip data: {exc}") from exc
-    ids = np.array(token_ids, dtype=np.int32)
-    del token_ids  # 8 bytes per token, freed before the filter copies `ids`
-    offsets = np.array(bounds, dtype=np.int64)
+    ids = np.frombuffer(token_ids, dtype=np.intc)
+    offsets = np.frombuffer(bounds, dtype=np.int64)
     lengths = np.diff(offsets)
-    content = np.array([k.pos != PUNCT for k in keys], dtype=np.int64)
-    running = np.concatenate(([0], np.cumsum(content[ids])))
-    keep = running[offsets[1:]] - running[offsets[:-1]] >= min_len
+    content = np.array([k.pos != PUNCT for k in keys], dtype=np.uint8)
+    n_content = np.add.reduceat(content[ids], offsets[:-1], dtype=np.int64)
+    keep = n_content >= min_len
     n_kept = int(np.count_nonzero(keep))
+    kept = ids[np.repeat(keep, lengths)]
+    del ids, token_ids  # the unfiltered ids, freed before `_compile` copies `kept`
     return _compile(
         keys,
-        ids[np.repeat(keep, lengths)],
+        kept,
         np.concatenate(([0], np.cumsum(lengths[keep]))),
         np.arange(n_kept, dtype=np.int64),
         skipped=len(keep) - n_kept,

@@ -123,11 +123,11 @@ _SCAN_BLOCK = 1 << 16
 _JOIN_BATCH = 1 << 20
 
 
-def _blocks(corpus: Corpus, block_size: int) -> Iterator[tuple[int, Corpus]]:
-    """Consecutive blocks of `block_size` sentences, with each block's
+def _blocks(corpus: Corpus) -> Iterator[tuple[int, Corpus]]:
+    """Consecutive blocks of `_SCAN_BLOCK` sentences, with each block's
     first sentence index."""
-    for lo in range(0, len(corpus), block_size):
-        yield lo, corpus.sentence_slice(lo, lo + block_size)
+    for lo in range(0, len(corpus), _SCAN_BLOCK):
+        yield lo, corpus.sentence_slice(lo, lo + _SCAN_BLOCK)
 
 
 def _postings(
@@ -178,13 +178,17 @@ def _join(
     ), axis=1)
 
 
-def _count(corpus: Corpus, pairs: Sequence[LemmaPair], block_size: int) -> CountResult:
-    """The pass behind `count` and `count_sharded`: one walk over blocks of
-    `block_size` sentences, joining every pair per block."""
+def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
+    """Count sentence-level (co-)occurrences of every pair.
+
+    A sentence contributes at most one to each cell no matter how many
+    times a lemma repeats; event positions are the first occurrence of
+    each lemma with the pair's PoS.  Each pair's events are in input
+    order.  The corpus is walked once, joining every pair per block.
+    """
     if not pairs:
         raise ValueError("pair list must be non-empty")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    corpus = as_corpus(sentences)
     pairs = _dedupe(pairs)
     n, size = len(corpus), len(corpus.keys)
     ids = dict(zip(corpus.keys, range(size)))
@@ -202,7 +206,7 @@ def _count(corpus: Corpus, pairs: Sequence[LemmaPair], block_size: int) -> Count
 
     key_count = np.zeros(n_ranks + 1, dtype=np.int64)
     pair_parts, event_parts = [np.empty(0, dtype=np.int64)], [np.empty((0, 3), dtype=np.int64)]
-    for lo, block in _blocks(corpus, block_size):
+    for lo, block in _blocks(corpus):
         codes, first = _postings(block, rank, n_ranks)
         per_key = np.bincount(codes // len(block), minlength=n_ranks + 1)
         key_count += per_key
@@ -226,17 +230,6 @@ def _count(corpus: Corpus, pairs: Sequence[LemmaPair], block_size: int) -> Count
     n_w, n_v = key_count[w], key_count[v]
     cells = np.stack((n_wv, n_w - n_wv, n_v - n_wv, n - n_w - n_v + n_wv), axis=1)
     return CountResult(pairs, cells, events, n, _id_runs(corpus.sentence_ids))
-
-
-def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
-    """Count sentence-level (co-)occurrences of every pair.
-
-    A sentence contributes at most one to each cell no matter how many
-    times a lemma repeats; event positions are the first occurrence of
-    each lemma with the pair's PoS.  Each pair's events are in input
-    order.
-    """
-    return _count(as_corpus(sentences), pairs, _SCAN_BLOCK)
 
 
 def _coalesce(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -275,20 +268,8 @@ def merge(a: CountResult, b: CountResult) -> CountResult:
     return CountResult(list(a.pairs), a.cells + b.cells[in_b], events, a.n + b.n, runs)
 
 
-def count_sharded(
-    sentences: Iterable[Sentence],
-    pairs: Sequence[LemmaPair],
-    block_size: int | None = None,
-) -> CountResult:
-    """`count` with blocks of `block_size` sentences (default
-    `_SCAN_BLOCK`); the outcome is identical.  An empty corpus with no
-    pairs gives an empty result."""
-    corpus = as_corpus(sentences)
-    if not pairs and not len(corpus):
-        return CountResult(
-            [], np.empty((0, 4), dtype=np.int64), np.empty((0, 3), dtype=np.int64), 0, ()
-        )
-    return _count(corpus, pairs, _SCAN_BLOCK if block_size is None else block_size)
+# The name the CLI calls and the benchmark's tracer wraps.
+count_sharded = count
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +315,7 @@ def scan_corpus(
     pos = np.unique([k.pos for k in keys], return_inverse=True)[1]
     counts = np.zeros(size, dtype=np.int64)
     found = [np.empty(0, dtype=np.int64)]  # each block's distinct pair codes
-    for _, block in _blocks(corpus, _SCAN_BLOCK):
+    for _, block in _blocks(corpus):
         sent, ids = block.sentence_index(), block.token_ids
         mask = content[ids]
         present = sorted_unique(sent[mask] * size + ids[mask])
@@ -455,8 +436,16 @@ def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:
 
 def _freqs_from_columns(columns: list[list[str]], faults: Faults) -> dict[LemmaKey, int]:
     lemma, pos, count = columns
-    return dict(zip(map(LemmaKey, lemma, pos), int64s(count, faults).tolist()))
+    unknown = np.array([p not in CONTENT_POS for p in pos], dtype=bool)
+    faults.where(unknown, lambda row: f"unknown pos {pos[row]!r}")
+    faults.repeats(list(map(" ".join, zip(lemma, pos))), lambda key: "duplicate lemma " + key)
+    counts = int64s(count, faults)
+    faults.where(counts < 0, lambda row: "negative count")
+    return dict(zip(map(LemmaKey, lemma, pos), counts.tolist()))
 
 
 def read_lemma_freqs(path: str) -> dict[LemmaKey, int]:
+    """Read `corpus_freqs.tsv`, rejecting the first row, in file order,
+    with a PoS outside `CONTENT_POS`, a ``lemma pos`` already listed, or a
+    count that is negative or not an integer."""
     return read_columns(path, LEMMA_FREQS, _freqs_from_columns)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import warnings
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
@@ -110,13 +109,22 @@ def convert(column: Sequence[str], parse: Callable[[str], T], faults: Faults) ->
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
+def _decimal(text: str) -> int:
+    """`int` of ASCII digits after an optional ``-``, the one integer form
+    of every table (`int` alone also takes ``+``, ``_``, spaces and other
+    scripts' digits)."""
+    if not (text.removeprefix("-").isdigit() and text.isascii()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def int64s(column: Sequence[str], faults: Faults) -> np.ndarray:
     """An int64 array of the integers of `column` before the first field
-    that is not an integer or does not fit int64."""
-    values = convert(column, int, faults)
+    that is not a `_decimal` integer or does not fit int64."""
+    values = convert(column, _decimal, faults)
     if values and not (min(values) in _INT64 and max(values) in _INT64):
         row = next(row for row, n in enumerate(values) if n not in _INT64)
-        faults.add(row, "integer out of int64 range")
+        faults.add(row, f"integer out of int64 range: {column[row]}")
         del values[row:]
     return np.array(values, dtype=np.int64)
 
@@ -157,10 +165,6 @@ def read_columns(
     return result
 
 
-# loadtxt names a bad value's 0-based row among the lines it was given.
-_LOADTXT_ROW = re.compile(r" at row (\d+), column")
-
-
 def read_keyed_ints(
     path: str, table: Table, n_key: int, key: Callable[[str], int], faults: Faults
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,74 +172,63 @@ def read_keyed_ints(
     other columns are integers, as each row's `key(key fields joined by
     tabs)` and an int64 array of its integers.
 
-    A Python pass checks each line's field count and calls `key` only
-    where a line's key fields differ from the previous line's; the same
-    lines go to `np.loadtxt`, whose C parser reads the integers.  The first
-    wrong field count, key that `key` rejects or cell that is not an int64
-    goes to `faults` and ends the rows, for the caller's checks of the rows
-    before it to add to `faults` too.
+    A Python pass checks each line's field count and its integers by the
+    rule of `int64s`, and calls `key` only where a line's key fields differ
+    from the previous line's; the checked lines go to `np.loadtxt`, whose
+    C parser reads the integers.  The first wrong field count, bad integer
+    or key that `key` rejects goes to `faults` and ends the rows, for the
+    caller's checks of the rows before it to add to `faults` too.
     """
     width = len(table.columns)
+    # A line's integers after its key fields, each of at most 18 digits, so
+    # within int64; `loadtxt` alone would also take "+5" and spaces around one.
+    plain = re.compile("\t".join(["-?[0-9]{1,18}"] * (width - n_key)) + "\n?")
+    run_keys: list[int] = []  # the key of each run of lines with equal key fields
+    run_starts: list[int] = []  # the data row each run starts at
 
-    def parse(limit: int | None) -> tuple[np.ndarray, np.ndarray]:
-        run_keys: list[int] = []  # the key of each run of lines with equal key fields
-        run_starts: list[int] = []  # the data row each run starts at
+    def row_error(line: str) -> str | None:
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != width:
+            return f"expected {width} fields, got {len(fields)}"
+        cells = Faults(path)
+        int64s(fields[n_key:], cells)
+        return cells.found[0][1] if cells.found else None
 
-        def checked(handle: TextIO) -> Iterator[str]:
-            prefix = None
-            for row, line in enumerate(handle):
-                n_fields = line.count("\t") + 1
-                if n_fields != width:
-                    faults.add(row, f"expected {width} fields, got {n_fields}")
-                    return
-                # `count` writes each pair's rows together, so this runs once per pair
-                if prefix is None or not line.startswith(prefix):
-                    prefix = "\t".join(line.split("\t", n_key)[:n_key]) + "\t"
-                    try:
-                        run_keys.append(key(prefix[:-1]))
-                    except ValueError as exc:
-                        faults.add(row, str(exc))
-                        return
+    def checked(handle: TextIO) -> Iterator[str]:
+        prefix = ""
+        for row, line in enumerate(handle):
+            # `count` writes each pair's rows together, so a run starts once per pair
+            new_run = not (prefix and line.startswith(prefix))
+            if new_run:
+                prefix = "\t".join(line.split("\t", n_key)[:n_key]) + "\t"
+            error = None if plain.fullmatch(line, len(prefix)) else row_error(line)
+            if error is None and new_run:
+                try:
+                    run_keys.append(key(prefix[:-1]))
                     run_starts.append(row)
-                yield line
+                except ValueError as exc:
+                    error = str(exc)
+            if error is not None:
+                faults.add(row, error)
+                return
+            yield line
 
-        ints = np.empty((0, width - n_key), dtype=np.int64)
+    ints = np.empty((0, width - n_key), dtype=np.int64)
+    try:
         with open(path, "r", encoding="utf-8") as handle:
             if handle.readline().rstrip("\n") != "\t".join(table.columns):
                 raise ValueError(f"{path} line 1: not a {table.kind} file")
-            lines = itertools.islice(checked(handle), limit)
+            lines = checked(handle)
             first = next(lines, None)
             if first is not None:  # loadtxt warns on a file without data rows
-                try:
-                    with warnings.catch_warnings():
-                        # NumPy releases that still have this deprecated fallback
-                        # read a non-integer cell ("5.0", "1e3", 2**63) as a float
-                        # and truncate it, with only this warning to show for it.
-                        warnings.filterwarnings(
-                            "error", message=".*integer via a float", category=DeprecationWarning
-                        )
-                        ints = np.loadtxt(
-                            itertools.chain((first,), lines), dtype=np.int64, delimiter="\t",
-                            usecols=range(n_key, width), comments=None, ndmin=2,
-                        )
-                except UnicodeDecodeError:  # a ValueError too, located below
-                    raise
-                except (ValueError, DeprecationWarning) as exc:
-                    bad = _LOADTXT_ROW.search(str(exc))
-                    if bad is None:
-                        raise ValueError(f"{path}: {exc}") from None
-                    row = int(bad.group(1))
-                    faults.add(row, _LOADTXT_ROW.sub(" at column", str(exc), count=1))
-                    # loadtxt saw only the lines before any other fault; the
-                    # rows before its bad cell are read again.
-                    return parse(row)
-        lengths = np.diff(np.array(run_starts + [len(ints)], dtype=np.int64))
-        return np.repeat(np.array(run_keys, dtype=np.int64), lengths), ints
-
-    try:
-        return parse(None)
+                ints = np.loadtxt(
+                    itertools.chain((first,), lines), dtype=np.int64, delimiter="\t",
+                    usecols=range(n_key, width), comments=None, ndmin=2,
+                )
     except UnicodeDecodeError as exc:
         raise _utf8_error(path, exc, open) from None
+    lengths = np.diff(np.array(run_starts + [len(ints)], dtype=np.int64))
+    return np.repeat(np.array(run_keys, dtype=np.int64), lengths), ints
 
 
 def read_rows(path: str, width: int, decode: Callable[[list[str]], T]) -> Iterator[T]:

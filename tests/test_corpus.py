@@ -1,5 +1,8 @@
 import ast
+import gc
 import gzip
+import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +169,31 @@ class TestReadCorpus:
         loose = lemmas(read_corpus(path, a))
         strict = lemmas(read_corpus(path, b))
         assert set(strict) <= set(loose)
+
+
+def test_read_corpus_peak_is_compact(tmp_path):
+    # Key ids go to a C-int array and sentences are filtered through a
+    # uint8 mask: about 14 bytes per token at the peak on this corpus,
+    # where a list slot per token and int64 running counts took 27.
+    rng = random.Random(7)
+    pos = (NOUN, VERB, ADJ, ADV, "DET", PUNCT)
+    lines = [f"w{i}\tl{i}\t{rng.choice(pos)}\n" for i in range(60)]
+    text, n_tokens = [], 0
+    while n_tokens < 200_000:
+        n = rng.randint(1, 40)
+        text += rng.choices(lines, k=n) + ["\n"]
+        n_tokens += n
+    path = write(tmp_path, "".join(text))
+    del text
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = read_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corpus.skipped and len(corpus)  # the filter drops some sentences
+    assert peak / n_tokens <= 16
 
 
 _PROP_PATH = None

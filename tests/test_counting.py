@@ -1,10 +1,12 @@
 import gc
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from coocstat import counting
 from coocstat.counting import (
     ContingencyTable,
     MergeError,
@@ -89,6 +91,8 @@ class TestCount:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             count([], [])
+        with pytest.raises(ValueError):
+            count_sharded([], [])
 
 
 class TestMerge:
@@ -192,12 +196,16 @@ class TestMerge:
 
 
 class TestCountSharded:
+    def test_is_count(self):
+        assert count_sharded is count
+
     def test_matches_single_pass(self):
         rng = random.Random(37)
         sentences = random_corpus(rng, 500, vocab_size=40)
         pairs = [pair("w0", "w4"), pair("w1", "w5", "VERB")]
         full = count(sentences, pairs)
-        blocked = count_sharded(iter(sentences), pairs, block_size=83)
+        with mock.patch.object(counting, "_SCAN_BLOCK", 83):
+            blocked = count_sharded(iter(sentences), pairs)
         assert blocked.n == full.n
         for p in pairs:
             assert blocked.observations[p].table == full.observations[p].table

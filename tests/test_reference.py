@@ -76,7 +76,8 @@ def test_count_sharded_matches_reference_in_id_order(sentences, pairs, block_siz
     # them.
     sentences = sorted(sentences, key=lambda s: s.id)
     want = reference.count(sentences, pairs)
-    _same_count(count_sharded(sentences, pairs, block_size=block_size), want)
+    with mock.patch.object(counting, "_SCAN_BLOCK", block_size):
+        _same_count(count_sharded(sentences, pairs), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,7 +87,6 @@ def test_count_in_blocks_matches_reference_in_input_order(sentences, pairs, bloc
     # at a time: events stay in input order.
     want = reference.count(sentences, pairs)
     with mock.patch.object(counting, "_JOIN_BATCH", batch):
-        _same_count(count_sharded(sentences, pairs, block_size=block_size), want)
         with mock.patch.object(counting, "_SCAN_BLOCK", block_size):
             _same_count(count(sentences, pairs), want)
 
@@ -256,6 +256,21 @@ def test_parser_punctuation_only_sentence_is_skipped(tmp_path):
     _compare_parsers(str(path), 1)
     corpus = read_corpus(str(path), 1)
     assert len(corpus) == 1 and corpus.skipped == 1
+
+
+@pytest.mark.parametrize("text,min_len,n_kept,n_skipped", [
+    # Every sentence below the length filter.
+    ("a\ta\tNOUN\nb\tb\tVERB\n\n.\t.\tPUN\n\nc\tc\tADJ\n", 3, 0, 3),
+    ("# only\n# comments\n", 1, 0, 0),
+    # One-token sentences, one of them punctuation.
+    ("a\ta\tNOUN\n\nb\tb\tVERB\n\n.\t.\tPUN\n\nthe\tthe\tDET\n", 1, 3, 1),
+])
+def test_parser_edge_files(tmp_path, text, min_len, n_kept, n_skipped):
+    path = tmp_path / "c.tsv"
+    path.write_text(text)
+    _compare_parsers(str(path), min_len)
+    corpus = read_corpus(str(path), min_len)
+    assert (len(corpus), corpus.skipped) == (n_kept, n_skipped)
 
 
 def _write(text: str) -> str:

@@ -88,6 +88,22 @@ def _set_field(index: int, value: str, row: int = 1):
     return _edit_row(lambda f: "\t".join(f[:index] + [value] + f[index + 1:]), row)
 
 
+def _respell_field(index: int, spell):
+    return _edit_row(lambda f: "\t".join(f[:index] + [spell(f[index])] + f[index + 1:]))
+
+
+# Spellings of an integer that `int` reads as the same value, and no table
+# takes; NumPy's parser, which reads events.tsv, takes the first two.
+NON_DECIMAL = {
+    "plus-sign": lambda text: "+" + text,
+    "padded": lambda text: f" {text} ",
+    "underscore": lambda text: "0_" + text,
+    "arabic-indic-digits": lambda text: text.translate(
+        str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+    ),
+}
+
+
 def _repeat_first_row(lines: list[str]) -> list[str]:
     return lines[:2] + lines[1:]
 
@@ -110,6 +126,8 @@ CASES = [
     ("truncated-row", list(READERS), _edit_row(lambda f: "\t".join(f[:2])), 2),
     ("long-row", list(READERS), _edit_row(lambda f: "\t".join(f + ["0"])), 2),
     *[("bad-int", [name], _set_field(i, "x"), 2) for name, i in INT_COLUMN.items()],
+    *[(f"{form}-int", [name], _respell_field(i, spell), 2)
+      for name, i in INT_COLUMN.items() for form, spell in NON_DECIMAL.items()],
     ("bad-flag", ["stats.tsv"], _set_field(5, "yes"), 2),
     # Stats rows: order_p and mean_dist exactly when n_cooc > 0 (the first
     # toy row co-occurs and is significant).
@@ -148,6 +166,11 @@ CASES = [
     ), 2) for name, (column, value) in BAD_CELL.items()],
     ("nan-value", ["stats.tsv"], _set_field(4, "nan"), 2),
     ("negative-count", ["stats.tsv"], _set_field(10, "-1"), 2),
+    # Lemma frequencies: counts >= 0, a lemma and PoS listed once, and a
+    # PoS that `scan_corpus` counts.
+    ("negative-count", ["corpus_freqs.tsv"], _set_field(2, "-5"), 2),
+    ("duplicate-lemma", ["corpus_freqs.tsv"], _repeat_first_row, 3),
+    ("unknown-pos", ["corpus_freqs.tsv"], _set_field(1, "PUNCT"), 2),
     # Event rows: values >= 0 that fit int64, pos_w != pos_v, and at most
     # one event per sentence for each pair (a copy of a row repeats both).
     *[(f"negative-{column}", ["events.tsv"], _set_field(i, "-1"), 2)
