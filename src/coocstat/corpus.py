@@ -305,7 +305,8 @@ def read_corpus(path: str, min_len: int = 5) -> Corpus:
     offsets = np.frombuffer(bounds, dtype=np.int64)
     lengths = np.diff(offsets)
     content = np.array([k.pos != PUNCT for k in keys], dtype=np.uint8)
-    n_content = np.add.reduceat(content[ids], offsets[:-1], dtype=np.int64)
+    # int32: no sentence has 2**31 tokens, and the sum casts the mask to it first.
+    n_content = np.add.reduceat(content[ids], offsets[:-1], dtype=np.int32)
     keep = n_content >= min_len
     n_kept = int(np.count_nonzero(keep))
     kept = ids[np.repeat(keep, lengths)]

@@ -358,17 +358,21 @@ def write_observations(result: CountResult, obs_path: str, events_path: str) -> 
     write_table(events_path, EVENTS, zip(prefixes, *columns))
 
 
-def _check_event_rows(pair: np.ndarray, values: np.ndarray, faults: Faults) -> np.ndarray:
+def _check_event_rows(pair: np.ndarray, values: np.ndarray, faults: Faults) -> np.ndarray | None:
     """Add to `faults` the first event row, given as its pair index `pair`
     and its `sentence_id, pos_w, pos_v` `values`, that has a negative
     value, equal positions, or a sentence already seen for its pair
     (counting gives a pair at most one event per sentence).  Return the
-    row order by pair, then sentence_id."""
-    order = np.lexsort((values[:, 0], pair))
-    same = np.diff(pair[order]) == 0
-    same &= np.diff(values[order, 0]) == 0
-    repeats = np.zeros(len(order), dtype=bool)
-    repeats[order[1:][same]] = True  # the later row of each equal (pair, sentence_id)
+    row order by pair, then sentence_id, or None for rows already in that
+    order, as `count` writes them from a corpus whose ids increase."""
+    order = None
+    step, gap = np.diff(pair), np.diff(values[:, 0])
+    if ((step < 0) | ((step == 0) & (gap < 0))).any():
+        order = np.lexsort((values[:, 0], pair))
+        step, gap = np.diff(pair[order]), np.diff(values[order, 0])
+    later = np.flatnonzero((step == 0) & (gap == 0)) + 1  # the later of two equal rows
+    repeats = np.zeros(len(pair), dtype=bool)
+    repeats[later if order is None else order[later]] = True
     faults.where((values < 0).any(axis=1), lambda row: "negative sentence_id, pos_w or pos_v")
     faults.where(values[:, 1] == values[:, 2], lambda row: "pos_w equals pos_v")
     faults.where(repeats, lambda row: "sentence_id repeats within its pair")
@@ -426,7 +430,7 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
             f"{events_path}: {counts[i]} events for pair {pair_name(pairs[i])}, not its o_wv;"
             f" {obs_path} line {i + 2}: o_wv = {cells[i, 0]}"
         )
-    return CountResult(pairs, cells, values[order], n, ())
+    return CountResult(pairs, cells, values if order is None else values[order], n, ())
 
 
 def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:

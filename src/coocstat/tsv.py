@@ -4,8 +4,9 @@
   (pairs, derived map, observations, lemma frequencies, per-pair stats):
   a header line of column names, then one line per row.  It splits the
   file whole into one list of text per column, for a decoder to check.
-* `read_keyed_ints` reads `events.tsv`, the one long table, whose integer
-  columns go to NumPy's C parser (ASCII decimal integers only).
+* `read_keyed_ints` reads `events.tsv`, the one long table, in blocks of
+  whole lines: one regular expression checks each run of lines of one
+  key, and NumPy reads their integers from the block's bytes.
 * `read_rows` reads the headerless input files (lexicon, derivations,
   lemma attributes, verb classes) row by row, skipping blank and ``#``
   lines, and stops at the first bad row.
@@ -18,7 +19,6 @@ is line 1; a file that is not UTF-8 is reported at its first such line.
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
@@ -118,15 +118,55 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, int]:
+    """The int64 values of the `_decimal` fields ``buf[start:end]`` of the
+    bytes `buf`, and how many come before the first that does not fit int64.
+
+    Fields of up to 18 digits are read together, a digit place at a time;
+    a longer one goes through `int`."""
+    neg = buf[start] == ord("-")
+    digits = end - start - neg
+    longest = int(digits.max(initial=0))
+    width = min(longest, 18)
+    values = np.zeros(len(start), dtype=np.int64)
+    for place in range(width, 0, -1):  # a "0" in the places a field lacks
+        values *= 10
+        values += np.where(digits >= place, buf[end - place], ord("0"))
+    values -= ord("0") * (10**width - 1) // 9  # the "0" of every place
+    values = np.where(neg, -values, values)
+    for i in np.flatnonzero(digits > 18).tolist() if longest > 18 else ():
+        value = int(buf[start[i]:end[i]].tobytes())
+        if value not in _INT64:
+            return values[:i], i
+        values[i] = value
+    return values, len(values)
+
+
 def int64s(column: Sequence[str], faults: Faults) -> np.ndarray:
     """An int64 array of the integers of `column` before the first field
-    that is not a `_decimal` integer or does not fit int64."""
-    values = convert(column, _decimal, faults)
-    if values and not (min(values) in _INT64 and max(values) in _INT64):
-        row = next(row for row, n in enumerate(values) if n not in _INT64)
-        faults.add(row, f"integer out of int64 range: {column[row]}")
-        del values[row:]
-    return np.array(values, dtype=np.int64)
+    that is not a `_decimal` integer or does not fit int64.
+
+    The fields are checked and read in NumPy from their text joined by
+    newlines, after a leading one: a byte is a digit, a ``-`` that starts
+    a field and comes before a digit, or a newline that ends a digit."""
+    buf = np.frombuffer("\n".join(["", *column, ""]).encode(), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    digit = buf - ord("0") < 10
+    good = digit.copy()
+    good[0] = True
+    good[1:] |= digit[:-1] & (buf[1:] == ord("\n"))
+    good[1:-1] |= (buf[:-2] == ord("\n")) & (buf[1:-1] == ord("-")) & digit[2:]
+    rows = len(column)
+    if not good.all():
+        rows = int(np.searchsorted(newlines, np.argmin(good))) - 1  # the bad byte's field
+        try:
+            _decimal(column[rows])
+        except ValueError as exc:
+            faults.add(rows, str(exc))
+    values, fit = _ints(buf, newlines[:rows] + 1, newlines[1:rows + 1])
+    if fit < rows:
+        faults.add(fit, f"integer out of int64 range: {column[fit]}")
+    return values[:fit]
 
 
 def read_columns(
@@ -165,6 +205,17 @@ def read_columns(
     return result
 
 
+# Characters per read of `read_keyed_ints`, which bounds its scratch arrays.
+_BLOCK = 1 << 18
+
+
+def _line_blocks(handle: TextIO) -> Iterator[str]:
+    """The rest of `handle` in blocks of whole lines of about `_BLOCK`
+    characters, each ending in a newline (added to a last line without one)."""
+    while block := handle.read(_BLOCK) + handle.readline():
+        yield block if block.endswith("\n") else block + "\n"
+
+
 def read_keyed_ints(
     path: str, table: Table, n_key: int, key: Callable[[str], int], faults: Faults
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,63 +223,72 @@ def read_keyed_ints(
     other columns are integers, as each row's `key(key fields joined by
     tabs)` and an int64 array of its integers.
 
-    A Python pass checks each line's field count and its integers by the
-    rule of `int64s`, and calls `key` only where a line's key fields differ
-    from the previous line's; the checked lines go to `np.loadtxt`, whose
-    C parser reads the integers.  The first wrong field count, bad integer
-    or key that `key` rejects goes to `faults` and ends the rows, for the
-    caller's checks of the rows before it to add to `faults` too.
+    The file is read in blocks of whole lines.  One pattern matches each
+    run of lines with equal key fields, checking every line's field count
+    and integers by the rule of `int64s`, and `key` is called once per run;
+    NumPy reads the matched lines' integers from the block's bytes.  The
+    first line that the pattern rejects, that holds an integer outside
+    int64 or whose key fields `key` rejects goes to `faults` and ends the
+    rows, for the caller's checks of the rows before it to add to `faults`
+    too.  A file that is not UTF-8 is reported at its first such line.
     """
-    width = len(table.columns)
-    # A line's integers after its key fields, each of at most 18 digits, so
-    # within int64; `loadtxt` alone would also take "+5" and spaces around one.
-    plain = re.compile("\t".join(["-?[0-9]{1,18}"] * (width - n_key)) + "\n?")
+    width, n_int = len(table.columns), len(table.columns) - n_key
+    tail = "\t".join(["-?[0-9]+"] * n_int) + "\n"  # a line's integers, in `_decimal` form
+    run = re.compile(f"((?:[^\t\n]*\t){{{n_key}}}){tail}(?:\\1{tail})*")
     run_keys: list[int] = []  # the key of each run of lines with equal key fields
-    run_starts: list[int] = []  # the data row each run starts at
+    run_lines: list[int] = []  # and its number of lines
+    known: tuple[str | None, int] = (None, 0)  # the last run's key fields and key
+    rows = 0
 
     def row_error(line: str) -> str | None:
-        fields = line.rstrip("\n").split("\t")
+        fields = line.split("\t")
         if len(fields) != width:
             return f"expected {width} fields, got {len(fields)}"
         cells = Faults(path)
         int64s(fields[n_key:], cells)
         return cells.found[0][1] if cells.found else None
 
-    def checked(handle: TextIO) -> Iterator[str]:
-        prefix = ""
-        for row, line in enumerate(handle):
-            # `count` writes each pair's rows together, so a run starts once per pair
-            new_run = not (prefix and line.startswith(prefix))
-            if new_run:
-                prefix = "\t".join(line.split("\t", n_key)[:n_key]) + "\t"
-            error = None if plain.fullmatch(line, len(prefix)) else row_error(line)
-            if error is None and new_run:
-                try:
-                    run_keys.append(key(prefix[:-1]))
-                    run_starts.append(row)
-                except ValueError as exc:
-                    error = str(exc)
-            if error is not None:
-                faults.add(row, error)
-                return
-            yield line
-
-    ints = np.empty((0, width - n_key), dtype=np.int64)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            if handle.readline().rstrip("\n") != "\t".join(table.columns):
+            header, body = handle.readline(), handle.tell()
+            # A first pass counts the lines, for the integers to fill one
+            # array, and meets any text that is not UTF-8 before a bad line.
+            ints = np.empty((sum(b.count("\n") for b in _line_blocks(handle)), n_int), np.int64)
+            if header.rstrip("\n") != "\t".join(table.columns):
                 raise ValueError(f"{path} line 1: not a {table.kind} file")
-            lines = checked(handle)
-            first = next(lines, None)
-            if first is not None:  # loadtxt warns on a file without data rows
-                ints = np.loadtxt(
-                    itertools.chain((first,), lines), dtype=np.int64, delimiter="\t",
-                    usecols=range(n_key, width), comments=None, ndmin=2,
-                )
+            handle.seek(body)
+            for block in _line_blocks(handle):
+                pos, error = 0, None
+                while pos < len(block):
+                    match = run.match(block, pos)
+                    try:
+                        if match is None:
+                            raise ValueError  # `row_error` tells what is wrong
+                        if match[1] != known[0]:
+                            known = match[1], key(match[1][:-1])
+                    except ValueError as exc:
+                        error = row_error(block[pos:block.index("\n", pos)]) or str(exc)
+                        break
+                    run_keys.append(known[1])
+                    run_lines.append(block.count("\n", pos, match.end()))
+                    pos = match.end()
+                buf = np.frombuffer(block[:pos].encode(), dtype=np.uint8)
+                # Each line's tabs and newline: the pattern let no other byte 9
+                # or 10 through, and no UTF-8 character holds one.
+                seps = np.flatnonzero(buf - 9 <= 1).reshape(-1, width)
+                values, fit = _ints(buf, seps[:, n_key - 1:-1].ravel() + 1, seps[:, n_key:].ravel())
+                lines = fit // n_int
+                ints[rows:rows + lines] = values[:lines * n_int].reshape(-1, n_int)
+                rows += lines
+                if lines < len(seps):  # an integer outside int64, before `error`'s line
+                    error = row_error(block.split("\n", lines + 1)[lines])
+                if error is not None:
+                    faults.add(rows, error)
+                    break
     except UnicodeDecodeError as exc:
         raise _utf8_error(path, exc, open) from None
-    lengths = np.diff(np.array(run_starts + [len(ints)], dtype=np.int64))
-    return np.repeat(np.array(run_keys, dtype=np.int64), lengths), ints
+    pair = np.repeat(np.array(run_keys, dtype=np.int64), run_lines)[:rows]
+    return pair, ints[:rows]
 
 
 def read_rows(path: str, width: int, decode: Callable[[list[str]], T]) -> Iterator[T]:

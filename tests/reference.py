@@ -1,5 +1,6 @@
 """Plain-Python reference versions of the corpus parser, the frequency and
-pair scan, the counter, the control-pair sampler and the event metrics.
+pair scan, the counter, the control-pair sampler, the event metrics and the
+`events.tsv` decoder.
 
 These are the loop implementations the array code in `coocstat.corpus`,
 `coocstat.counting`, `coocstat.lexicon` and `coocstat.metrics` replaced:
@@ -12,7 +13,7 @@ exactly their results.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from coocstat.lexicon import (
     unordered_key,
 )
 from coocstat.metrics import DEFAULT_ALPHA, OrderStats, _order_test
+from coocstat.tsv import Table
 
 
 class ReferenceParseError(ValueError):
@@ -251,3 +253,77 @@ def asymmetric_order_stats(
 
 def mean_distance(events: Sequence[CooccurrenceEvent]) -> float:
     return sum(abs(e.pos_w - e.pos_v) - 1 for e in events) / len(events)
+
+
+# ---------------------------------------------------------------------------
+# The integer columns and the `events.tsv` decoder, one field at a time
+
+
+def _integer(text: str) -> int | None:
+    """`int(text)` of ASCII digits after an optional ``-``, else None."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits and all(c in "0123456789" for c in digits):
+        return int(text)
+    return None
+
+
+def int64s(column: Sequence[str]) -> tuple[list[int], list[tuple[int, str]]]:
+    """The integers of `column` before its first field that is not decimal
+    or does not fit int64, and the faults found: the first field that is
+    not decimal, then the first value before it outside int64."""
+    values: list[int] = []
+    faults = []
+    for row, text in enumerate(column):
+        value = _integer(text)
+        if value is None:
+            faults.append((row, f"not a decimal integer: {text!r}"))
+            break
+        values.append(value)
+    for row, value in enumerate(values):
+        if not -(2 ** 63) <= value < 2 ** 63:
+            faults.append((row, f"integer out of int64 range: {column[row]}"))
+            return values[:row], faults
+    return values, faults
+
+
+def read_events(
+    path: str, table: Table, n_key: int, key: Callable[[str], int]
+) -> tuple[list[int], list[list[int]], tuple[int, str] | None]:
+    """Each data line's `key` of its first `n_key` fields and its integers,
+    up to the first bad line, with that line's 0-based data row and fault.
+
+    A line is bad if it has the wrong number of fields, an integer field
+    that is not ASCII digits after an optional ``-``, an integer outside
+    int64, or key fields that `key` rejects, checked in that order.  A
+    wrong header, or text that is not UTF-8 anywhere in the file, raises
+    ValueError naming line 1 or the first such line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            for line_no, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path} line {line_no}: {exc}") from None
+        raise
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != "\t".join(table.columns):
+        raise ValueError(f"{path} line 1: not a {table.kind} file")
+    keys: list[int] = []
+    rows: list[list[int]] = []
+    for row, line in enumerate(lines[1:]):
+        fields = line.split("\t")
+        if len(fields) != len(table.columns):
+            return keys, rows, (row, f"expected {len(table.columns)} fields, got {len(fields)}")
+        values, faults = int64s(fields[n_key:])
+        if faults:
+            return keys, rows, (row, faults[0][1])
+        try:
+            keys.append(key("\t".join(fields[:n_key])))
+        except ValueError as exc:
+            return keys, rows, (row, str(exc))
+        rows.append(values)
+    return keys, rows, None

@@ -5,6 +5,7 @@ exit status 1."""
 from __future__ import annotations
 
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coocstat import counting, lexicon, metrics
+import reference
+from coocstat import counting, lexicon, metrics, tsv
 from coocstat.cli import main, run_pipeline
 from conftest import TOY_PATHS, pair
 from test_cli import toy_config
@@ -93,7 +95,7 @@ def _respell_field(index: int, spell):
 
 
 # Spellings of an integer that `int` reads as the same value, and no table
-# takes; NumPy's parser, which reads events.tsv, takes the first two.
+# takes.
 NON_DECIMAL = {
     "plus-sign": lambda text: "+" + text,
     "padded": lambda text: f" {text} ",
@@ -108,6 +110,14 @@ def _repeat_first_row(lines: list[str]) -> list[str]:
     return lines[:2] + lines[1:]
 
 
+def _swap_first_runs(lines: list[str]) -> list[str]:
+    """The first two pairs' runs of event lines in the other order."""
+    keys = [line.split("\t")[:4] for line in lines[1:]]
+    a = keys.count(keys[0])
+    b = a + keys.count(keys[a])
+    return lines[:1] + lines[1 + a:1 + b] + lines[1:1 + a] + lines[1 + b:]
+
+
 def _then(*edits):
     def edit(lines):
         for one in edits:
@@ -117,7 +127,10 @@ def _then(*edits):
     return edit
 
 
-# (case, files, edit of the file's lines, line named in the error or None)
+# A file that still loads, to the same result as the toy run's.
+LOADS = "loads"
+
+# (case, files, edit of the file's lines, line named in the error, None, or LOADS)
 CASES = [
     ("wrong-header", list(READERS), lambda lines: ["lemma\tpos"] + lines[1:], 1),
     # One field short: for stats.tsv, the 15-column layout without pmi.
@@ -187,11 +200,13 @@ CASES = [
         _edit_row(lambda f: "\t".join(f[:6] + [f[5]])),
         _edit_row(lambda f: "\t".join(f[:-1]), index=7),
     ), 2),
-    # NumPy stops at the bad integer on line 8; the rows before it are
+    # The rows stop at the bad integer on line 8; the rows before it are
     # still checked.
     ("negative-pos-w-before-bad-int", ["events.tsv"], _then(
         _set_field(5, "-1"), _set_field(4, "x", row=7),
     ), 2),
+    # Events out of pair order are sorted back into it.
+    ("swapped-runs", ["events.tsv"], _swap_first_runs, LOADS),
 ]
 
 
@@ -219,6 +234,13 @@ def _copy_with(toy_run: Path, dest: Path, name: str, lines: list[str]) -> Path:
 def test_malformed_file(toy_run, tmp_path, capsys, case, name, edit, line_no):
     lines = (toy_run / name).read_text(encoding="utf-8").splitlines()
     d = _copy_with(toy_run, tmp_path / "run", name, edit(lines))
+    if line_no == LOADS:
+        loaded, expected = READERS[name](d), READERS[name](toy_run)
+        assert (loaded.pairs, loaded.n) == (expected.pairs, expected.n)
+        assert np.array_equal(loaded.cells, expected.cells)
+        assert np.array_equal(loaded.events, expected.events)
+        assert main(COMMANDS[name](d)) == 0
+        return
     with pytest.raises(ValueError) as err:
         READERS[name](d)
     message = str(err.value)
@@ -265,8 +287,8 @@ def test_invalid_utf8_names_the_file(toy_run, tmp_path):
 
 @pytest.mark.parametrize("value", ["x", str(2 ** 63)])
 def test_bad_event_value_deep_in_a_long_file_names_its_line(tmp_path, value):
-    # NumPy parses the integers in chunks; the line it fails on is still
-    # named by its place in the whole file.
+    # The file is read in blocks; the line a fault is on is still named by
+    # its place in the whole file.
     m = 70_000
     events = np.zeros((m, 3), dtype=np.int64)
     events[:, 0] = np.arange(m)
@@ -332,38 +354,6 @@ def test_non_integer_event_value_rejected_with_warnings_ignored(toy_run, tmp_pat
     assert str(err.value).startswith(f"{d / 'events.tsv'} line 2: ")
 
 
-def test_float_fallback_of_older_numpy_is_rejected(toy_run, tmp_path, monkeypatch):
-    # NumPy releases with the deprecated float fallback read "3.0" as 3 and
-    # only warn; this stand-in does the same, wrapping a raised warning the
-    # way loadtxt wraps any conversion error.
-    def loadtxt(lines, dtype, delimiter, usecols, comments, ndmin):
-        rows = []
-        for r, line in enumerate(lines):
-            cells = line.rstrip("\n").split(delimiter)
-            for c in usecols:
-                if cells[c].isdigit():
-                    continue
-                try:
-                    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                                  DeprecationWarning)
-                except DeprecationWarning as exc:
-                    raise ValueError(
-                        f"could not convert string {cells[c]!r} to int64 at row {r}, column {c + 1}."
-                    ) from exc
-            rows.append([int(float(cells[c])) for c in usecols])
-        return np.array(rows, dtype=dtype).reshape(-1, len(usecols))
-
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
-    assert READERS["events.tsv"](toy_run).n > 0  # the stand-in reads plain integers
-    pos_w = (toy_run / "events.tsv").read_text(encoding="utf-8").splitlines()[1].split("\t")[5]
-    d = _with_event_cell(toy_run, tmp_path / "run", 5, f"{pos_w}.0")  # the same value as a float
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ValueError, match=f"'{pos_w}.0'") as err:
-            READERS["events.tsv"](d)
-    assert str(err.value).startswith(f"{d / 'events.tsv'} line 2: ")
-
-
 def test_cli_rejects_a_float_event_value(toy_run, tmp_path):
     # A real `coocstat metrics` process, with Python's default warning filters.
     d = _with_event_cell(toy_run, tmp_path / "run", 4, "5.0")
@@ -375,3 +365,133 @@ def test_cli_rejects_a_float_event_value(toy_run, tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {d / 'events.tsv'} line 2: ")
+
+
+_FIELDS = st.one_of(
+    st.integers(-(2 ** 64), 2 ** 64).map(str),
+    st.integers(-(2 ** 64), 2 ** 64).map(lambda n: f"{n:025d}"),
+    st.text(alphabet="0123456789-+ x\u0665\r", max_size=25),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(column=st.lists(_FIELDS, max_size=30))
+def test_int64s_matches_the_per_field_rule(column):
+    faults = tsv.Faults("x")
+    values = tsv.int64s(column, faults)
+    assert (values.tolist(), faults.found) == reference.int64s(column)
+
+
+def _toy_key(toy_run: Path):
+    """The toy run's pair lookup that `read_observations` gives `read_keyed_ints`."""
+    obs = (toy_run / "observations.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    index = {"\t".join(line.split("\t")[:4]): i for i, line in enumerate(obs)}
+
+    def key(text: str) -> int:
+        if text not in index:
+            raise ValueError("event for unknown pair")
+        return index[text]
+
+    return key
+
+
+def _event_mutations(text: str, seed: int = 16) -> list[tuple[str, bytes]]:
+    """About 200 seeded mutations of an events.tsv text, each named."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    data = text.encode("utf-8")
+
+    def joined(new: list[str]) -> bytes:
+        return "".join(f"{line}\n" for line in new).encode("utf-8")
+
+    cases = []
+    for _ in range(40):
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        cases.append(("byte-flip", bytes(flipped)))
+    cases += [("truncated", data[:rng.randrange(len(data))]) for _ in range(10)]
+    for _ in range(15):
+        row = rng.randrange(1, len(lines))
+        cases.append(("dropped-line", joined(lines[:row] + lines[row + 1:])))
+        cases.append(("duplicated-line", joined(lines[:row] + lines[row - 1:])))
+        a, b = sorted(rng.sample(range(1, len(lines)), 2))
+        cases.append(("swapped-lines", joined(
+            lines[:a] + [lines[b]] + lines[a + 1:b] + [lines[a]] + lines[b + 1:]
+        )))
+    for _ in range(10):
+        row = rng.randrange(1, len(lines))
+        cases.append(("blank-line", joined(lines[:row] + [""] + lines[row:])))
+        extra = lines[row] + "\t" + rng.choice(("0", "x", ""))
+        cases.append(("extra-field", joined(lines[:row] + [extra] + lines[row + 1:])))
+        short = lines[row].rsplit("\t", 1)[0]
+        cases.append(("missing-field", joined(lines[:row] + [short] + lines[row + 1:])))
+    # Integer fields respelled or set, and an unknown pair alone and on a
+    # line whose integer is also out of range, which is the fault named.
+    respellings = [(form, None, spell) for form, spell in NON_DECIMAL.items()] + [
+        (value, None, lambda text, value=value: value) for value in (
+            "1000000000000000000", str(2 ** 63 - 1), "0" * 24 + "1", str(2 ** 63),
+            str(-(2 ** 63)), str(-(2 ** 63) - 1), "-0", "-", "", "1.0",
+        )
+    ] + [
+        ("unknown-pair", "nosuchlemma", str),
+        ("unknown-pair-out-of-range", "nosuchlemma", lambda text: str(2 ** 63)),
+    ]
+    for form, lemma, spell in respellings:
+        for _ in range(3):
+            row, column = rng.randrange(1, len(lines)), rng.randrange(4, 7)
+            fields = lines[row].split("\t")
+            fields[0] = lemma or fields[0]
+            fields[column] = spell(fields[column])
+            cases.append((form, joined(lines[:row] + ["\t".join(fields)] + lines[row + 1:])))
+    cases += [("crlf", data.replace(b"\n", b"\r\n")), ("no-final-newline", data[:-1])]
+    cases += [(f"{name}-crlf", case.replace(b"\n", b"\r\n")) for name, case in rng.sample(cases, 10)]
+    cases += [(f"{name}-no-final-newline", case.rstrip(b"\n")) for name, case in rng.sample(cases, 10)]
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, 64, tsv._BLOCK])
+def test_events_reader_matches_the_reference(toy_run, tmp_path, monkeypatch, block):
+    # A block of 1 or 64 characters splits lines and runs across blocks and
+    # puts most faults in a later block than the first.
+    monkeypatch.setattr(tsv, "_BLOCK", block)
+    key, path = _toy_key(toy_run), str(tmp_path / "events.tsv")
+    outcomes = set()
+    for name, data in _event_mutations((toy_run / "events.tsv").read_text(encoding="utf-8")):
+        (tmp_path / "events.tsv").write_bytes(data)
+        try:
+            want = reference.read_events(path, counting.EVENTS, 4, key)
+        except ValueError as exc:
+            want = str(exc)
+        faults = tsv.Faults(path)
+        try:
+            pair, ints = tsv.read_keyed_ints(path, counting.EVENTS, 4, key, faults)
+            got = (pair.tolist(), ints.tolist(), faults.found[0] if faults.found else None)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, name
+        outcomes.add("raised" if isinstance(want, str) else "fault" if want[2] else "read")
+    assert outcomes == {"raised", "fault", "read"}
+
+
+@pytest.mark.parametrize("block", [64, tsv._BLOCK])
+def test_clean_count_dir_reads_without_per_line_python(toy_run, monkeypatch, block):
+    # No integer field goes through `_decimal`, `key` is called once per run
+    # of lines of one pair, also where a run spans blocks, and rows written
+    # in pair and sentence order are not sorted.
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on a clean count directory")
+
+    monkeypatch.setattr(tsv, "_BLOCK", block)
+    monkeypatch.setattr(tsv, "_decimal", refuse)
+    monkeypatch.setattr(np, "lexsort", refuse)
+    calls = []
+    read = tsv.read_keyed_ints
+
+    def counted(path, table, n_key, key, faults):
+        return read(path, table, n_key, lambda text: calls.append(text) or key(text), faults)
+
+    monkeypatch.setattr(counting, "read_keyed_ints", counted)
+    result = READERS["events.tsv"](toy_run)
+    runs = [p for p, o_wv in zip(result.pairs, result.cells[:, 0].tolist()) if o_wv]
+    assert calls == ["\t".join(lexicon.pair_fields(p)[:4]) for p in runs]
+    assert len(calls) < len(result.events)
