@@ -31,7 +31,9 @@ import numpy as np
 from coocstat.corpus import (
     CONTENT_POS, Corpus, LemmaKey, PairUniverse, Sentence, as_corpus, sorted_unique,
 )
-from coocstat.lexicon import PAIRS, LemmaPair, pair_fields, pair_name, pairs_from_columns
+from coocstat.lexicon import (
+    PAIRS, LemmaPair, pair_fields, pair_keys, pair_name, pairs_from_columns,
+)
 from coocstat.tsv import Faults, Table, int64s, read_columns, read_keyed_ints, write_table
 
 
@@ -385,8 +387,7 @@ def _observations_from_columns(
     """The pairs of an observations table, their key fields joined by tabs,
     their `(P, 4)` cells and the count's `n`."""
     pairs = pairs_from_columns(columns, faults)
-    keys = list(map("\t".join, zip(*columns[:4])))
-    faults.repeats(keys, lambda key: "duplicate pair " + key.replace("\t", " "))
+    keys = pair_keys(columns, faults)
     cells = [int64s(columns.pop(5), faults) for _ in range(5)]  # freeing each text column
     rows = min(map(len, cells))
     cells, n = np.stack([c[:rows] for c in cells[:4]], axis=1), cells[4][:rows]

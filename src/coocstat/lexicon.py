@@ -522,6 +522,14 @@ def pairs_from_columns(columns: Sequence[list[str]], faults: Faults) -> list[Lem
     ]
 
 
+def pair_keys(columns: Sequence[list[str]], faults: Faults) -> list[str]:
+    """The four key fields of each row of a pair file, joined by tabs,
+    adding the first row whose pair an earlier row already has."""
+    keys = list(map("\t".join, zip(*columns[:4])))
+    faults.repeats(keys, lambda key: "duplicate pair " + key.replace("\t", " "))
+    return keys
+
+
 def write_pairs(pairs: Iterable[LemmaPair], path: str) -> None:
     write_table(path, PAIRS, map(pair_fields, pairs))
 

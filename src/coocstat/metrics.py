@@ -13,9 +13,9 @@ import numpy as np
 
 from coocstat.corpus import CONTENT_POS
 from coocstat.counting import ContingencyTable, CooccurrenceEvent, CountResult, PairObservations
-from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, check_labels, pair_name
+from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, check_labels, pair_keys, pair_name
 from coocstat.stats import binom_test_two_sided, chi2_sf
-from coocstat.tsv import Faults, Table, convert, int64s, read_columns, write_table
+from coocstat.tsv import Faults, Table, float64s, int64s, read_columns, write_table
 
 
 DEFAULT_ALPHA = 0.01
@@ -239,7 +239,7 @@ def _pair_stats(
         raise UndefinedMetricError(f"pair {pair_name(pair)}: {exc}") from None
     stats = PairStats(
         g2=g2,
-        g2_significant=chi2_sf(g2, 1.0) < alpha,
+        g2_significant=chi2_sf(g2) < alpha,
         order_score=0.0,
         has_preferred_order=False,
         order_p=None,
@@ -394,21 +394,6 @@ def write_pair_stats(table: StatsTable, path: str) -> None:
     write_table(path, STATS, zip(*columns))
 
 
-def _opt_float(text: str) -> float:
-    return float(text) if text else math.nan
-
-
-def _floats(column: Sequence[str], faults: Faults, optional: bool = False) -> np.ndarray:
-    """A float column; NaN stands for an empty field where it is `optional`,
-    so a field that reads as NaN is rejected."""
-    values = np.array(convert(column, _opt_float if optional else float, faults))
-    nan = np.isnan(values)
-    if optional:
-        nan &= np.fromiter(map(bool, column), dtype=bool, count=len(values))
-    faults.where(nan, lambda row: f"not a number: {column[row]!r}")
-    return values
-
-
 _FLAG = {"0": False, "1": True}
 _OPT_FLAG = {"": -1, "0": 0, "1": 1}
 
@@ -429,10 +414,7 @@ def _table_from_columns(columns: list[list[str]], faults: Faults) -> StatsTable:
     (lemma_w, lemma_v, pos, relation, g2, g2_sig, order_score, order_pref, order_p,
      mean_dist, n_cooc, head, asym_score, asym_pref, asym_p, pmi) = columns
     check_labels((pos, relation, head), faults)
-    faults.repeats(
-        list(map("\t".join, zip(lemma_w, lemma_v, pos, relation))),
-        lambda key: "duplicate pair " + key.replace("\t", " "),
-    )
+    pair_keys(columns, faults)
     counts = int64s(n_cooc, faults)
     faults.where(counts < 0, lambda row: "negative n_cooc")
     # `compute_pair_stats` gives order_p and mean_dist exactly when n_cooc > 0.
@@ -448,12 +430,12 @@ def _table_from_columns(columns: list[list[str]], faults: Faults) -> StatsTable:
     )
     return StatsTable(
         lemma_w, lemma_v, pos, relation,
-        _floats(g2, faults), _flags(g2_sig, faults),
-        _floats(order_score, faults), _flags(order_pref, faults),
-        _floats(order_p, faults, optional=True), _floats(mean_dist, faults, optional=True),
+        float64s(g2, faults), _flags(g2_sig, faults),
+        float64s(order_score, faults), _flags(order_pref, faults),
+        float64s(order_p, faults, optional=True), float64s(mean_dist, faults, optional=True),
         counts, head,
-        _floats(asym_score, faults, optional=True), _flags(asym_pref, faults, optional=True),
-        _floats(asym_p, faults, optional=True), _floats(pmi, faults, optional=True),
+        float64s(asym_score, faults, optional=True), _flags(asym_pref, faults, optional=True),
+        float64s(asym_p, faults, optional=True), float64s(pmi, faults, optional=True),
     )
 
 

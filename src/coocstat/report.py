@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS
-from coocstat.lexicon import RELATIONS, DerivedPair, LemmaPair
+from coocstat.lexicon import RELATIONS, DerivedPair, pair_fields
 from coocstat.metrics import DEFAULT_ALPHA, StatsTable, check_alpha
 from coocstat.stats import TestResult, brunner_munzel, sequential_sum
 
@@ -29,10 +29,6 @@ METRICS = ("g2", "order", "distance")
 def _mean(values: Sequence[float]) -> float | None:
     # Summed in sorted order so the result is exactly permutation-invariant.
     return sequential_sum(sorted(values)) / len(values) if values else None
-
-
-def pair_key(pair: LemmaPair) -> tuple[str, str, str, str]:
-    return (pair.w.lemma, pair.v.lemma, pair.w.pos, pair.relation)
 
 
 @dataclass
@@ -219,8 +215,8 @@ def derivation_persistence(
     significant = table.g2_sig.tolist()
     counts: dict[tuple[str, str, str, str], list[int]] = {}
     for d in derived:
-        orig_row = row_of.get(pair_key(d.original))
-        derv_row = row_of.get(pair_key(d.derived))
+        orig_row = row_of.get(pair_fields(d.original)[:4])
+        derv_row = row_of.get(pair_fields(d.derived)[:4])
         if orig_row is None or derv_row is None:
             continue
         if not significant[orig_row]:

@@ -1,18 +1,17 @@
 """Self-contained statistical primitives.
 
-The chi-square survival function (the closed form ``erfc(sqrt(x / 2))``
-for one degree of freedom, the regularized incomplete gamma function
-otherwise), an exact two-sided binomial test, midranks, and the
+The two tests the pipeline scores pairs with: the chi-square tail with
+one degree of freedom, the closed form ``erfc(sqrt(x / 2))``, and an
+exact two-sided binomial test against p = 1/2.  Also midranks and the
 Brunner-Munzel rank test (t-distribution tail via the regularized
-incomplete beta function).  The special functions are stdlib float
-arithmetic; midranks sort with NumPy and stay exact multiples of 1/2.
-Float sums are `sequential_sum`, which gives the same bits on every
-Python version.
+incomplete beta function, which also gives the binomial tail for large
+n).  The special functions are stdlib float arithmetic; midranks sort
+with NumPy and stay exact multiples of 1/2.  Float sums are
+`sequential_sum`, which gives the same bits on every Python version.
 
-The special functions follow the classic series/continued-fraction
-split (Lentz's method for the continued fractions) and are accurate to
-roughly 1e-14 relative, comfortably inside the 1e-10 contract the rest
-of the package relies on.
+The incomplete beta is the classic continued fraction (Lentz's method)
+and is accurate to roughly 1e-14 relative, comfortably inside the 1e-10
+contract the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -59,67 +58,17 @@ def sequential_sum(values: Sequence[float] | np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete gamma: P(s, x) and Q(s, x)
+# Chi-square tail with one degree of freedom
 
-def _gamma_p_series(s: float, x: float) -> float:
-    # Series expansion, converges fast for x < s + 1.
-    term = 1.0 / s
-    total = term
-    denom = s
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
+def chi2_sf(x: float) -> float:
+    """Upper-tail probability P(X >= x) for a chi-square variable with one
+    degree of freedom, ``erfc(sqrt(x / 2))``.
 
-def _gamma_q_cf(s: float, x: float) -> float:
-    # Continued fraction (modified Lentz), converges fast for x >= s + 1.
-    b = x + 1.0 - s
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def _reg_gamma_q(s: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(s, x) = 1 - P(s, x)."""
-    if x < 0 or s <= 0:
-        raise ValueError(f"invalid incomplete gamma arguments s={s}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _gamma_p_series(s, x)
-    return _gamma_q_cf(s, x)
-
-
-def chi2_sf(x: float, df: float) -> float:
-    """Upper-tail probability P(X >= x) for a chi-square variable.
-
-    Raises ValueError for x < 0 or df <= 0.
+    Raises ValueError for x < 0.
     """
-    if df <= 0:
-        raise ValueError(f"df must be positive, got {df}")
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
-    if df == 1.0:
-        return math.erfc(math.sqrt(x / 2.0))  # Q(1/2, x/2), exactly
-    return _reg_gamma_q(df / 2.0, x / 2.0)
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +147,7 @@ def t_sf_two_sided(t: float, df: float) -> float:
 # Exact binomial test
 
 def _binom_cdf_half(k: int, n: int) -> float:
-    """P(X <= k) for Binomial(n, 1/2)."""
-    if k < 0:
-        return 0.0
-    if k >= n:
-        return 1.0
+    """P(X <= k) for Binomial(n, 1/2), for 0 <= k < n."""
     if n <= 1024:
         # Exact integer arithmetic; the final division rounds correctly.
         total = 0
@@ -215,52 +160,19 @@ def _binom_cdf_half(k: int, n: int) -> float:
     return _reg_inc_beta(n - k, k + 1, 0.5)
 
 
-def binom_test_two_sided(k: int, n: int, p0: float = 0.5) -> TestResult:
-    """Exact two-sided binomial test of H0: success probability = p0.
+def binom_test_two_sided(k: int, n: int) -> TestResult:
+    """Exact two-sided binomial test of H0: success probability = 1/2.
 
-    Uses the minimum-likelihood method: the p-value sums P(X = i) over
-    every outcome i no more likely than the observed k.  For the
-    symmetric p0 = 0.5 case this reduces to the doubled smaller tail,
-    capped at 1, which is evaluated without enumeration.
+    The p-value is the doubled smaller tail, P(X <= min(k, n - k)) twice,
+    capped at 1; with p = 1/2 this equals the sum of P(X = i) over every
+    outcome i no more likely than the observed k.
     """
     if n < 1 or k < 0 or k > n:
         raise ValueError(f"invalid binomial test arguments k={k}, n={n}")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must be within [0, 1], got {p0}")
-
-    if p0 == 0.0:
-        return TestResult(float(k), 1.0 if k == 0 else 0.0)
-    if p0 == 1.0:
-        return TestResult(float(k), 1.0 if k == n else 0.0)
-
-    if p0 == 0.5:
-        if 2 * k == n:
-            return TestResult(float(k), 1.0)
-        tail = min(k, n - k)
-        p = min(1.0, 2.0 * _binom_cdf_half(tail, n))
-        return TestResult(float(k), p)
-
-    # General p0: O(n) enumeration of the pmf with a small relative
-    # tolerance so float noise cannot flip near-tied likelihoods.
-    log_p = math.log(p0)
-    log_q = math.log1p(-p0)
-
-    def log_pmf(i: int) -> float:
-        return (
-            math.lgamma(n + 1)
-            - math.lgamma(i + 1)
-            - math.lgamma(n - i + 1)
-            + i * log_p
-            + (n - i) * log_q
-        )
-
-    cutoff = log_pmf(k) + 1e-7
-    p = 0.0
-    for i in range(n + 1):
-        lp = log_pmf(i)
-        if lp <= cutoff:
-            p += math.exp(lp)
-    return TestResult(float(k), min(1.0, p))
+    if 2 * k == n:
+        return TestResult(float(k), 1.0)
+    p = min(1.0, 2.0 * _binom_cdf_half(min(k, n - k), n))
+    return TestResult(float(k), p)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ exactly their results.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -256,7 +258,8 @@ def mean_distance(events: Sequence[CooccurrenceEvent]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The integer columns and the `events.tsv` decoder, one field at a time
+# The integer and float columns and the `events.tsv` decoder, one field at
+# a time
 
 
 def _integer(text: str) -> int | None:
@@ -283,6 +286,30 @@ def int64s(column: Sequence[str]) -> tuple[list[int], list[tuple[int, str]]]:
         if not -(2 ** 63) <= value < 2 ** 63:
             faults.append((row, f"integer out of int64 range: {column[row]}"))
             return values[:row], faults
+    return values, faults
+
+
+_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")
+
+
+def float64s(
+    column: Sequence[str], optional: bool = False
+) -> tuple[list[float], list[tuple[int, str]]]:
+    """The floats of `column` before its first field that is not in the
+    float form of `repr`, or empty where `optional` (read as NaN), and the
+    faults found: that field, then the first value before it that is not
+    finite."""
+    values: list[float] = []
+    faults = []
+    for row, text in enumerate(column):
+        if not (_FLOAT.fullmatch(text) or optional and text == ""):
+            faults.append((row, f"not a number: {text!r}"))
+            break
+        values.append(float(text) if text else math.nan)
+    for row, value in enumerate(values):
+        if math.isinf(value):
+            faults.append((row, f"not a number: {column[row]!r}"))
+            break
     return values, faults
 
 

@@ -123,7 +123,7 @@ def test_criterion_2_null_calibration():
     rejections = sum(
         1
         for obs in result.observations.values()
-        if chi2_sf(g2_score(obs.table), 1.0) < 0.01
+        if chi2_sf(g2_score(obs.table)) < 0.01
     )
     elapsed = time.perf_counter() - started
     rate = rejections / n_pairs

@@ -1,7 +1,10 @@
 import gzip
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -594,3 +597,35 @@ def test_call_order_and_traced_functions(tmp_path, toy_paths, monkeypatch):
         "pairs": len(pairs_lines) - 1,
         "events": sum(manifest["counters"]["events"].values()),
     }
+
+
+def test_benchmark_tracer_runs_the_toy_all(tmp_path, toy_paths, toy_run):
+    """`perfbench/inproc.py setup` and `trace` as the benchmark runs them, in
+    their own processes.  The tracer hands the scan and the count a stream
+    of the `Sentence`s that `Corpus.__iter__` gives, which `as_corpus` turns
+    back into a `Corpus` with `Corpus.from_sentences`; the traced run still
+    writes the toy run's files."""
+    argv = [
+        "all", "--corpus", toy_paths["corpus"], "--lexicon", toy_paths["lexicon"],
+        "--derivations", toy_paths["derivations"], "--lemma-attrs", toy_paths["lemma_attrs"],
+        "--out", str(tmp_path / "all"), "--seed", "7", "--unr-n", "20",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    spans_path = tmp_path / "spans.json"
+    for mode in (["setup"], ["trace", str(spans_path)]):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "inproc.py"), *mode, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (mode[0], proc.stderr)
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    assert {"corpus.read", "counting.scan_universe", "counting.count_sharded"} <= {
+        span["name"] for span in spans
+    }
+    manifest = json.loads((tmp_path / "all" / "manifest.json").read_text(encoding="utf-8"))
+    counters = manifest["counters"]
+    reads = [span["counts"] for span in spans if span["name"] == "corpus.read"]
+    assert reads == [{"tokens": counters["tokens"], "sentences": counters["sentences"]}] * 2
+    traced, plain = read_all(tmp_path / "all"), read_all(toy_run)
+    del traced["manifest.json"], plain["manifest.json"]  # they name their own out_dir
+    assert traced == plain

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, strategies as st
 
 from coocstat.stats import (
     binom_test_two_sided,
     brunner_munzel,
-    _reg_gamma_q,
     chi2_sf,
     midranks,
     sequential_sum,
@@ -46,24 +46,22 @@ def relative_effect_oracle(x, y) -> float:
 
 class TestChi2Sf:
     def test_zero_gives_full_mass(self):
-        assert chi2_sf(0.0, 1.0) == 1.0
-        assert chi2_sf(0.0, 5.0) == 1.0
+        assert chi2_sf(0.0) == 1.0
 
     def test_published_quantiles(self):
-        assert chi2_sf(6.6349, 1.0) == pytest.approx(0.01, abs=1e-4)
-        assert chi2_sf(3.8415, 1.0) == pytest.approx(0.05, abs=1e-4)
+        assert chi2_sf(6.6349) == pytest.approx(0.01, abs=1e-4)
+        assert chi2_sf(3.8415) == pytest.approx(0.05, abs=1e-4)
 
     def test_against_scipy(self):
         rng = random.Random(1)
         for _ in range(300):
             x = rng.uniform(0.0, 80.0)
-            df = rng.choice([0.5, 1.0, 2.0, 3.0, 7.5, 20.0])
-            expected = scipy.stats.chi2.sf(x, df)
-            assert chi2_sf(x, df) == pytest.approx(expected, rel=1e-10, abs=1e-13)
+            expected = scipy.stats.chi2.sf(x, 1)
+            assert chi2_sf(x) == pytest.approx(expected, rel=1e-10, abs=1e-13)
 
     def test_strictly_decreasing(self):
         xs = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0]
-        values = [chi2_sf(x, 1.0) for x in xs]
+        values = [chi2_sf(x) for x in xs]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_quantile_round_trip(self):
@@ -72,27 +70,25 @@ class TestChi2Sf:
             lo, hi = 0.0, 1e4
             for _ in range(200):
                 mid = (lo + hi) / 2
-                if chi2_sf(mid, 1.0) > q:
+                if chi2_sf(mid) > q:
                     lo = mid
                 else:
                     hi = mid
-            assert chi2_sf((lo + hi) / 2, 1.0) == pytest.approx(q, rel=1e-8)
+            assert chi2_sf((lo + hi) / 2) == pytest.approx(q, rel=1e-8)
 
     def test_one_df_closed_form_matches_incomplete_gamma(self):
-        # erfc(sqrt(x / 2)) against Q(1/2, x / 2), through the alpha = 0.05
-        # and 0.01 critical values out to the smallest normal floats (x = 1400
-        # gives 2e-306), and both underflow to 0 by x = 1500.
+        # erfc(sqrt(x / 2)) against SciPy's Q(1/2, x / 2), through the
+        # alpha = 0.05 and 0.01 critical values out to the smallest normal
+        # floats (x = 1400 gives 2e-306), and both underflow to 0 by x = 1500.
         xs = [3.8415, 6.6349, 1e-12, 1e-6, *np.linspace(0.0, 1400.0, 5601).tolist()]
         for x in xs:
-            expected = _reg_gamma_q(0.5, x / 2.0)
-            assert chi2_sf(x, 1.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert chi2_sf(1500.0, 1.0) == _reg_gamma_q(0.5, 750.0) == 0.0
+            expected = scipy.special.gammaincc(0.5, x / 2.0)
+            assert chi2_sf(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert chi2_sf(1500.0) == scipy.special.gammaincc(0.5, 750.0) == 0.0
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
-            chi2_sf(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            chi2_sf(1.0, 0.0)
+            chi2_sf(-1.0)
 
 
 class TestStudentTail:
@@ -131,13 +127,6 @@ class TestBinomTest:
             expected = scipy.stats.binomtest(k, n, 0.5).pvalue
             assert binom_test_two_sided(k, n).p_value == pytest.approx(
                 expected, rel=1e-9
-            )
-
-    def test_general_p0_against_scipy(self):
-        for k, n, p0 in ((3, 20, 0.3), (17, 20, 0.8), (0, 15, 0.1), (9, 30, 0.25)):
-            expected = scipy.stats.binomtest(k, n, p0).pvalue
-            assert binom_test_two_sided(k, n, p0).p_value == pytest.approx(
-                expected, rel=1e-8
             )
 
     @given(st.integers(min_value=1, max_value=200), st.data())
@@ -269,7 +258,7 @@ class TestNullCalibration:
     def test_chi2_on_squared_normals(self):
         rng = np.random.Generator(np.random.PCG64(10))
         z = rng.standard_normal(N_TRIALS)
-        rejections = sum(1 for v in z * z if chi2_sf(float(v), 1.0) < ALPHA)
+        rejections = sum(1 for v in z * z if chi2_sf(float(v)) < ALPHA)
         rate = rejections / N_TRIALS
         assert 0.005 <= rate <= 0.015, rate
 

@@ -106,6 +106,19 @@ NON_DECIMAL = {
 }
 
 
+# Fields that `float` reads as a number and no table takes: not finite, or
+# not in the form `repr` writes.
+NON_FLOAT = {
+    "inf": "inf",
+    "overflowing": "1e400",
+    "infinity": "Infinity",
+    "padded": " 60.07",
+    "underscore": "6_0.07",
+    "plus-sign": "+60.07",
+    "arabic-indic-digits": "١٢",
+}
+
+
 def _repeat_first_row(lines: list[str]) -> list[str]:
     return lines[:2] + lines[1:]
 
@@ -178,6 +191,11 @@ CASES = [
         _edit_row(lambda f: "\t".join(f[:-1]), index=2),
     ), 2) for name, (column, value) in BAD_CELL.items()],
     ("nan-value", ["stats.tsv"], _set_field(4, "nan"), 2),
+    # In g2, and in order_p, where an empty field is allowed.
+    *[(f"{form}-float", ["stats.tsv"], _set_field(4, value), 2)
+      for form, value in NON_FLOAT.items()],
+    *[(f"{form}-optional-float", ["stats.tsv"], _set_field(8, value), 2)
+      for form, value in NON_FLOAT.items()],
     ("negative-count", ["stats.tsv"], _set_field(10, "-1"), 2),
     # Lemma frequencies: counts >= 0, a lemma and PoS listed once, and a
     # PoS that `scan_corpus` counts.
@@ -382,6 +400,35 @@ def test_int64s_matches_the_per_field_rule(column):
     assert (values.tolist(), faults.found) == reference.int64s(column)
 
 
+_FLOAT_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([
+        "", "1e400", "-1e400", "nan", "inf", "-0", "007", "1.5e-05", "1.5.5", "1e+5e+5",
+        "1e+5.5", "1.e+5", ".5", "5.", "1e5", "-.5", "1e-", "--1", "1-",
+    ]),
+    st.text(alphabet="0123456789-+.eE_ \u0665\r", max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column=st.lists(_FLOAT_FIELDS, max_size=30), optional=st.booleans())
+def test_float64s_matches_the_per_field_rule(column, optional):
+    faults = tsv.Faults("x")
+    values = tsv.float64s(column, faults, optional)
+    want, want_faults = reference.float64s(column, optional)
+    assert values.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert faults.found == want_faults
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+def test_every_finite_float_reads_back(floats):
+    # `write_pair_stats` writes a float as its `repr`.
+    faults = tsv.Faults("x")
+    values = tsv.float64s(list(map(repr, floats)), faults)
+    assert not faults.found
+    assert values.tobytes() == np.array(floats, dtype=np.float64).tobytes()
+
+
 def _toy_key(toy_run: Path):
     """The toy run's pair lookup that `read_observations` gives `read_keyed_ints`."""
     obs = (toy_run / "observations.tsv").read_text(encoding="utf-8").splitlines()[1:]
@@ -395,36 +442,75 @@ def _toy_key(toy_run: Path):
     return key
 
 
+def _joined(lines: list[str]) -> bytes:
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
+# Odd values for one field: the spellings that the tables reject, and
+# values out of any column's range.
+ODD_FIELDS = (
+    *NON_FLOAT.values(),
+    *(spell("7") for spell in NON_DECIMAL.values()),
+    "", "x", "-1", "nan", str(2 ** 63), "NOUN",
+)
+
+
+def byte_mutations(
+    data: bytes, rng: random.Random, flips: int, cuts: int
+) -> list[tuple[str, bytes]]:
+    """`flips` seeded copies of `data` with one byte flipped, then `cuts`
+    cut short, each named."""
+    cases = []
+    for _ in range(flips):
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        cases.append(("byte-flip", bytes(flipped)))
+    return cases + [("truncated", data[:rng.randrange(len(data))]) for _ in range(cuts)]
+
+
+def mutations(
+    text: str, rng: random.Random, flips: int, cuts: int, line_edits: int, field_edits: int,
+    odd_fields: int = 0,
+) -> list[tuple[str, bytes]]:
+    """Seeded mutations of the lines of a text file, each named: the
+    `byte_mutations` of its UTF-8 bytes, `line_edits` each of a line
+    dropped, a line repeated and two lines swapped, `field_edits` each of a
+    blank line inserted, a field added and the last field taken away, and
+    `odd_fields` fields set to one of `ODD_FIELDS`.  The lines edited are
+    picked from the second on."""
+    lines = text.splitlines()
+    cases = byte_mutations(text.encode("utf-8"), rng, flips, cuts)
+
+    def edited(row: int, line: str) -> bytes:
+        return _joined(lines[:row] + [line] + lines[row + 1:])
+
+    for _ in range(line_edits):
+        row = rng.randrange(1, len(lines))
+        cases.append(("dropped-line", _joined(lines[:row] + lines[row + 1:])))
+        cases.append(("duplicated-line", _joined(lines[:row] + lines[row - 1:])))
+        a, b = sorted(rng.sample(range(1, len(lines)), 2))
+        cases.append(("swapped-lines", _joined(
+            lines[:a] + [lines[b]] + lines[a + 1:b] + [lines[a]] + lines[b + 1:]
+        )))
+    for _ in range(field_edits):
+        row = rng.randrange(1, len(lines))
+        cases.append(("blank-line", _joined(lines[:row] + [""] + lines[row:])))
+        cases.append(("extra-field", edited(row, lines[row] + "\t" + rng.choice(("0", "x", "")))))
+        cases.append(("missing-field", edited(row, lines[row].rsplit("\t", 1)[0])))
+    for _ in range(odd_fields):
+        row = rng.randrange(1, len(lines))
+        fields = lines[row].split("\t")
+        fields[rng.randrange(len(fields))] = rng.choice(ODD_FIELDS)
+        cases.append(("odd-field", edited(row, "\t".join(fields))))
+    return cases
+
+
 def _event_mutations(text: str, seed: int = 16) -> list[tuple[str, bytes]]:
     """About 200 seeded mutations of an events.tsv text, each named."""
     rng = random.Random(seed)
     lines = text.splitlines()
     data = text.encode("utf-8")
-
-    def joined(new: list[str]) -> bytes:
-        return "".join(f"{line}\n" for line in new).encode("utf-8")
-
-    cases = []
-    for _ in range(40):
-        flipped = bytearray(data)
-        flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
-        cases.append(("byte-flip", bytes(flipped)))
-    cases += [("truncated", data[:rng.randrange(len(data))]) for _ in range(10)]
-    for _ in range(15):
-        row = rng.randrange(1, len(lines))
-        cases.append(("dropped-line", joined(lines[:row] + lines[row + 1:])))
-        cases.append(("duplicated-line", joined(lines[:row] + lines[row - 1:])))
-        a, b = sorted(rng.sample(range(1, len(lines)), 2))
-        cases.append(("swapped-lines", joined(
-            lines[:a] + [lines[b]] + lines[a + 1:b] + [lines[a]] + lines[b + 1:]
-        )))
-    for _ in range(10):
-        row = rng.randrange(1, len(lines))
-        cases.append(("blank-line", joined(lines[:row] + [""] + lines[row:])))
-        extra = lines[row] + "\t" + rng.choice(("0", "x", ""))
-        cases.append(("extra-field", joined(lines[:row] + [extra] + lines[row + 1:])))
-        short = lines[row].rsplit("\t", 1)[0]
-        cases.append(("missing-field", joined(lines[:row] + [short] + lines[row + 1:])))
+    cases = mutations(text, rng, flips=40, cuts=10, line_edits=15, field_edits=10)
     # Integer fields respelled or set, and an unknown pair alone and on a
     # line whose integer is also out of range, which is the fault named.
     respellings = [(form, None, spell) for form, spell in NON_DECIMAL.items()] + [
@@ -442,7 +528,7 @@ def _event_mutations(text: str, seed: int = 16) -> list[tuple[str, bytes]]:
             fields = lines[row].split("\t")
             fields[0] = lemma or fields[0]
             fields[column] = spell(fields[column])
-            cases.append((form, joined(lines[:row] + ["\t".join(fields)] + lines[row + 1:])))
+            cases.append((form, _joined(lines[:row] + ["\t".join(fields)] + lines[row + 1:])))
     cases += [("crlf", data.replace(b"\n", b"\r\n")), ("no-final-newline", data[:-1])]
     cases += [(f"{name}-crlf", case.replace(b"\n", b"\r\n")) for name, case in rng.sample(cases, 10)]
     cases += [(f"{name}-no-final-newline", case.rstrip(b"\n")) for name, case in rng.sample(cases, 10)]
