@@ -129,13 +129,12 @@ def extract_pairs(
 def sample_unr_pairs(
     scan: counting.UniverseScan,
     raw: list[lexicon.LexiconEntry],
-    meta: dict[corpus.LemmaKey, lexicon.LemmaMeta],
     n: int,
     seed: int,
 ) -> list[lexicon.LemmaPair]:
     """Sample `n` co-occurring pairs that the lexicon does not relate."""
     return lexicon.sample_unrelated(
-        scan.pairs, lexicon.related_pair_set(raw), n, seed, scan.freqs, meta
+        scan.pairs, lexicon.related_pair_set(raw), n, seed, scan.freqs
     )
 
 
@@ -193,8 +192,8 @@ def run_sample_unrelated(args: argparse.Namespace) -> int:
     raw = lexicon.load_lexicon(args.lexicon)
     meta = load_meta(args.lemma_attrs, raw)
     corp = corpus.read_corpus(args.corpus, args.min_sentence_len)
-    scan = counting.scan_corpus(corp, collect_pairs=True, vocab=set(meta))
-    sampled = sample_unr_pairs(scan, raw, meta, args.n, args.seed)
+    scan = counting.scan_corpus(corp, collect_pairs=True, vocab=lexicon.control_lemmas(meta))
+    sampled = sample_unr_pairs(scan, raw, args.n, args.seed)
     lexicon.write_pairs(sampled, args.out)
     print(f"unrelated pairs sampled: {len(sampled)} -> {args.out}")
     return 0
@@ -264,12 +263,12 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         raw, filtered = load_entries(config.lexicon, config.verb_classes)
         meta = load_meta(config.lemma_attrs, raw)
         corp = corpus.read_corpus(config.corpus, config.min_sentence_len)
-        scan = counting.scan_corpus(corp, collect_pairs=True, vocab=set(meta))
+        scan = counting.scan_corpus(corp, collect_pairs=True, vocab=lexicon.control_lemmas(meta))
         counting.write_lemma_freqs(scan.freqs, str(out / "corpus_freqs.tsv"))
         extracted = extract_pairs(filtered, scan.freqs, config.derivations)
         _write_json(out / "filter_counts.json", extracted.counts)
     with _stage("sample-unrelated"):
-        unr = sample_unr_pairs(scan, raw, meta, config.unr_n, config.seed)
+        unr = sample_unr_pairs(scan, raw, config.unr_n, config.seed)
 
     all_pairs = extracted.pairs + unr
     lexicon.write_pairs(all_pairs, str(out / "pairs.tsv"))

@@ -185,6 +185,11 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.sentence_ids)
 
+    @cached_property
+    def key_ids(self) -> dict[LemmaKey, int]:
+        """The id of each key, built once per corpus."""
+        return dict(zip(self.keys, range(len(self.keys))))
+
     @property
     def n_yielded(self) -> int:
         """The number of sentences: the corpus size N of all statistics."""
@@ -326,12 +331,16 @@ class PairUniverse(Set):
 
     With `keys` in ``(pos, lemma)`` order, code order is the order of
     ``(pos, lemma_a, lemma_b)``.  Iteration yields ``(LemmaKey, LemmaKey)``
-    tuples, so a universe equals the set of those tuples.
+    tuples, so a universe equals the set of those tuples.  `key_ids` maps
+    each key to its id.
     """
 
-    def __init__(self, keys: Sequence[LemmaKey], codes: np.ndarray):
+    def __init__(
+        self, keys: Sequence[LemmaKey], codes: np.ndarray, key_ids: dict[LemmaKey, int]
+    ):
         self.keys = keys
         self.codes = codes
+        self.key_ids = key_ids
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[LemmaKey, LemmaKey]]) -> PairUniverse:
@@ -342,11 +351,7 @@ class PairUniverse(Set):
         codes = [
             min(ids[a], ids[b]) * len(keys) + max(ids[a], ids[b]) for a, b in kept
         ]
-        return cls(keys, sorted_unique(np.array(codes, dtype=np.int64)))
-
-    @cached_property
-    def key_ids(self) -> dict[LemmaKey, int]:
-        return {k: i for i, k in enumerate(self.keys)}
+        return cls(keys, sorted_unique(np.array(codes, dtype=np.int64)), ids)
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -193,10 +193,9 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
     corpus = as_corpus(sentences)
     pairs = _dedupe(pairs)
     n, size = len(corpus), len(corpus.keys)
-    ids = dict(zip(corpus.keys, range(size)))
     keys = [k for p in pairs for k in (p.w, p.v)]
     key_of = np.fromiter(
-        map(ids.get, keys, itertools.repeat(size)), dtype=np.int64, count=len(keys)
+        map(corpus.key_ids.get, keys, itertools.repeat(size)), dtype=np.int64, count=len(keys)
     ).reshape(-1, 2)
     # Rank the pairs' keys densely; a key absent from the corpus, and every
     # token of a key no pair has, gets the empty rank `n_ranks`.
@@ -331,7 +330,7 @@ def scan_corpus(
     if collect_pairs:
         codes = np.concatenate(found)
         found.clear()  # free the parts before the sort copies `codes`
-        pairs = PairUniverse(keys, sorted_unique(codes))
+        pairs = PairUniverse(keys, sorted_unique(codes), corpus.key_ids)
     return UniverseScan(freqs, pairs, len(corpus))
 
 

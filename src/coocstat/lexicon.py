@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS, VERB, LemmaKey, PairUniverse
-from coocstat.tsv import Faults, Table, read_columns, read_rows, write_table
+from coocstat.tsv import Faults, Table, decimal, read_columns, read_rows, write_table
 
 ANT = "ANT"
 SYN = "SYN"
@@ -216,20 +216,16 @@ def orient_pairs(
 # ---------------------------------------------------------------------------
 # Unrelated control pairs
 
-def _meta_ok(key: LemmaKey, lemma_meta: Mapping[LemmaKey, LemmaMeta]) -> bool:
-    """The per-lemma half of the related-pair filters: a control pair
-    passes when both of its (same-PoS) lemmas do."""
-    meta = lemma_meta.get(key)
-    return (
-        meta is not None
-        and not meta.flags & _UNIT_FLAGS
-        and meta.wn_freq > 1
-        and not (key.pos == VERB and meta.flags & _VERB_CLASS_FLAGS)
-    )
-
-
-# Universe codes per chunk of the meta check, which bounds its scratch arrays.
-_META_CHUNK = 1 << 18
+def control_lemmas(meta: Mapping[LemmaKey, LemmaMeta]) -> set[LemmaKey]:
+    """The lemmas an unrelated control pair may hold: those whose attributes
+    pass the per-lemma half of exclusion rules 1, 2 and 4, so that a pair
+    of two of them passes those rules as a related entry would."""
+    return {
+        key for key, (wn_freq, flags) in meta.items()
+        if not flags & _UNIT_FLAGS
+        and wn_freq > 1
+        and not (key.pos == VERB and flags & _VERB_CLASS_FLAGS)
+    }
 
 
 def sample_unrelated(
@@ -238,16 +234,14 @@ def sample_unrelated(
     n: int,
     seed: int,
     corpus_freq: Mapping[LemmaKey, int],
-    lemma_meta: Mapping[LemmaKey, LemmaMeta] | None = None,
 ) -> list[LemmaPair]:
     """Sample n unrelated same-PoS pairs, uniformly without replacement.
 
-    The candidate universe is the given co-occurring pairs minus anything
-    related in the lexicon; when `lemma_meta` is supplied the same
-    flag/frequency checks used on related pairs are applied (pairs with
-    unknown lemmas are excluded).  Sampling is a partial Fisher-Yates
-    shuffle over the canonically sorted universe, driven by a PCG64
-    generator, so a fixed seed always returns the same pairs.
+    The candidate universe is the given co-occurring pairs, all taken as
+    admissible (the CLI scans the corpus for pairs of `control_lemmas`
+    only), minus anything related in the lexicon.  Sampling is a partial
+    Fisher-Yates shuffle over the canonically sorted universe, driven by a
+    PCG64 generator, so a fixed seed always returns the same pairs.
     """
     if n <= 0:
         raise ValueError(f"sample size must be positive, got {n}")
@@ -256,12 +250,6 @@ def sample_unrelated(
     keys, codes, size = corpus_pairs.keys, corpus_pairs.codes, len(corpus_pairs.keys)
     ids = corpus_pairs.key_ids
 
-    keep = np.ones(len(codes), dtype=bool)
-    if lemma_meta is not None:
-        ok = np.array([_meta_ok(k, lemma_meta) for k in keys], dtype=bool)
-        for i in range(0, len(codes), _META_CHUNK):
-            first, second = np.divmod(codes[i:i + _META_CHUNK], size)
-            keep[i:i + _META_CHUNK] = ok[first] & ok[second]
     related_codes = np.array([
         ids[a] * size + ids[b]
         for pos, lo, hi in related
@@ -271,8 +259,7 @@ def sample_unrelated(
     at = np.searchsorted(codes, related_codes)
     inside = at < len(codes)
     at = at[inside]
-    keep[at[codes[at] == related_codes[inside]]] = False
-    universe = codes[keep]
+    universe = np.delete(codes, at[codes[at] == related_codes[inside]])
 
     k = min(n, len(universe))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -353,10 +340,12 @@ def _parse_flags(text: str) -> frozenset[str]:
 
 
 def _count(text: str) -> int:
-    return int(text) if text else 0
+    return decimal(text) if text else 0
 
 
 def _lemma_key(lemma: str, pos: str) -> LemmaKey:
+    if not lemma:
+        raise ValueError("empty lemma")
     pos = pos.upper()
     if pos not in CONTENT_POS:
         raise ValueError(f"bad pos {pos!r}")
@@ -380,7 +369,7 @@ def _entry_from_fields(f: list[str]) -> LexiconEntry:
         raise ValueError("HYP needs path_length")
     if plen and relation != HYP:
         raise ValueError(f"path_length given for {relation}")
-    path_length = int(plen) if plen else None
+    path_length = decimal(plen) if plen else None
     if path_length is not None and path_length < 0:
         raise ValueError(f"path_length must be >= 0, got {path_length}")
     return LexiconEntry(
@@ -418,13 +407,20 @@ def load_derivations(path: str) -> list[DerivationLink]:
     return list(read_rows(path, 4, _link_from_fields))
 
 
-def _attrs_from_fields(f: list[str]) -> tuple[LemmaKey, LemmaMeta]:
-    return _lemma_key(f[0], f[1]), LemmaMeta(_count(f[2]), _parse_flags(f[3]))
+def _attrs_from_fields(f: list[str], seen: Container[LemmaKey]) -> tuple[LemmaKey, LemmaMeta]:
+    key = _lemma_key(f[0], f[1])
+    if key in seen:
+        raise ValueError(f"duplicate lemma {key.lemma} {key.pos}")
+    return key, LemmaMeta(_count(f[2]), _parse_flags(f[3]))
 
 
 def load_lemma_attrs(path: str) -> dict[LemmaKey, LemmaMeta]:
-    """Read per-lemma attributes: lemma pos wn_freq flags."""
-    return dict(read_rows(path, 4, _attrs_from_fields))
+    """Read per-lemma attributes: lemma pos wn_freq flags, one row per
+    case-folded ``lemma pos``."""
+    attrs: dict[LemmaKey, LemmaMeta] = {}
+    for key, meta in read_rows(path, 4, lambda f: _attrs_from_fields(f, attrs)):
+        attrs[key] = meta
+    return attrs
 
 
 def lemma_meta_from_entries(entries: Iterable[LexiconEntry]) -> dict[LemmaKey, LemmaMeta]:
@@ -445,6 +441,8 @@ _VERB_CLASS_NAMES = {
 
 
 def _verb_class_from_fields(f: list[str]) -> tuple[str, str]:
+    if not f[0]:
+        raise ValueError("empty lemma")
     if f[1] not in _VERB_CLASS_NAMES:
         raise ValueError(f"unknown verb class {f[1]!r} (choose from linking, aux, light)")
     return f[0].casefold(), _VERB_CLASS_NAMES[f[1]]

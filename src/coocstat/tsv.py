@@ -95,17 +95,17 @@ class Faults:
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
-def _decimal(text: str) -> int:
+def decimal(text: str) -> int:
     """`int` of ASCII digits after an optional ``-``, the one integer form
-    of every table (`int` alone also takes ``+``, ``_``, spaces and other
-    scripts' digits)."""
+    of every file the pipeline reads (`int` alone also takes ``+``, ``_``,
+    spaces and other scripts' digits)."""
     if not (text.removeprefix("-").isdigit() and text.isascii()):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
 
 def _ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, int]:
-    """The int64 values of the `_decimal` fields ``buf[start:end]`` of the
+    """The int64 values of the `decimal` fields ``buf[start:end]`` of the
     bytes `buf`, and how many come before the first that does not fit int64.
 
     Fields of up to 18 digits are read together, a digit place at a time;
@@ -130,7 +130,7 @@ def _ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarr
 
 def int64s(column: Sequence[str], faults: Faults) -> np.ndarray:
     """An int64 array of the integers of `column` before the first field
-    that is not a `_decimal` integer or does not fit int64.
+    that is not a `decimal` integer or does not fit int64.
 
     The fields are checked and read in NumPy from their text joined by
     newlines, after a leading one: a byte is a digit, a ``-`` that starts
@@ -146,7 +146,7 @@ def int64s(column: Sequence[str], faults: Faults) -> np.ndarray:
     if not good.all():
         rows = int(np.searchsorted(newlines, np.argmin(good))) - 1  # the bad byte's field
         try:
-            _decimal(column[rows])
+            decimal(column[rows])
         except ValueError as exc:
             faults.add(rows, str(exc))
     values, fit = _ints(buf, newlines[:rows] + 1, newlines[1:rows + 1])
@@ -258,7 +258,7 @@ def read_keyed_ints(
     too.  A file that is not UTF-8 is reported at its first such line.
     """
     width, n_int = len(table.columns), len(table.columns) - n_key
-    tail = "\t".join(["-?[0-9]+"] * n_int) + "\n"  # a line's integers, in `_decimal` form
+    tail = "\t".join(["-?[0-9]+"] * n_int) + "\n"  # a line's integers, in `decimal` form
     run = re.compile(f"((?:[^\t\n]*\t){{{n_key}}}){tail}(?:\\1{tail})*")
     run_keys: list[int] = []  # the key of each run of lines with equal key fields
     run_lines: list[int] = []  # and its number of lines

@@ -24,7 +24,6 @@ from coocstat.lexicon import (
     HYP,
     SYN,
     UNR,
-    LemmaMeta,
     LemmaPair,
     LexiconEntry,
     filter_pairs,
@@ -517,11 +516,10 @@ def test_criterion_9_invariance_suite():
             unordered_key(a, b) for a, b in universe if rng.random() < 0.3
         }
         freqs = {k: rng.randint(1, 50) for k in keys}
-        meta = {k: LemmaMeta(4, frozenset()) for k in keys}
         n_req = rng.randint(1, 30)
         seed = rng.randint(0, 10**6)
-        sample_a = sample_unrelated(universe, related, n_req, seed, freqs, meta)
-        sample_b = sample_unrelated(universe, related, n_req, seed, freqs, meta)
+        sample_a = sample_unrelated(universe, related, n_req, seed, freqs)
+        sample_b = sample_unrelated(universe, related, n_req, seed, freqs)
         if sample_a != sample_b:
             problems.append(f"sampling not deterministic (setup {i})")
         drawn = {unordered_key(p.w, p.v) for p in sample_a}

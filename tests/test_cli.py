@@ -99,7 +99,7 @@ class TestRunPipeline:
             "sentences_skipped": 8,
             "tokens": 2584,
             "vocabulary": 79,
-            "universe_pairs": 570,
+            "universe_pairs": 540,
             "events": {"ANT": 151, "HOL": 19, "HYP": 35, "SYN": 50, "UNR": 48},
         }
         event_rows = len((out / "events.tsv").read_text().splitlines()) - 1

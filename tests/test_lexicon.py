@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from coocstat.corpus import LemmaKey
 from coocstat.lexicon import (
     ANT,
+    FLAGS,
     HOL,
     HYP,
     SYN,
@@ -14,6 +16,7 @@ from coocstat.lexicon import (
     LemmaMeta,
     LexiconEntry,
     apply_verb_class_flags,
+    control_lemmas,
     derived_pairs,
     filter_pairs,
     lemma_meta_from_entries,
@@ -28,6 +31,7 @@ from coocstat.lexicon import (
 )
 from coocstat.cli import DEFAULT_VERB_CLASSES, main
 from conftest import TOY_PATHS, pair
+from test_tsv import NON_DECIMAL
 
 
 def entry(a, b, pos="NOUN", relation=ANT, head=None, plen=None,
@@ -196,33 +200,32 @@ class TestSampleUnrelated:
             for j in range(i + 1, n_lemmas)
         ]
         freqs = {k: 5 + i for i, k in enumerate(keys)}
-        meta = {k: LemmaMeta(4, frozenset()) for k in keys}
-        return corpus_pairs, freqs, meta
+        return corpus_pairs, freqs
 
     def test_deterministic_for_seed(self):
-        corpus_pairs, freqs, meta = self._universe()
-        first = sample_unrelated(corpus_pairs, set(), 10, 99, freqs, meta)
-        second = sample_unrelated(corpus_pairs, set(), 10, 99, freqs, meta)
+        corpus_pairs, freqs = self._universe()
+        first = sample_unrelated(corpus_pairs, set(), 10, 99, freqs)
+        second = sample_unrelated(corpus_pairs, set(), 10, 99, freqs)
         assert first == second
-        third = sample_unrelated(corpus_pairs, set(), 10, 100, freqs, meta)
+        third = sample_unrelated(corpus_pairs, set(), 10, 100, freqs)
         assert third != first
 
     def test_disjoint_from_related(self):
-        corpus_pairs, freqs, meta = self._universe(12)
+        corpus_pairs, freqs = self._universe(12)
         related = {unordered_key(a, b) for a, b in corpus_pairs[:30]}
-        sampled = sample_unrelated(corpus_pairs, related, 1000, 7, freqs, meta)
+        sampled = sample_unrelated(corpus_pairs, related, 1000, 7, freqs)
         sample_keys = {unordered_key(p.w, p.v) for p in sampled}
         assert sample_keys.isdisjoint(related)
         assert len(sampled) == len(corpus_pairs) - 30  # saturated
 
     def test_saturation_returns_universe(self):
-        corpus_pairs, freqs, meta = self._universe(4)  # 6 pairs
-        sampled = sample_unrelated(corpus_pairs, set(), 100, 1, freqs, meta)
+        corpus_pairs, freqs = self._universe(4)  # 6 pairs
+        sampled = sample_unrelated(corpus_pairs, set(), 100, 1, freqs)
         assert len(sampled) == 6
 
     def test_all_labeled_unr_and_oriented(self):
-        corpus_pairs, freqs, meta = self._universe(8)
-        sampled = sample_unrelated(corpus_pairs, set(), 10, 3, freqs, meta)
+        corpus_pairs, freqs = self._universe(8)
+        sampled = sample_unrelated(corpus_pairs, set(), 10, 3, freqs)
         for p in sampled:
             assert p.relation == UNR
             assert freqs[p.w] >= freqs[p.v]
@@ -237,18 +240,35 @@ class TestSampleUnrelated:
             keys[2]: LemmaMeta(1, frozenset()),          # low lexicon freq
             keys[3]: LemmaMeta(4, frozenset({"AUX_VERB"})),
         }
-        sampled = sample_unrelated(corpus_pairs, set(), 10, 5, freqs, meta)
+        admissible = control_lemmas(meta)
+        assert admissible == {keys[0], keys[1]}
+        corpus_pairs = [(a, b) for a, b in corpus_pairs if a in admissible and b in admissible]
+        sampled = sample_unrelated(corpus_pairs, set(), 10, 5, freqs)
         assert [(p.w.lemma, p.v.lemma) for p in sampled] == [("u0", "u1")]
+
+    def test_control_lemmas_match_the_related_pair_rules(self):
+        # A lemma is a control lemma exactly when an ANT entry with its
+        # attributes on both sides survives rules 1, 2 and 4 (rules 3 and 5
+        # never touch one ANT entry).
+        flag_sets = [frozenset()] + [
+            frozenset(c) for r in (1, 2) for c in itertools.combinations(sorted(FLAGS), r)
+        ]
+        for pos, wn_freq, flags in itertools.product(("NOUN", "VERB"), (0, 1, 2), flag_sets):
+            key = LemmaKey("x", pos)
+            e = entry("x", "y", pos=pos, freq_a=wn_freq, freq_b=wn_freq,
+                      flags_a=flags, flags_b=flags)
+            kept = bool(filter_pairs([e]).kept)
+            assert (key in control_lemmas({key: LemmaMeta(wn_freq, flags)})) == kept
 
     def test_mismatched_pos_and_identical_lemma_skipped(self):
         a = LemmaKey("x", "NOUN")
         b = LemmaKey("x", "VERB")
-        sampled = sample_unrelated([(a, b), (a, a)], set(), 5, 0, {a: 3, b: 3}, None)
+        sampled = sample_unrelated([(a, b), (a, a)], set(), 5, 0, {a: 3, b: 3})
         assert sampled == []
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            sample_unrelated([], set(), 0, 1, {}, None)
+            sample_unrelated([], set(), 0, 1, {})
 
 
 class TestDerivedPairs:
@@ -409,6 +429,21 @@ MALFORMED_ROWS = [
     ("invalid-utf8", "lemma_attrs", b"caf\xe9\tNOUN\t5\t"),
     ("invalid-utf8", "derivations", b"caf\xe9\tADJ\tb\tADV"),
     ("invalid-utf8", "verb_classes", b"caf\xe9\tlight"),
+    # Integers in the one form of every file the pipeline reads.
+    *[(f"{form}-{column}", name, row.format(spell(digits)))
+      for column, name, row, digits in (
+          ("wn-freq", "lexicon", "a\tNOUN\tb\tANT\t\t\t{}\t5\t\t", "5"),
+          ("path", "lexicon", "a\tNOUN\tb\tHYP\tb\t{}\t5\t5\t\t", "1"),
+          ("wn-freq", "lemma_attrs", "a\tNOUN\t{}\t", "5"),
+      )
+      for form, spell in NON_DECIMAL.items()],
+    ("empty-lemma", "lexicon", "\tNOUN\twoman\tANT\t\t\t9\t8\t\t"),
+    ("empty-lemma", "lemma_attrs", "\tNOUN\t5\t"),
+    ("empty-lemma", "derivations", "\tADJ\tb\tADV"),
+    ("empty-lemma", "verb_classes", "\tlinking"),
+    # The toy file already has `appear VERB`; keys compare case-folded.
+    ("duplicate-lemma", "lemma_attrs", "appear\tVERB\t1\tNAMED_ENTITY"),
+    ("duplicate-folded-lemma", "lemma_attrs", "Appear\tverb\t6\t"),
 ]
 
 

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from coocstat import counting, lexicon
+from coocstat import counting
 from coocstat.corpus import Corpus, CorpusParseError, LemmaKey, Sentence, Token, read_corpus
 from coocstat.counting import MergeError, count, count_sharded, scan_corpus
-from coocstat.lexicon import FLAGS, LemmaMeta, LemmaPair, sample_unrelated, unordered_key
+from coocstat.lexicon import (
+    FLAGS, LemmaMeta, LemmaPair, control_lemmas, sample_unrelated, unordered_key,
+)
 
 POS = ("NOUN", "VERB", "ADJ", "ADV", "OTHER", "PUNCT")
 # "a" recurs under several PoS; "zz" is only ever a pair key, never a token.
@@ -151,32 +153,42 @@ def _outcome(fn, *args):
     st.integers(1, 12),
     st.integers(0, 2**32),
     st.one_of(st.none(), metas),
-    # Small chunks make the meta check span several chunks.
-    st.sampled_from((1, 2, 3, lexicon._META_CHUNK)),
 )
-def test_sample_from_scan_matches_reference(sentences, related, n, seed, meta, chunk):
+def test_sample_from_scan_matches_reference(sentences, related, n, seed, meta):
+    # The reference checks each pair's lemmas against `meta`; the program
+    # scans only for pairs of `control_lemmas(meta)`.
     related = {(pos, *sorted((x, y))) for pos, x, y in related if x != y}
     freqs, pairs, _ = reference.scan_corpus(sentences, True, None)
-    scan = scan_corpus(sentences, True, None)
+    scan = scan_corpus(sentences, True, None if meta is None else control_lemmas(meta))
     want = _outcome(reference.sample_unrelated, pairs, related, n, seed, freqs, meta)
-    with mock.patch.object(lexicon, "_META_CHUNK", chunk):
-        got = _outcome(sample_unrelated, scan.pairs, related, n, seed, scan.freqs, meta)
+    got = _outcome(sample_unrelated, scan.pairs, related, n, seed, scan.freqs)
     assert got == want
+
+
+# Pairs of one PoS, the only ones a universe keeps, drawn as often as any.
+same_pos_pairs = st.builds(
+    lambda pos, x, y: (LemmaKey(x, pos), LemmaKey(y, pos)),
+    st.sampled_from(POS), st.sampled_from(LEMMAS + ("zz",)), st.sampled_from(LEMMAS + ("zz",)),
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.tuples(keys, keys), max_size=20),
+    st.lists(st.one_of(st.tuples(keys, keys), same_pos_pairs), max_size=20),
     st.integers(1, 12),
     st.integers(0, 2**32),
     st.dictionaries(keys, st.integers(0, 3)),
-    st.one_of(st.none(), metas),
+    metas,
 )
 def test_sample_from_pair_list_matches_reference(pairs, n, seed, freqs, meta):
-    # Cross-PoS pairs, one-key pairs, repeats and zero frequencies included.
+    # Cross-PoS pairs, one-key pairs, repeats and zero frequencies included,
+    # sampled as given and as filtered to `control_lemmas(meta)`.
     related = {unordered_key(a, b) for a, b in pairs[::3] if a.pos == b.pos}
-    want = _outcome(reference.sample_unrelated, pairs, related, n, seed, freqs, meta)
-    assert _outcome(sample_unrelated, pairs, related, n, seed, freqs, meta) == want
+    admissible = control_lemmas(meta)
+    controls = [(a, b) for a, b in pairs if a in admissible and b in admissible]
+    for sampled_from, lemma_meta in ((pairs, None), (controls, meta)):
+        want = _outcome(reference.sample_unrelated, pairs, related, n, seed, freqs, lemma_meta)
+        assert _outcome(sample_unrelated, sampled_from, related, n, seed, freqs) == want
 
 
 # -- parser -------------------------------------------------------------------

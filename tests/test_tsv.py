@@ -561,14 +561,14 @@ def test_events_reader_matches_the_reference(toy_run, tmp_path, monkeypatch, blo
 
 @pytest.mark.parametrize("block", [64, tsv._BLOCK])
 def test_clean_count_dir_reads_without_per_line_python(toy_run, monkeypatch, block):
-    # No integer field goes through `_decimal`, `key` is called once per run
+    # No integer field goes through `decimal`, `key` is called once per run
     # of lines of one pair, also where a run spans blocks, and rows written
     # in pair and sentence order are not sorted.
     def refuse(*args, **kwargs):
         raise AssertionError("called on a clean count directory")
 
     monkeypatch.setattr(tsv, "_BLOCK", block)
-    monkeypatch.setattr(tsv, "_decimal", refuse)
+    monkeypatch.setattr(tsv, "decimal", refuse)
     monkeypatch.setattr(np, "lexsort", refuse)
     calls = []
     read = tsv.read_keyed_ints
