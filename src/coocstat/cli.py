@@ -87,22 +87,34 @@ def _write_json(path: Path, payload: dict) -> None:
 # Library functions are called through their modules, so that wrappers set
 # on a module attribute see every call.
 
-def load_entries(
-    lexicon_path: str, verb_classes: str | None
-) -> tuple[list[lexicon.LexiconEntry], lexicon.FilterResult]:
-    """The lexicon's rows, and what the exclusion rules keep of them."""
+def load_classes(verb_classes: str | None) -> lexicon.VerbClasses:
+    """The linking/aux/light verb word list, the bundled one by default."""
+    return lexicon.load_verb_classes(verb_classes or str(DEFAULT_VERB_CLASSES))
+
+
+def load_entries(lexicon_path: str, verb_classes: str | None) -> tuple[
+    list[lexicon.LexiconEntry], lexicon.VerbClasses, lexicon.FilterResult
+]:
+    """The lexicon's rows, the verb word list, and the rows the rules keep."""
     raw = lexicon.load_lexicon(lexicon_path)
-    classes = lexicon.load_verb_classes(verb_classes or str(DEFAULT_VERB_CLASSES))
-    return raw, lexicon.filter_pairs(lexicon.apply_verb_class_flags(raw, classes))
+    classes = load_classes(verb_classes)
+    return raw, classes, lexicon.filter_pairs(lexicon.apply_verb_class_flags(raw, classes))
 
 
-def load_meta(
-    lemma_attrs: str | None, raw: list[lexicon.LexiconEntry]
-) -> dict[corpus.LemmaKey, lexicon.LemmaMeta]:
-    """Per-lemma attributes from their own file, or else from the lexicon."""
+def scan_controls(
+    corpus_path: str, min_sentence_len: int, lemma_attrs: str | None,
+    raw: list[lexicon.LexiconEntry], classes: lexicon.VerbClasses,
+) -> tuple[corpus.Corpus, counting.UniverseScan]:
+    """Read the corpus and scan it for lemma frequencies and for the
+    co-occurring pairs of control lemmas.  The lemmas' attributes come from
+    their own file, or else from the lexicon, and are read before the corpus."""
     if lemma_attrs:
-        return lexicon.load_lemma_attrs(lemma_attrs)
-    return lexicon.lemma_meta_from_entries(raw)
+        meta = lexicon.load_lemma_attrs(lemma_attrs)
+    else:
+        meta = lexicon.lemma_meta_from_entries(raw)
+    corp = corpus.read_corpus(corpus_path, min_sentence_len)
+    vocab = lexicon.control_lemmas(meta, classes)
+    return corp, counting.scan_corpus(corp, collect_pairs=True, vocab=vocab)
 
 
 class Extracted(NamedTuple):
@@ -163,7 +175,7 @@ def score_pairs(
 # Subcommands
 
 def run_extract_pairs(args: argparse.Namespace) -> int:
-    _, filtered = load_entries(args.lexicon, args.verb_classes)
+    _, _, filtered = load_entries(args.lexicon, args.verb_classes)
     if args.corpus_freqs:
         freqs = counting.read_lemma_freqs(args.corpus_freqs)
     else:
@@ -190,9 +202,8 @@ def run_extract_pairs(args: argparse.Namespace) -> int:
 
 def run_sample_unrelated(args: argparse.Namespace) -> int:
     raw = lexicon.load_lexicon(args.lexicon)
-    meta = load_meta(args.lemma_attrs, raw)
-    corp = corpus.read_corpus(args.corpus, args.min_sentence_len)
-    scan = counting.scan_corpus(corp, collect_pairs=True, vocab=lexicon.control_lemmas(meta))
+    classes = load_classes(args.verb_classes)
+    _, scan = scan_controls(args.corpus, args.min_sentence_len, args.lemma_attrs, raw, classes)
     sampled = sample_unr_pairs(scan, raw, args.n, args.seed)
     lexicon.write_pairs(sampled, args.out)
     print(f"unrelated pairs sampled: {len(sampled)} -> {args.out}")
@@ -260,10 +271,10 @@ def run_pipeline(config: RunConfig) -> list[Path]:
 
     # One parse and one scan feed every stage.
     with _stage("extract-pairs"):
-        raw, filtered = load_entries(config.lexicon, config.verb_classes)
-        meta = load_meta(config.lemma_attrs, raw)
-        corp = corpus.read_corpus(config.corpus, config.min_sentence_len)
-        scan = counting.scan_corpus(corp, collect_pairs=True, vocab=lexicon.control_lemmas(meta))
+        raw, classes, filtered = load_entries(config.lexicon, config.verb_classes)
+        corp, scan = scan_controls(
+            config.corpus, config.min_sentence_len, config.lemma_attrs, raw, classes
+        )
         counting.write_lemma_freqs(scan.freqs, str(out / "corpus_freqs.tsv"))
         extracted = extract_pairs(filtered, scan.freqs, config.derivations)
         _write_json(out / "filter_counts.json", extracted.counts)
@@ -383,6 +394,7 @@ def run_all(args: argparse.Namespace) -> int:
 # Each option's default is that of its field in `RunConfig`, or in
 # `report.ReportOptions` for `report`.
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+_VERB_CLASSES_HELP = "linking/aux/light verb list (default bundled)"
 
 
 def _add_corpus_args(sub: argparse.ArgumentParser, corpus: bool = True) -> None:
@@ -411,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--corpus", help="corpus to scan for lemma frequencies")
     _add_corpus_args(p, corpus=False)
     p.add_argument("--derivations", help="derivation link TSV")
-    p.add_argument("--verb-classes", help="linking/aux/light verb list (default bundled)")
+    p.add_argument("--verb-classes", help=_VERB_CLASSES_HELP)
     p.add_argument("--out", required=True, help="oriented pairs TSV to write")
     p.add_argument("--out-derived", help="derived-pair map TSV to write")
     p.add_argument("--dump-freqs", help="write scanned lemma frequencies here")
@@ -422,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--lemma-attrs", help="per-lemma attribute TSV (freq + flags)")
+    p.add_argument("--verb-classes", help=_VERB_CLASSES_HELP)
     p.add_argument(
         "--n", type=int, default=_RUN_DEFAULTS["unr_n"], help="sample size (default %(default)s)"
     )
@@ -462,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir")
     p.add_argument("--derivations")
     p.add_argument("--lemma-attrs")
-    p.add_argument("--verb-classes")
+    p.add_argument("--verb-classes", help=_VERB_CLASSES_HELP)
     _add_corpus_args(p, corpus=False)
     p.add_argument("--alpha", type=float)
     p.add_argument("--seed", type=int)

@@ -37,6 +37,9 @@ FLAGS = frozenset({MWE, ABBREV, NAMED_ENTITY, LINKING_VERB, AUX_VERB, LIGHT_VERB
 _UNIT_FLAGS = frozenset({MWE, ABBREV, NAMED_ENTITY})
 _VERB_CLASS_FLAGS = frozenset({LINKING_VERB, AUX_VERB, LIGHT_VERB})
 
+#: The verb word list: the linking/aux/light flags of each listed lemma.
+VerbClasses = Mapping[str, frozenset[str]]
+
 @dataclass(frozen=True)
 class LexiconEntry:
     """One related lemma pair as exported from the lexicon.
@@ -123,15 +126,26 @@ def _multi_relation(survivors: Sequence[LexiconEntry]) -> Callable[[LexiconEntry
     return lambda e: len(relations_of[unordered_key(e.a, e.b)]) > 1
 
 
+def lemma_exclusions(pos: str, wn_freq: int, flags: frozenset[str]) -> tuple[bool, bool, bool]:
+    """Whether one side of a pair, by its PoS, lexicon frequency and flags,
+    excludes the pair under rules 1, 2 and 4 of `filter_pairs`."""
+    verb_class = pos == VERB and not flags.isdisjoint(_VERB_CLASS_FLAGS)
+    return not flags.isdisjoint(_UNIT_FLAGS), wn_freq <= 1, verb_class
+
+
+def _lemma_rule(i: int) -> _Rule:
+    """Item `i` of `lemma_exclusions`, excluding an entry when either side fails it."""
+    return _each(lambda e: lemma_exclusions(e.a.pos, e.wn_freq_a, e.flags_a)[i]
+                 or lemma_exclusions(e.b.pos, e.wn_freq_b, e.flags_b)[i])
+
+
 #: The exclusion rules in the order they apply, by the name their count
 #: goes under.
 _RULES: tuple[tuple[str, _Rule], ...] = (
-    ("mwe_abbrev_ne", _each(lambda e: bool((e.flags_a | e.flags_b) & _UNIT_FLAGS))),
-    ("low_wn_freq", _each(lambda e: e.wn_freq_a <= 1 or e.wn_freq_b <= 1)),
+    ("mwe_abbrev_ne", _lemma_rule(0)),
+    ("low_wn_freq", _lemma_rule(1)),
     ("multi_relation", _multi_relation),
-    ("verb_class", _each(
-        lambda e: e.a.pos == VERB and bool((e.flags_a | e.flags_b) & _VERB_CLASS_FLAGS)
-    )),
+    ("verb_class", _lemma_rule(2)),
     ("hyp_path", _each(
         lambda e: e.relation == HYP and e.path_length is not None and e.path_length > 2
     )),
@@ -216,15 +230,16 @@ def orient_pairs(
 # ---------------------------------------------------------------------------
 # Unrelated control pairs
 
-def control_lemmas(meta: Mapping[LemmaKey, LemmaMeta]) -> set[LemmaKey]:
-    """The lemmas an unrelated control pair may hold: those whose attributes
-    pass the per-lemma half of exclusion rules 1, 2 and 4, so that a pair
-    of two of them passes those rules as a related entry would."""
+def control_lemmas(meta: Mapping[LemmaKey, LemmaMeta], classes: VerbClasses) -> set[LemmaKey]:
+    """The lemmas an unrelated control pair may hold: those whose attributes,
+    with the word list's flags added, fail none of `lemma_exclusions`, so
+    that a pair of two of them passes rules 1, 2 and 4 as a related pair would."""
+    # Only listed verbs gain flags, so only they go through `with_verb_classes`.
+    listed = [key for key in (LemmaKey(lemma, VERB) for lemma in classes) if key in meta]
+    flags_of = {key: with_verb_classes(key, meta[key].flags, classes) for key in listed}
     return {
         key for key, (wn_freq, flags) in meta.items()
-        if not flags & _UNIT_FLAGS
-        and wn_freq > 1
-        and not (key.pos == VERB and flags & _VERB_CLASS_FLAGS)
+        if not any(lemma_exclusions(key.pos, wn_freq, flags_of.get(key, flags)))
     }
 
 
@@ -456,17 +471,22 @@ def load_verb_classes(path: str) -> dict[str, frozenset[str]]:
     return classes
 
 
+def with_verb_classes(key: LemmaKey, flags: frozenset[str], classes: VerbClasses) -> frozenset[str]:
+    """`flags`, plus the word list's flags for `key` when it is a verb."""
+    extra = classes.get(key.lemma) if key.pos == VERB else None
+    return flags | extra if extra else flags
+
+
 def apply_verb_class_flags(
-    entries: Sequence[LexiconEntry], classes: Mapping[str, frozenset[str]]
+    entries: Sequence[LexiconEntry], classes: VerbClasses
 ) -> list[LexiconEntry]:
     """Add linking/aux/light flags to verb entries from a word list."""
     out = []
     for e in entries:
-        if e.a.pos == VERB:
-            extra_a = classes.get(e.a.lemma, frozenset())
-            extra_b = classes.get(e.b.lemma, frozenset())
-            if extra_a or extra_b:
-                e = replace(e, flags_a=e.flags_a | extra_a, flags_b=e.flags_b | extra_b)
+        flags_a = with_verb_classes(e.a, e.flags_a, classes)
+        flags_b = with_verb_classes(e.b, e.flags_b, classes)
+        if (flags_a, flags_b) != (e.flags_a, e.flags_b):
+            e = replace(e, flags_a=flags_a, flags_b=flags_b)
         out.append(e)
     return out
 

@@ -179,17 +179,23 @@ def scan_corpus(
 
 
 def _passes_meta_checks(
-    a: LemmaKey, b: LemmaKey, lemma_meta: Mapping[LemmaKey, LemmaMeta]
+    a: LemmaKey,
+    b: LemmaKey,
+    lemma_meta: Mapping[LemmaKey, LemmaMeta],
+    classes: Mapping[str, frozenset[str]],
 ) -> bool:
     meta_a = lemma_meta.get(a)
     meta_b = lemma_meta.get(b)
     if meta_a is None or meta_b is None:
         return False
-    if (meta_a.flags | meta_b.flags) & _UNIT_FLAGS:
+    flags = meta_a.flags | meta_b.flags
+    if a.pos == VERB:  # the word list flags verbs only
+        flags |= classes.get(a.lemma, frozenset()) | classes.get(b.lemma, frozenset())
+    if flags & _UNIT_FLAGS:
         return False
     if meta_a.wn_freq <= 1 or meta_b.wn_freq <= 1:
         return False
-    if a.pos == VERB and (meta_a.flags | meta_b.flags) & _VERB_CLASS_FLAGS:
+    if a.pos == VERB and flags & _VERB_CLASS_FLAGS:
         return False
     return True
 
@@ -201,7 +207,11 @@ def sample_unrelated(
     seed: int,
     corpus_freq: Mapping[LemmaKey, int],
     lemma_meta: Mapping[LemmaKey, LemmaMeta] | None = None,
+    classes: Mapping[str, frozenset[str]] | None = None,
 ) -> list[LemmaPair]:
+    """Sample as `coocstat.lexicon.sample_unrelated` does, keeping, when
+    `lemma_meta` is given, only pairs whose two lemmas pass rules 1, 2 and
+    4 with their attributes and the verb word list `classes`."""
     universe_keys = set()
     by_key: dict[tuple[str, str, str], tuple[LemmaKey, LemmaKey]] = {}
     for a, b in corpus_pairs:
@@ -210,7 +220,7 @@ def sample_unrelated(
         key = unordered_key(a, b)
         if key in related:
             continue
-        if lemma_meta is not None and not _passes_meta_checks(a, b, lemma_meta):
+        if lemma_meta is not None and not _passes_meta_checks(a, b, lemma_meta, classes or {}):
             continue
         universe_keys.add(key)
         by_key[key] = (a, b)

@@ -480,8 +480,9 @@ class TestFromManifest:
 
 # Per command, the traced library calls up to and including the first data
 # read, and the set of traced functions the command reaches.  Recorded on the
-# toy inputs before `all` and the subcommands shared one stage layer; the
-# benchmark's set-up probe and tracer rely on both.
+# toy inputs before `all` and the subcommands shared one stage layer, except
+# for `sample-unrelated`'s verb word list, which it reads since it takes
+# `--verb-classes`; the benchmark's set-up probe and tracer rely on both.
 _LEXICON_SETUP = [
     "lexicon.load_lexicon", "lexicon.load_verb_classes",
     "lexicon.apply_verb_class_flags", "lexicon.filter_pairs",
@@ -509,10 +510,13 @@ EXPECTED_CALLS = {
         },
     ),
     "sample-unrelated": (
-        ["lexicon.load_lexicon", "lexicon.load_lemma_attrs", "corpus.read_corpus"],
+        [
+            "lexicon.load_lexicon", "lexicon.load_verb_classes", "lexicon.load_lemma_attrs",
+            "corpus.read_corpus",
+        ],
         {
-            "lexicon.load_lexicon", "lexicon.load_lemma_attrs", "corpus.read_corpus",
-            "counting.scan_corpus", "lexicon.related_pair_set",
+            "lexicon.load_lexicon", "lexicon.load_verb_classes", "lexicon.load_lemma_attrs",
+            "corpus.read_corpus", "counting.scan_corpus", "lexicon.related_pair_set",
             "lexicon.sample_unrelated", "lexicon.write_pairs",
         },
     ),
@@ -535,6 +539,30 @@ EXPECTED_CALLS = {
         },
     ),
 }
+
+
+def test_word_list_reaches_control_pairs(tmp_path, toy_paths):
+    # The toy lemma attributes give `see` VERB no flag, and without it on the
+    # word list the seed 7 sample holds the control pair `see fall VERB UNR`.
+    classes = tmp_path / "verb_classes.tsv"
+    classes.write_text(
+        cli.DEFAULT_VERB_CLASSES.read_text(encoding="utf-8") + "see\tlinking\n",
+        encoding="utf-8",
+    )
+    inputs = [
+        "--corpus", toy_paths["corpus"], "--lexicon", toy_paths["lexicon"],
+        "--lemma-attrs", toy_paths["lemma_attrs"], "--verb-classes", str(classes),
+        "--seed", "7",
+    ]
+    assert main(["all", *inputs, "--unr-n", "20", "--out", str(tmp_path / "all")]) == 0
+    unr_path = tmp_path / "unr.tsv"
+    assert main(["sample-unrelated", *inputs, "--n", "20", "--out", str(unr_path)]) == 0
+    rows = (tmp_path / "all" / "pairs.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    unr = [row for row in rows if row.split("\t")[3] == "UNR"]
+    assert len(unr) == 20
+    assert not [row for row in unr if "see" in row.split("\t")[:2] and "\tVERB\t" in row]
+    # The subcommand draws the same sample from the same word list.
+    assert unr_path.read_text(encoding="utf-8").splitlines()[1:] == unr
 
 
 def _recorder(calls: list[str], name: str, inner):

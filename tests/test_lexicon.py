@@ -240,7 +240,7 @@ class TestSampleUnrelated:
             keys[2]: LemmaMeta(1, frozenset()),          # low lexicon freq
             keys[3]: LemmaMeta(4, frozenset({"AUX_VERB"})),
         }
-        admissible = control_lemmas(meta)
+        admissible = control_lemmas(meta, {})
         assert admissible == {keys[0], keys[1]}
         corpus_pairs = [(a, b) for a, b in corpus_pairs if a in admissible and b in admissible]
         sampled = sample_unrelated(corpus_pairs, set(), 10, 5, freqs)
@@ -248,17 +248,26 @@ class TestSampleUnrelated:
 
     def test_control_lemmas_match_the_related_pair_rules(self):
         # A lemma is a control lemma exactly when an ANT entry with its
-        # attributes on both sides survives rules 1, 2 and 4 (rules 3 and 5
-        # never touch one ANT entry).
+        # attributes and word-list classes on both sides survives rules 1, 2
+        # and 4 (rules 3 and 5 never touch one ANT entry).
         flag_sets = [frozenset()] + [
             frozenset(c) for r in (1, 2) for c in itertools.combinations(sorted(FLAGS), r)
         ]
-        for pos, wn_freq, flags in itertools.product(("NOUN", "VERB"), (0, 1, 2), flag_sets):
+        word_lists = [{}] + [
+            {"x": frozenset({flag}), "y": frozenset({flag})}
+            for flag in ("LINKING_VERB", "AUX_VERB", "LIGHT_VERB")
+        ]
+        for pos, wn_freq, flags, classes in itertools.product(
+            ("NOUN", "VERB"), (0, 1, 2), flag_sets, word_lists
+        ):
             key = LemmaKey("x", pos)
             e = entry("x", "y", pos=pos, freq_a=wn_freq, freq_b=wn_freq,
                       flags_a=flags, flags_b=flags)
-            kept = bool(filter_pairs([e]).kept)
-            assert (key in control_lemmas({key: LemmaMeta(wn_freq, flags)})) == kept
+            kept = bool(filter_pairs(apply_verb_class_flags([e], classes)).kept)
+            control = key in control_lemmas({key: LemmaMeta(wn_freq, flags)}, classes)
+            assert control == kept
+            if pos == "VERB" and classes:
+                assert not control and not kept  # a listed verb is never kept
 
     def test_mismatched_pos_and_identical_lemma_skipped(self):
         a = LemmaKey("x", "NOUN")

@@ -7,6 +7,7 @@ warning (which the test settings turn into an error), fails the gate."""
 from __future__ import annotations
 
 import gzip
+import itertools
 import random
 import shutil
 from pathlib import Path
@@ -21,13 +22,19 @@ from test_tsv import byte_mutations, mutations
 SEED = 17
 
 
-def _command(name: str, w: Path) -> list[str]:
+def _commands(name: str, w: Path) -> list[list[str]]:
     """The cheapest subcommand that reads `name` from the work directory
-    `w`, which holds every input and every file of the `all` run."""
+    `w`, which holds every input and every file of the `all` run, and for
+    the verb word list also the cheapest one that applies it to controls."""
     out = str(w / "out")
     extract = ["extract-pairs", "--lexicon", str(w / "lexicon.tsv"),
                "--corpus-freqs", str(w / "corpus_freqs.tsv"), "--out", f"{out}/pairs.tsv"]
-    return {
+    sample = ["sample-unrelated", "--corpus", str(w / "corpus.tsv"),
+              "--lexicon", str(w / "lexicon.tsv"), "--lemma-attrs", str(w / "lemma_attrs.tsv"),
+              "--n", "20", "--seed", "7", "--out", f"{out}/unr.tsv"]
+    if name == "verb_classes.tsv":
+        return [argv + ["--verb-classes", str(w / name)] for argv in (extract, sample)]
+    return [{
         "corpus.tsv": ["extract-pairs", "--lexicon", str(w / "lexicon.tsv"),
                        "--corpus", str(w / "corpus.tsv"), "--out", f"{out}/pairs.tsv"],
         "corpus.tsv.gz": ["extract-pairs", "--lexicon", str(w / "lexicon.tsv"),
@@ -35,12 +42,8 @@ def _command(name: str, w: Path) -> list[str]:
         "lexicon.tsv": extract,
         "derivations.tsv": extract + ["--derivations", str(w / "derivations.tsv"),
                                       "--out-derived", f"{out}/derived.tsv"],
-        "verb_classes.tsv": extract + ["--verb-classes", str(w / "verb_classes.tsv")],
         "corpus_freqs.tsv": extract,
-        "lemma_attrs.tsv": ["sample-unrelated", "--corpus", str(w / "corpus.tsv"),
-                            "--lexicon", str(w / "lexicon.tsv"),
-                            "--lemma-attrs", str(w / "lemma_attrs.tsv"),
-                            "--n", "20", "--seed", "7", "--out", f"{out}/unr.tsv"],
+        "lemma_attrs.tsv": sample,
         "pairs.tsv": ["count", "--corpus", str(w / "corpus.tsv"),
                       "--pairs", str(w / "pairs.tsv"), "--out", f"{out}/counts"],
         "observations.tsv": ["metrics", "--obs", str(w), "--out", f"{out}/stats.tsv"],
@@ -51,7 +54,7 @@ def _command(name: str, w: Path) -> list[str]:
                               "--out", f"{out}/report"],
         "manifest.json": ["all", "--from-manifest", str(w / "manifest.json"),
                           "--out", f"{out}/rerun"],
-    }[name]
+    }[name]]
 
 
 TARGETS = (
@@ -95,22 +98,23 @@ def test_mutated_input_exits_cleanly(work, capsys, name):
     path = work / name
     original = path.read_bytes()
     text = (gzip.decompress(original) if name.endswith(".gz") else original).decode("utf-8")
-    argv = _command(name, work)
-    assert main(argv) == 0, capsys.readouterr().err  # the file as written loads
+    commands = _commands(name, work)
+    for argv in commands:
+        assert main(argv) == 0, capsys.readouterr().err  # the file as written loads
     capsys.readouterr()
     failures = []
     try:
-        for case, data in _cases(name, text):
+        for (case, data), argv in itertools.product(_cases(name, text), commands):
             path.write_bytes(data)
             try:
                 status = main(argv)
             except (Exception, SystemExit) as exc:
-                failures.append(f"{case}: {type(exc).__name__}: {exc}")
+                failures.append(f"{case} ({argv[0]}): {type(exc).__name__}: {exc}")
                 continue
             err = capsys.readouterr().err
             errors = [line for line in err.splitlines() if line.startswith("error: ")]
             if (status, len(errors)) not in ((0, 0), (1, 1)):
-                failures.append(f"{case}: exit {status}, stderr {err!r}")
+                failures.append(f"{case} ({argv[0]}): exit {status}, stderr {err!r}")
     finally:
         path.write_bytes(original)
     assert not failures, failures

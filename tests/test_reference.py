@@ -137,6 +137,17 @@ metas = st.lists(
     ),
     min_size=len(ALL_KEYS), max_size=len(ALL_KEYS),
 ).map(lambda values: {k: m for k, m in zip(ALL_KEYS, values) if m is not None})
+# Verb word lists over the same lemmas, each listed one with one or more
+# linking/aux/light flags.
+word_lists = st.lists(
+    st.one_of(st.none(), st.frozensets(
+        st.sampled_from(("LINKING_VERB", "AUX_VERB", "LIGHT_VERB")), min_size=1
+    )),
+    min_size=len(LEMMAS) + 1, max_size=len(LEMMAS) + 1,
+).map(lambda values: {x: f for x, f in zip(LEMMAS + ("zz",), values) if f is not None})
+# Attributes that pass rules 1, 2 and 4 for every key, so that only the word
+# list keeps a lemma out of the controls.
+PLAIN_META = {k: LemmaMeta(2, frozenset()) for k in ALL_KEYS}
 
 
 def _outcome(fn, *args):
@@ -153,16 +164,21 @@ def _outcome(fn, *args):
     st.integers(1, 12),
     st.integers(0, 2**32),
     st.one_of(st.none(), metas),
+    word_lists,
 )
-def test_sample_from_scan_matches_reference(sentences, related, n, seed, meta):
-    # The reference checks each pair's lemmas against `meta`; the program
-    # scans only for pairs of `control_lemmas(meta)`.
+def test_sample_from_scan_matches_reference(sentences, related, n, seed, meta, classes):
+    # The reference checks each pair's lemmas against the attributes and the
+    # word list; the program scans only for pairs of `control_lemmas`.  Each
+    # example runs with the drawn attributes and with `PLAIN_META`.
     related = {(pos, *sorted((x, y))) for pos, x, y in related if x != y}
     freqs, pairs, _ = reference.scan_corpus(sentences, True, None)
-    scan = scan_corpus(sentences, True, None if meta is None else control_lemmas(meta))
-    want = _outcome(reference.sample_unrelated, pairs, related, n, seed, freqs, meta)
-    got = _outcome(sample_unrelated, scan.pairs, related, n, seed, scan.freqs)
-    assert got == want
+    for lemma_meta in (meta, PLAIN_META):
+        vocab = None if lemma_meta is None else control_lemmas(lemma_meta, classes)
+        scan = scan_corpus(sentences, True, vocab)
+        want = _outcome(
+            reference.sample_unrelated, pairs, related, n, seed, freqs, lemma_meta, classes
+        )
+        assert _outcome(sample_unrelated, scan.pairs, related, n, seed, scan.freqs) == want
 
 
 # Pairs of one PoS, the only ones a universe keeps, drawn as often as any.
@@ -179,15 +195,22 @@ same_pos_pairs = st.builds(
     st.integers(0, 2**32),
     st.dictionaries(keys, st.integers(0, 3)),
     metas,
+    word_lists,
 )
-def test_sample_from_pair_list_matches_reference(pairs, n, seed, freqs, meta):
+def test_sample_from_pair_list_matches_reference(pairs, n, seed, freqs, meta, classes):
     # Cross-PoS pairs, one-key pairs, repeats and zero frequencies included,
-    # sampled as given and as filtered to `control_lemmas(meta)`.
+    # sampled as given and as filtered to the `control_lemmas` of the drawn
+    # attributes and of `PLAIN_META`, with the word list.
     related = {unordered_key(a, b) for a, b in pairs[::3] if a.pos == b.pos}
-    admissible = control_lemmas(meta)
-    controls = [(a, b) for a, b in pairs if a in admissible and b in admissible]
-    for sampled_from, lemma_meta in ((pairs, None), (controls, meta)):
-        want = _outcome(reference.sample_unrelated, pairs, related, n, seed, freqs, lemma_meta)
+    for lemma_meta in (None, meta, PLAIN_META):
+        if lemma_meta is None:
+            sampled_from = pairs
+        else:
+            admissible = control_lemmas(lemma_meta, classes)
+            sampled_from = [(a, b) for a, b in pairs if a in admissible and b in admissible]
+        want = _outcome(
+            reference.sample_unrelated, pairs, related, n, seed, freqs, lemma_meta, classes
+        )
         assert _outcome(sample_unrelated, sampled_from, related, n, seed, freqs) == want
 
 
