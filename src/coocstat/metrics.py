@@ -1,4 +1,9 @@
-"""Per-pair co-occurrence metrics: G2 strength, order preference, distance."""
+"""Per-pair co-occurrence metrics: G2 strength, order preference, distance.
+
+Every metric is computed as a column of all pairs; the per-pair functions
+are one-row calls.  The columns keep the bits of scalar Python: see
+`_ints` and `stats.math_map`.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +11,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS
 from coocstat.counting import ContingencyTable, CooccurrenceEvent, CountResult, PairObservations
 from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, check_labels, pair_keys, pair_name
-from coocstat.stats import binom_test_two_sided, chi2_sf
+from coocstat.stats import binom_test_two_sided, chi2_sfs, math_map
 from coocstat.tsv import Faults, Table, float64s, int64s, read_columns, write_table
 
 
@@ -30,11 +35,75 @@ class UndefinedMetricError(ValueError):
     """A metric was requested on inputs where it has no value."""
 
 
-def _ln1p_minus_x(x: float) -> float:
-    """ln(1+x) - x without cancellation for small |x|."""
-    if abs(x) < 1e-4:
-        return x * x * (-0.5 + x * (1.0 / 3.0 + x * (-0.25 + x * 0.2)))
-    return math.log1p(x) - x
+def _ints(bound: int, *columns: np.ndarray) -> list[np.ndarray]:
+    """Integer `columns` in the form that keeps `int / int` exact.
+
+    `bound` is the largest magnitude of any integer the caller forms from
+    them.  Up to 2**53 float64 holds each exactly, so NumPy's division of
+    int64 columns rounds as Python's does; above it the columns become
+    object arrays of Python ints, on which the same expressions are
+    Python's own.
+    """
+    if bound <= 2**53:
+        return list(columns)
+    return [column.astype(object) for column in columns]
+
+
+def _floats(values: np.ndarray) -> np.ndarray:
+    """A quotient of `_ints` columns as float64."""
+    return np.asarray(values, dtype=np.float64)
+
+
+def _spread(size: int, rows: np.ndarray, values: np.ndarray, fill, dtype=np.float64) -> np.ndarray:
+    """A column of `size` rows holding `values` at `rows` and `fill` elsewhere."""
+    column = np.full(size, fill, dtype=dtype)
+    column[rows] = values
+    return column
+
+
+def _g2(cells: np.ndarray, n: int, where: Callable[[int], str]) -> np.ndarray:
+    """The G2 of each row of `cells`, 2x2 tables of total `n`; see
+    `g2_score`.  The first row without a score raises
+    `UndefinedMetricError`, its message led by `where(row)`."""
+    if len(cells) and n <= 0:
+        raise UndefinedMetricError(where(0) + "empty corpus: n must be positive")
+    # Every product and numerator below is at most n * n in magnitude.
+    o = _ints(n * n, *cells.T)
+    m_w, m_v = o[0] + o[1], o[0] + o[2]
+    zero = np.flatnonzero((m_w < 1) | (m_v < 1))
+    if len(zero):
+        row = zero[0]
+        raise UndefinedMetricError(
+            where(row)
+            + f"zero marginal (|w|={int(m_w[row])}, |v|={int(m_v[row])}): score undefined"
+        )
+    total = np.zeros(len(cells))
+    rows = (m_w, m_w, n - m_w, n - m_w)
+    cols = (m_v, n - m_v, m_v, n - m_v)
+    for o_k, row_k, col_k in zip(o, rows, cols):
+        rc = row_k * col_k
+        e = _floats(rc / n)
+        # An empty row or column (rc 0) has O 0 too and adds nothing; a
+        # cell with O 0 adds E.
+        term = np.where(rc != 0, e, 0.0)
+        at = np.flatnonzero((rc != 0) & (o_k != 0))
+        d_num = o_k[at] * n - rc[at]  # exact integer numerator of O - E
+        x = _floats(d_num / rc[at])
+        ln1p = math_map(math.log1p, x)
+        # ln(1+x) - x, without cancellation for small |x|.
+        ln1p_minus_x = ln1p - x
+        small = np.abs(x) < 1e-4
+        s = x[small]
+        ln1p_minus_x[small] = s * s * (-0.5 + s * (1.0 / 3.0 + s * (-0.25 + s * 0.2)))
+        term[at] = e[at] * ln1p_minus_x + _floats(d_num / n) * ln1p
+        total += term
+    g2 = 2.0 * total
+    g2[0.0 > g2] = 0.0  # clamped against rounding, as max(g2, 0.0)
+    return g2
+
+
+def _one_row(table: ContingencyTable) -> np.ndarray:
+    return np.array([table[:4]], dtype=np.int64)
 
 
 def g2_score(table: ContingencyTable) -> float:
@@ -52,45 +121,21 @@ def g2_score(table: ContingencyTable) -> float:
     products, which keeps the relative error near machine precision for
     any table.
     """
-    n = table.n
-    if n <= 0:
-        raise UndefinedMetricError("empty corpus: n must be positive")
-    m_w = table.o_wv + table.o_w_notv
-    m_v = table.o_wv + table.o_notw_v
-    if m_w < 1 or m_v < 1:
-        raise UndefinedMetricError(
-            f"zero marginal (|w|={m_w}, |v|={m_v}): score undefined"
-        )
-    rows = (m_w, n - m_w)
-    cols = (m_v, n - m_v)
-    observed = (
-        (table.o_wv, 0, 0),
-        (table.o_w_notv, 0, 1),
-        (table.o_notw_v, 1, 0),
-        (table.o_notw_notv, 1, 1),
-    )
-    total = 0.0
-    for o, r, c in observed:
-        rc = rows[r] * cols[c]
-        if rc == 0:
-            continue  # empty row/column: O is 0 there too
-        e = rc / n
-        if o == 0:
-            total += e
-            continue
-        d_num = o * n - rc  # exact integer numerator of O - E
-        x = d_num / rc
-        total += e * _ln1p_minus_x(x) + (d_num / n) * math.log1p(x)
-    return max(2.0 * total, 0.0)
+    return _g2(_one_row(table), table.n, lambda row: "").item()
+
+
+def _pmi(cells: np.ndarray, n: int) -> np.ndarray:
+    """The PMI of each row of `cells`, NaN where `o_wv` is 0; see `pmi_score`."""
+    at = np.flatnonzero(cells[:, 0])
+    o_wv, o_w_notv, o_notw_v = _ints(n * n, *cells[at, :3].T)
+    pmi = math_map(math.log2, _floats(o_wv * n / ((o_wv + o_w_notv) * (o_wv + o_notw_v))))
+    return _spread(len(cells), at, pmi, np.nan)
 
 
 def pmi_score(table: ContingencyTable) -> float | None:
     """Pointwise mutual information (log2), as a debug baseline only."""
-    if table.o_wv == 0:
-        return None
-    m_w = table.o_wv + table.o_w_notv
-    m_v = table.o_wv + table.o_notw_v
-    return math.log2(table.o_wv * table.n / (m_w * m_v))
+    pmi = _pmi(_one_row(table), table.n).item()
+    return None if pmi != pmi else pmi
 
 
 class OrderStats(NamedTuple):
@@ -99,10 +144,6 @@ class OrderStats(NamedTuple):
     order_p: float
 
 
-# Pairs share few (k, m): a 30,000-pair count with heavy-tailed event
-# counts has 1,772 distinct among 23,835 co-occurring pairs, and each
-# binomial p-value costs microseconds.
-@functools.lru_cache(maxsize=4096)
 def _order_test(k: int, m: int, alpha: float) -> OrderStats:
     """Order stats when k of m events score +1; see `order_stats`."""
     if m == 0:
@@ -112,23 +153,28 @@ def _order_test(k: int, m: int, alpha: float) -> OrderStats:
     return OrderStats((2 * k - m) / m if preferred else 0.0, preferred, p_value)
 
 
+def _order_columns(
+    k: np.ndarray, m: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `_order_test` of each (k, m) as columns, score, preferred and
+    p-value, from one test per distinct (k, m): pairs share few."""
+    codes = m * (int(m.max(initial=0)) + 1) + k
+    _, first, row = np.unique(codes, return_index=True, return_inverse=True)
+    tests = map(_order_test, k[first].tolist(), m[first].tolist(), itertools.repeat(alpha))
+    columns = np.array(list(tests), dtype=np.float64).reshape(-1, 3)[row]
+    return columns[:, 0], columns[:, 1].astype(bool), columns[:, 2]
+
+
 # A pair's events: its `PairObservations.events` array, or any sequence
 # of `CooccurrenceEvent` rows.
 Events = np.ndarray | Sequence[CooccurrenceEvent]
 
 
-class EventSums(NamedTuple):
-    """What the order and distance metrics need of a pair's events."""
-
-    w_first: int  # events with pos_w < pos_v
-    m: int  # events
-    gap_sum: int  # the sum of |pos_w - pos_v|
-
-
-def event_sums(events: np.ndarray, m: np.ndarray) -> list[EventSums]:
-    """The `EventSums` of each pair, given `events` as an `(E, 3)` int64
-    array holding each pair's `m` rows in turn, from one segmented
-    reduction over the whole array."""
+def event_sums(events: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's events with pos_w < pos_v, and the sum of its
+    |pos_w - pos_v|, given `events` as an `(E, 3)` int64 array holding
+    each pair's `m` rows in turn, from one segmented reduction over the
+    whole array."""
     gaps = events[:, 1] - events[:, 2]
     # reduceat cannot sum an empty segment, so pairs without events keep 0.
     seen = m > 0
@@ -137,13 +183,25 @@ def event_sums(events: np.ndarray, m: np.ndarray) -> list[EventSums]:
     gap_sum = np.zeros(len(m), dtype=np.int64)
     w_first[seen] = np.add.reduceat(gaps < 0, starts, dtype=np.int64)
     gap_sum[seen] = np.add.reduceat(np.abs(gaps), starts)
-    return list(map(EventSums, w_first.tolist(), m.tolist(), gap_sum.tolist()))
+    return w_first, gap_sum
 
 
-def _sums(events: Events) -> EventSums:
-    """The `EventSums` of one pair's events."""
+def _sums(events: Events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`event_sums` of one pair's events, with their number."""
     rows = np.asarray(events, dtype=np.int64).reshape(-1, 3)
-    return event_sums(rows, np.array([len(rows)], dtype=np.int64))[0]
+    m = np.array([len(rows)], dtype=np.int64)
+    return (*event_sums(rows, m), m)
+
+
+def _head_first(w_first: np.ndarray, m: np.ndarray, head_w: np.ndarray) -> np.ndarray:
+    """Events where the head side comes first; positions never tie."""
+    return np.where(head_w, w_first, m - w_first)
+
+
+def _mean_distances(gap_sum: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """`mean_distance` of pairs with events, from their `event_sums`."""
+    gap_sum, m = _ints(int(max(gap_sum.max(initial=0), m.max(initial=0))), gap_sum, m)
+    return _floats((gap_sum - m) / m)
 
 
 def order_stats(events: Events, alpha: float = DEFAULT_ALPHA) -> OrderStats:
@@ -154,13 +212,8 @@ def order_stats(events: Events, alpha: float = DEFAULT_ALPHA) -> OrderStats:
     whether the pair has a preferred order; the order score is the mean
     event score when it does and 0 otherwise.
     """
-    sums = _sums(events)
-    return _order_test(sums.w_first, sums.m, alpha)
-
-
-def _head_first(sums: EventSums, pair: LemmaPair) -> int:
-    """Events where the head side comes first; positions never tie."""
-    return sums.w_first if pair.head == "w" else sums.m - sums.w_first
+    w_first, _, m = _sums(events)
+    return _order_test(w_first.item(), m.item(), alpha)
 
 
 def asymmetric_order_stats(
@@ -178,14 +231,8 @@ def asymmetric_order_stats(
         raise ValueError(f"asymmetric order needs a directed relation, got {pair.relation}")
     if pair.head not in ("w", "v"):
         raise ValueError("asymmetric order needs a known head side")
-    sums = _sums(events)
-    return _order_test(_head_first(sums, pair), sums.m, alpha)
-
-
-def _mean_distance(sums: EventSums) -> float:
-    if not sums.m:
-        raise UndefinedMetricError("distance is undefined without co-occurrences")
-    return (sums.gap_sum - sums.m) / sums.m
+    w_first, _, m = _sums(events)
+    return _order_test(_head_first(w_first, m, pair.head == "w").item(), m.item(), alpha)
 
 
 def mean_distance(events: Events) -> float:
@@ -194,7 +241,10 @@ def mean_distance(events: Events) -> float:
     The distances are summed as integers and divided once, so the mean is
     the correctly rounded quotient of two integers.
     """
-    return _mean_distance(_sums(events))
+    _, gap_sum, m = _sums(events)
+    if not m.item():
+        raise UndefinedMetricError("distance is undefined without co-occurrences")
+    return _mean_distances(gap_sum, m).item()
 
 
 @dataclass(slots=True)
@@ -218,53 +268,9 @@ class PairStats:
     pmi: float | None = None
 
 
-def compute_pair_stats(
-    obs: PairObservations,
-    alpha: float = DEFAULT_ALPHA,
-    with_baselines: bool = False,
-) -> PairStats:
-    """Score one pair's observations; see PairStats for field semantics."""
-    return _pair_stats(obs.pair, obs.table, _sums(obs.events), alpha, with_baselines)
-
-
-def _pair_stats(
-    pair: LemmaPair, table: ContingencyTable, sums: EventSums, alpha: float,
-    with_baselines: bool,
-) -> PairStats:
-    """`compute_pair_stats` of a pair given its table and the `EventSums` of
-    its events."""
-    try:
-        g2 = g2_score(table)
-    except UndefinedMetricError as exc:
-        raise UndefinedMetricError(f"pair {pair_name(pair)}: {exc}") from None
-    stats = PairStats(
-        g2=g2,
-        g2_significant=chi2_sf(g2) < alpha,
-        order_score=0.0,
-        has_preferred_order=False,
-        order_p=None,
-        mean_distance=None,
-        n_cooc=table.o_wv,
-    )
-    if sums.m:
-        order = _order_test(sums.w_first, sums.m, alpha)
-        stats.order_score = order.order_score
-        stats.has_preferred_order = order.has_preferred_order
-        stats.order_p = order.order_p
-        stats.mean_distance = _mean_distance(sums)
-        if pair.relation in (HYP, HOL) and pair.head in ("w", "v"):
-            asym = _order_test(_head_first(sums, pair), sums.m, alpha)
-            stats.asym_order_score = asym.order_score
-            stats.asym_has_preferred_order = asym.has_preferred_order
-            stats.asym_order_p = asym.order_p
-    if with_baselines:
-        stats.pmi = pmi_score(table)
-    return stats
-
-
 @dataclass(frozen=True, eq=False)
 class StatsTable:
-    """The `PairStats` of many pairs, one column per `stats.tsv` column and
+    """The metrics of many pairs, one column per `stats.tsv` column and
     one row per pair.
 
     The key columns are lists of str, with `head` "" for a pair without
@@ -293,34 +299,6 @@ class StatsTable:
     def __len__(self) -> int:
         return len(self.lemma_w)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[LemmaPair, PairStats]]) -> StatsTable:
-        """The table of (pair, its stats) rows, in their order."""
-        rows = list(rows)
-        pairs = list(map(itemgetter(0), rows))
-        stats = list(map(itemgetter(1), rows))
-
-        def keys(name: str) -> list[str]:
-            return list(map(attrgetter(name), pairs))
-
-        def values(field: str, dtype: type) -> np.ndarray:
-            # One pass over the rows per field, making no tuple per row.
-            # A None becomes NaN.
-            return np.fromiter(map(attrgetter(field), stats), dtype=dtype, count=len(stats))
-
-        asym_pref = map(attrgetter("asym_has_preferred_order"), stats)
-        return cls(
-            keys("w.lemma"), keys("v.lemma"), keys("w.pos"), keys("relation"),
-            values("g2", np.float64), values("g2_significant", bool),
-            values("order_score", np.float64), values("has_preferred_order", bool),
-            values("order_p", np.float64), values("mean_distance", np.float64),
-            values("n_cooc", np.int64),
-            [head or "" for head in keys("head")],
-            values("asym_order_score", np.float64),
-            np.fromiter((-1 if f is None else f for f in asym_pref), dtype=np.int8, count=len(stats)),
-            values("asym_order_p", np.float64), values("pmi", np.float64),
-        )
-
     @functools.cached_property
     def groups(self) -> dict[tuple[str, str], np.ndarray]:
         """The rows of each PoS x relation group with any, in `CONTENT_POS` x
@@ -341,6 +319,11 @@ class StatsTable:
 
 _CELLS = tuple(itertools.product(CONTENT_POS, RELATIONS))
 _CELL_CODE = {cell: code for code, cell in enumerate(_CELLS)}
+# A pair's `head` as its `head` column: "" for None, else itself, given
+# as the default of `get`.
+_HEAD_TEXT = {None: ""}
+# The (relation, head) of the pairs with an asymmetric order.
+_DIRECTED = frozenset(itertools.product((HYP, HOL), ("w", "v")))
 
 
 def compute_all_stats(
@@ -348,15 +331,69 @@ def compute_all_stats(
     alpha: float = DEFAULT_ALPHA,
     with_baselines: bool = False,
 ) -> StatsTable:
-    """`compute_pair_stats` of every pair of a count, as one table in pair
-    order, with every pair's event sums from one pass over `result.events`."""
-    cells = result.cells
-    tables = map(ContingencyTable, *cells.T.tolist(), itertools.repeat(result.n))
-    sums = event_sums(result.events, cells[:, 0])
-    return StatsTable.from_rows([
-        (pair, _pair_stats(pair, table, pair_sums, alpha, with_baselines))
-        for pair, table, pair_sums in zip(result.pairs, tables, sums)
-    ])
+    """Every pair's metrics, as one table in pair order; see `PairStats`
+    for their meaning.  Each metric is computed as one column, with the
+    event sums from one pass over `result.events` and one order test per
+    distinct (k, m) across the order and asymmetric order columns.
+
+    A pair whose G2 is undefined raises `UndefinedMetricError` naming the
+    first such pair.
+    """
+    pairs, cells, n = result.pairs, result.cells, result.n
+    g2 = _g2(cells, n, lambda row: f"pair {pair_name(pairs[row])}: ")
+    m = cells[:, 0]
+    w_first, gap_sum = event_sums(result.events, m)
+    relation = list(map(attrgetter("relation"), pairs))
+    heads = list(map(attrgetter("head"), pairs))
+    head = list(map(_HEAD_TEXT.get, heads, heads))
+    size = len(pairs)
+    sym = np.flatnonzero(m)
+    directed = np.fromiter(map(_DIRECTED.__contains__, zip(relation, head)), dtype=bool, count=size)
+    asym = sym[directed[sym]]
+    head_w = np.fromiter(map("w".__eq__, head), dtype=bool, count=size)
+    score, pref, p = _order_columns(
+        np.concatenate((w_first[sym], _head_first(w_first[asym], m[asym], head_w[asym]))),
+        np.concatenate((m[sym], m[asym])),
+        alpha,
+    )
+    s = len(sym)
+    return StatsTable(
+        list(map(attrgetter("w.lemma"), pairs)), list(map(attrgetter("v.lemma"), pairs)),
+        list(map(attrgetter("w.pos"), pairs)), relation,
+        g2, chi2_sfs(g2) < alpha,
+        _spread(size, sym, score[:s], 0.0), _spread(size, sym, pref[:s], False, bool),
+        _spread(size, sym, p[:s], np.nan),
+        _spread(size, sym, _mean_distances(gap_sum[sym], m[sym]), np.nan),
+        m.astype(np.int64), head,
+        _spread(size, asym, score[s:], np.nan), _spread(size, asym, pref[s:], -1, np.int8),
+        _spread(size, asym, p[s:], np.nan),
+        _pmi(cells, n) if with_baselines else np.full(size, np.nan),
+    )
+
+
+def compute_pair_stats(
+    obs: PairObservations,
+    alpha: float = DEFAULT_ALPHA,
+    with_baselines: bool = False,
+) -> PairStats:
+    """Score one pair's observations, its table and its `o_wv` events; see
+    PairStats for field semantics."""
+    events = np.asarray(obs.events, dtype=np.int64).reshape(-1, 3)
+    if len(events) != obs.table.o_wv:
+        raise ValueError(
+            f"pair {pair_name(obs.pair)}: {len(events)} events, not its o_wv {obs.table.o_wv}"
+        )
+    t = compute_all_stats(
+        CountResult([obs.pair], _one_row(obs.table), events, obs.table.n, ()),
+        alpha, with_baselines,
+    )
+    # The columns in `PairStats` order, NaN as None.
+    row = [c.item() for c in (
+        t.g2, t.g2_sig, t.order_score, t.order_pref, t.order_p, t.mean_dist, t.n_cooc,
+        t.asym_order_score, t.asym_order_pref, t.asym_order_p, t.pmi,
+    )]
+    row[8] = {-1: None, 0: False, 1: True}[row[8]]
+    return PairStats(*(None if x != x else x for x in row))
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +454,31 @@ def _table_from_columns(columns: list[list[str]], faults: Faults) -> StatsTable:
     pair_keys(columns, faults)
     counts = int64s(n_cooc, faults)
     faults.where(counts < 0, lambda row: "negative n_cooc")
-    # `compute_pair_stats` gives order_p and mean_dist exactly when n_cooc > 0.
+    # `compute_all_stats` gives order_p and mean_dist exactly when n_cooc > 0,
+    # and the asymmetric order exactly when also the pair is directed.
     cooc = counts > 0
-    given = [np.fromiter(map(bool, c), dtype=bool, count=len(counts)) for c in (order_p, mean_dist)]
+    directed = cooc & np.fromiter(
+        map(_DIRECTED.__contains__, zip(relation, head)), dtype=bool, count=len(counts)
+    )
+
+    def given(*columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Rows with every one of `columns` given, and rows with any."""
+        given = [np.fromiter(map(bool, c), dtype=bool, count=len(counts)) for c in columns]
+        return np.logical_and.reduce(given), np.logical_or.reduce(given)
+
+    every, any_ = given(order_p, mean_dist)
+    faults.where(cooc & ~every, lambda row: "order_p and mean_dist are required when n_cooc > 0")
+    faults.where(~cooc & any_, lambda row: "order_p and mean_dist must be empty when n_cooc is 0")
+    every, any_ = given(asym_score, asym_pref, asym_p)
+    asym = "asym_order_score, asym_order_pref and asym_order_p"
     faults.where(
-        cooc & ~(given[0] & given[1]),
-        lambda row: "order_p and mean_dist are required when n_cooc > 0",
+        directed & ~every,
+        lambda row: f"{asym} are required for a HYP or HOL pair with a head when n_cooc > 0",
     )
     faults.where(
-        ~cooc & (given[0] | given[1]),
-        lambda row: "order_p and mean_dist must be empty when n_cooc is 0",
+        ~directed & any_,
+        lambda row: f"{asym} must be empty unless the pair is HYP or HOL with a head"
+        " and n_cooc > 0",
     )
     return StatsTable(
         lemma_w, lemma_v, pos, relation,
@@ -441,6 +493,8 @@ def _table_from_columns(columns: list[list[str]], faults: Faults) -> StatsTable:
 
 def read_pair_stats(path: str) -> StatsTable:
     """Read `stats.tsv` as one table, rejecting the first row, in file
-    order, with an unknown label, a pair already listed, a bad value, or
-    `order_p` and `mean_dist` not given exactly when `n_cooc` > 0."""
+    order, with an unknown label, a pair already listed, a bad value,
+    `order_p` and `mean_dist` not given exactly when `n_cooc` > 0, or the
+    three `asym_*` fields not given exactly when also the relation is HYP
+    or HOL and `head` is w or v."""
     return read_columns(path, STATS, _table_from_columns)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,9 +66,25 @@ def chi2_sf(x: float) -> float:
 
     Raises ValueError for x < 0.
     """
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    return math.erfc(math.sqrt(x / 2.0))
+    return chi2_sfs(np.array([x], dtype=np.float64)).item()
+
+
+def chi2_sfs(x: np.ndarray) -> np.ndarray:
+    """`chi2_sf` of each value of a float64 array."""
+    negative = x[x < 0]
+    if len(negative):
+        raise ValueError(f"x must be non-negative, got {negative[0].item()}")
+    return math_map(math.erfc, np.sqrt(x / 2.0))
+
+
+def math_map(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """`f`, a `math` function, of each value of `x`, as float64.
+
+    NumPy's own transcendentals (`np.log1p`, `np.log`, ...) are not
+    correctly rounded and can differ from `math`'s in the last bit, which
+    would move output bytes; `+ - * /` and `sqrt` are exact in both.
+    """
+    return np.fromiter(map(f, x.tolist()), dtype=np.float64, count=len(x))
 
 
 # ---------------------------------------------------------------------------

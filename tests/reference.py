@@ -1,11 +1,12 @@
 """Plain-Python reference versions of the corpus parser, the frequency and
-pair scan, the counter, the control-pair sampler, the event metrics and the
-`events.tsv` decoder.
+pair scan, the counter, the control-pair sampler, the event metrics, the
+pair scorer and the `events.tsv` decoder.
 
 These are the loop implementations the array code in `coocstat.corpus`,
 `coocstat.counting`, `coocstat.lexicon` and `coocstat.metrics` replaced:
 one Python object per token and per co-occurrence event, a dict of first
-positions per sentence, and a tuple set for the pair universe.
+positions per sentence, a tuple set for the pair universe, and one
+`PairStats` per pair scored one float at a time.
 `test_reference.py` and `test_metrics.py` require the library to give
 exactly their results.
 """
@@ -15,23 +16,40 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS, PUNCT, LemmaKey, Sentence, Token, _open_text, map_pos
-from coocstat.counting import CooccurrenceEvent, CountResult, _coalesce, _dedupe
+from coocstat.counting import (
+    ContingencyTable,
+    CooccurrenceEvent,
+    CountResult,
+    PairObservations,
+    _coalesce,
+    _dedupe,
+)
 from coocstat.lexicon import (
     _UNIT_FLAGS,
     _VERB_CLASS_FLAGS,
+    HOL,
+    HYP,
     UNR,
     VERB,
     LemmaMeta,
     LemmaPair,
     _orient,
+    pair_name,
     unordered_key,
 )
-from coocstat.metrics import DEFAULT_ALPHA, OrderStats, _order_test
+from coocstat.metrics import (
+    DEFAULT_ALPHA,
+    OrderStats,
+    PairStats,
+    StatsTable,
+    UndefinedMetricError,
+    _order_test,
+)
 from coocstat.tsv import Table
 
 
@@ -265,6 +283,153 @@ def asymmetric_order_stats(
 
 def mean_distance(events: Sequence[CooccurrenceEvent]) -> float:
     return sum(abs(e.pos_w - e.pos_v) - 1 for e in events) / len(events)
+
+
+# ---------------------------------------------------------------------------
+# One pair's metrics, scored one float at a time: the scalar G2, PMI and
+# chi-square tail, and the `PairStats` they make
+
+
+def _ln1p_minus_x(x: float) -> float:
+    """ln(1+x) - x without cancellation for small |x|."""
+    if abs(x) < 1e-4:
+        return x * x * (-0.5 + x * (1.0 / 3.0 + x * (-0.25 + x * 0.2)))
+    return math.log1p(x) - x
+
+
+def g2_score(table: ContingencyTable) -> float:
+    """The G2 of `metrics.g2_score`, one cell at a time."""
+    n = table.n
+    if n <= 0:
+        raise UndefinedMetricError("empty corpus: n must be positive")
+    m_w = table.o_wv + table.o_w_notv
+    m_v = table.o_wv + table.o_notw_v
+    if m_w < 1 or m_v < 1:
+        raise UndefinedMetricError(
+            f"zero marginal (|w|={m_w}, |v|={m_v}): score undefined"
+        )
+    rows = (m_w, n - m_w)
+    cols = (m_v, n - m_v)
+    observed = (
+        (table.o_wv, 0, 0),
+        (table.o_w_notv, 0, 1),
+        (table.o_notw_v, 1, 0),
+        (table.o_notw_notv, 1, 1),
+    )
+    total = 0.0
+    for o, r, c in observed:
+        rc = rows[r] * cols[c]
+        if rc == 0:
+            continue  # empty row/column: O is 0 there too
+        e = rc / n
+        if o == 0:
+            total += e
+            continue
+        d_num = o * n - rc  # exact integer numerator of O - E
+        x = d_num / rc
+        total += e * _ln1p_minus_x(x) + (d_num / n) * math.log1p(x)
+    return max(2.0 * total, 0.0)
+
+
+def pmi_score(table: ContingencyTable) -> float | None:
+    if table.o_wv == 0:
+        return None
+    m_w = table.o_wv + table.o_w_notv
+    m_v = table.o_wv + table.o_notw_v
+    return math.log2(table.o_wv * table.n / (m_w * m_v))
+
+
+def chi2_sf(x: float) -> float:
+    if x < 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    return math.erfc(math.sqrt(x / 2.0))
+
+
+class EventSums(NamedTuple):
+    w_first: int  # events with pos_w < pos_v
+    m: int  # events
+    gap_sum: int  # the sum of |pos_w - pos_v|
+
+
+def _head_first(sums: EventSums, pair: LemmaPair) -> int:
+    return sums.w_first if pair.head == "w" else sums.m - sums.w_first
+
+
+def _mean_distance(sums: EventSums) -> float:
+    if not sums.m:
+        raise UndefinedMetricError("distance is undefined without co-occurrences")
+    return (sums.gap_sum - sums.m) / sums.m
+
+
+def _pair_stats(
+    pair: LemmaPair, table: ContingencyTable, sums: EventSums, alpha: float,
+    with_baselines: bool,
+) -> PairStats:
+    try:
+        g2 = g2_score(table)
+    except UndefinedMetricError as exc:
+        raise UndefinedMetricError(f"pair {pair_name(pair)}: {exc}") from None
+    stats = PairStats(
+        g2=g2,
+        g2_significant=chi2_sf(g2) < alpha,
+        order_score=0.0,
+        has_preferred_order=False,
+        order_p=None,
+        mean_distance=None,
+        n_cooc=table.o_wv,
+    )
+    if sums.m:
+        order = _order_test(sums.w_first, sums.m, alpha)
+        stats.order_score = order.order_score
+        stats.has_preferred_order = order.has_preferred_order
+        stats.order_p = order.order_p
+        stats.mean_distance = _mean_distance(sums)
+        if pair.relation in (HYP, HOL) and pair.head in ("w", "v"):
+            asym = _order_test(_head_first(sums, pair), sums.m, alpha)
+            stats.asym_order_score = asym.order_score
+            stats.asym_has_preferred_order = asym.has_preferred_order
+            stats.asym_order_p = asym.order_p
+    if with_baselines:
+        stats.pmi = pmi_score(table)
+    return stats
+
+
+def pair_stats(
+    obs: PairObservations, alpha: float = DEFAULT_ALPHA, with_baselines: bool = False
+) -> PairStats:
+    """`metrics.compute_pair_stats`, with the event sums taken row by row."""
+    rows = np.asarray(obs.events, dtype=np.int64).reshape(-1, 3).tolist()
+    sums = EventSums(
+        sum(1 for _, pos_w, pos_v in rows if pos_w < pos_v),
+        len(rows),
+        sum(abs(pos_w - pos_v) for _, pos_w, pos_v in rows),
+    )
+    return _pair_stats(obs.pair, obs.table, sums, alpha, with_baselines)
+
+
+def stats_table(rows: Iterable[tuple[LemmaPair, PairStats]]) -> StatsTable:
+    """The `StatsTable` of (pair, its stats) rows, in their order."""
+    rows = list(rows)
+    pairs = [pair for pair, _ in rows]
+    stats = [stats for _, stats in rows]
+
+    def values(field: str, dtype: type) -> np.ndarray:
+        # A None becomes NaN.
+        return np.array([getattr(s, field) for s in stats], dtype=dtype)
+
+    return StatsTable(
+        [p.w.lemma for p in pairs], [p.v.lemma for p in pairs],
+        [p.w.pos for p in pairs], [p.relation for p in pairs],
+        values("g2", np.float64), values("g2_significant", bool),
+        values("order_score", np.float64), values("has_preferred_order", bool),
+        values("order_p", np.float64), values("mean_distance", np.float64),
+        values("n_cooc", np.int64),
+        [p.head or "" for p in pairs],
+        values("asym_order_score", np.float64),
+        np.array([-1 if s.asym_has_preferred_order is None else s.asym_has_preferred_order
+                  for s in stats], dtype=np.int8),
+        values("asym_order_p", np.float64), values("pmi", np.float64),
+    )
 
 
 # ---------------------------------------------------------------------------

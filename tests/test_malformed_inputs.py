@@ -17,7 +17,7 @@ import pytest
 from coocstat.cli import DEFAULT_VERB_CLASSES, main, run_pipeline
 from conftest import TOY_PATHS
 from test_cli import toy_config
-from test_tsv import byte_mutations, mutations
+from test_tsv import ASYM_CASES, byte_mutations, mutations
 
 SEED = 17
 
@@ -65,11 +65,16 @@ TARGETS = (
 
 
 def _cases(name: str, text: str) -> list[tuple[str, bytes]]:
-    """The seeded mutations of the file `name` whose text is `text`; the
+    """The seeded mutations of the file `name` whose text is `text`, and for
+    `stats.tsv` also the asymmetric order edits of `ASYM_CASES`; the
     ``.gz`` corpus gets those of its text, compressed, and byte flips and
     cuts of its compressed bytes."""
     rng = random.Random(f"{SEED}-{name}")
     cases = mutations(text, rng, flips=4, cuts=2, line_edits=2, field_edits=2, odd_fields=4)
+    cases += [
+        (case, "".join(line + "\n" for line in edit(text.splitlines())).encode("utf-8"))
+        for case, names, edit, _ in ASYM_CASES if name in names
+    ]
     if name.endswith(".gz"):
         data = gzip.compress(text.encode("utf-8"), mtime=0)
         cases = [(case, gzip.compress(case_data, mtime=0)) for case, case_data in cases]

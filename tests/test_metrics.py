@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from coocstat.metrics import (
     order_stats,
     pmi_score,
 )
-from coocstat.counting import CountResult, PairObservations
+from coocstat.counting import CountResult, PairObservations, read_observations
 from conftest import TOY_PATHS, pair
 from test_cli import toy_config
 
@@ -236,7 +237,8 @@ class TestComputePairStats:
 def pair_observations(draw) -> PairObservations:
     """One pair of any relation and head side, with no events, a few, or
     more than 1024 (where the binomial p-value comes from the incomplete
-    beta), a random share of them with w first, and given as an array or
+    beta), a random share of them with w first, gaps short or up to 2**52
+    (so that a pair's summed gaps can pass 2**53), and given as an array or
     as a list of `CooccurrenceEvent`."""
     relation = draw(st.sampled_from(("ANT", "SYN", "HYP", "HOL", "UNR")))
     head = draw(st.sampled_from(("w", "v", None))) if relation in ("HYP", "HOL") else None
@@ -246,7 +248,7 @@ def pair_observations(draw) -> PairObservations:
     w_share = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     first = rng.integers(0, 40, m)
-    gap = rng.integers(1, 30, m)
+    gap = rng.integers(1, draw(st.sampled_from((30, 2**52))), m)
     w_first = rng.random(m) < w_share
     events = np.empty((m, 3), dtype=np.int64)
     events[:, 0] = np.arange(m)
@@ -261,13 +263,20 @@ def pair_observations(draw) -> PairObservations:
     return PairObservations(pair("a", "b", relation=relation, head=head), table, events)
 
 
+# The largest n whose n * n is at most 2**53, where G2 leaves int64 for
+# Python ints, one above it, and one far above it.
+LARGE_N = (94_906_265, 94_906_266, 10**13)
+
+
 @st.composite
 def count_results(draw) -> tuple[list[PairObservations], CountResult]:
     """The observations of up to 12 drawn pairs, each pair's `o_notw_notv`
-    raised so that all the tables share one n, and the `CountResult` that
-    holds them."""
+    raised so that all the tables share one n, the largest drawn or one of
+    `LARGE_N`, and the `CountResult` that holds them."""
     drawn = draw(st.lists(pair_observations(), max_size=12))
     n = max((obs.table.n for obs in drawn), default=0)
+    if drawn and draw(st.booleans()):
+        n = draw(st.sampled_from(LARGE_N))
     observations = [
         PairObservations(
             obs.pair,
@@ -288,16 +297,99 @@ def count_results(draw) -> tuple[list[PairObservations], CountResult]:
     return observations, result
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(count_results(), st.booleans())
 def test_compute_all_stats_matches_compute_pair_stats(drawn, baselines):
-    """The one segmented reduction over a count's events gives every pair
-    the stats it gets alone."""
+    """The columns give every pair the bits of the scalar reference scorer,
+    and so does `compute_pair_stats`, a one-row call of them."""
     observations, result = drawn
-    expected = StatsTable.from_rows(
-        (obs.pair, compute_pair_stats(obs, with_baselines=baselines)) for obs in observations
+    expected = reference.stats_table(
+        (obs.pair, reference.pair_stats(obs, with_baselines=baselines)) for obs in observations
     )
     assert_same_table(compute_all_stats(result, with_baselines=baselines), expected)
+    alone = reference.stats_table(
+        (obs.pair, compute_pair_stats(obs, with_baselines=baselines)) for obs in observations
+    )
+    assert_same_table(alone, expected)
+
+
+def _python_steps(score, *args):
+    """`score(*args)`, and the number of trace events it raised: Python
+    functions called and lines run, a line again on each loop pass."""
+    steps = 0
+
+    def trace(frame, event, arg):
+        nonlocal steps
+        steps += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        table = score(*args)
+    finally:
+        sys.settrace(None)
+    return table, steps
+
+
+def _doubled(result: CountResult) -> CountResult:
+    """`result` with every pair listed twice, which adds no (k, m)."""
+    return CountResult(
+        result.pairs * 2, np.concatenate((result.cells, result.cells)),
+        np.concatenate((result.events, result.events)), result.n, (),
+    )
+
+
+def _distinct_order_tests(observations: list[PairObservations]) -> set[tuple[int, int]]:
+    """The (k, m) of every order and asymmetric order test of the pairs."""
+    tests = set()
+    for obs in observations:
+        rows = np.asarray(obs.events, dtype=np.int64).reshape(-1, 3).tolist()
+        m = len(rows)
+        if m:
+            k = sum(1 for _, pos_w, pos_v in rows if pos_w < pos_v)
+            tests.add((k, m))
+            if obs.pair.relation in ("HYP", "HOL") and obs.pair.head in ("w", "v"):
+                tests.add((k if obs.pair.head == "w" else m - k, m))
+    return tests
+
+
+def assert_scored_as_columns(monkeypatch, observations, result) -> None:
+    """`compute_all_stats` builds no `PairStats`, runs one order test per
+    distinct (k, m), and runs as many Python functions and lines for a
+    count with every pair listed twice: no Python runs once per pair."""
+    tests = []
+
+    def order_test(k, m, alpha):
+        tests.append((k, m))
+        return reference._order_test(k, m, alpha)
+
+    def no_pair_stats(*args, **kwargs):
+        raise AssertionError("compute_all_stats built a PairStats")
+
+    monkeypatch.setattr(metrics, "PairStats", no_pair_stats)
+    monkeypatch.setattr(metrics, "_order_test", order_test)
+    table, steps = _python_steps(compute_all_stats, result)
+    assert sorted(tests) == sorted(_distinct_order_tests(observations))
+    tests.clear()
+    doubled, doubled_steps = _python_steps(compute_all_stats, _doubled(result))
+    assert sorted(tests) == sorted(_distinct_order_tests(observations))
+    assert doubled_steps == steps
+    assert len(doubled) == 2 * len(table)
+
+
+def test_toy_count_is_scored_as_columns(tmp_path, monkeypatch):
+    run_pipeline(toy_config(TOY_PATHS, tmp_path))
+    result = read_observations(str(tmp_path / "observations.tsv"), str(tmp_path / "events.tsv"))
+    observations = list(result.observations.values())
+    assert any(obs.pair.head for obs in observations if obs.table.o_wv)
+    assert_scored_as_columns(monkeypatch, observations, result)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count_results())
+def test_drawn_count_is_scored_as_columns(drawn):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_scored_as_columns(monkeypatch, *drawn)
 
 
 def assert_same_table(got: StatsTable, want: StatsTable) -> None:
@@ -325,12 +417,12 @@ def test_stats_file_round_trip_column_for_column(tmp_path):
         (pair("i", "j", pos="ADJ", relation="UNR"),
          PairStats(1e-12, False, 0.0, False, 1.0, 0.0, 1, pmi=5.0)),
     ]
-    table = StatsTable.from_rows(rows)
+    table = reference.stats_table(rows)
     assert table.head == ["", "w", "v", "v", ""]
     assert table.asym_order_pref.tolist() == [-1, -1, 1, 0, -1]
     assert np.isnan(table.order_p).tolist() == [False, True, False, False, False]
     assert np.isnan(table.pmi).tolist() == [True, True, False, True, False]
-    for written in (table, StatsTable.from_rows([])):
+    for written in (table, reference.stats_table([])):
         path = tmp_path / "stats.tsv"
         metrics.write_pair_stats(written, str(path))
         assert_same_table(metrics.read_pair_stats(str(path)), written)
@@ -338,7 +430,7 @@ def test_stats_file_round_trip_column_for_column(tmp_path):
 
 def test_stats_table_groups_rows_by_pos_and_relation():
     stats = PairStats(1.0, False, 0.0, False, None, None, 0)
-    table = StatsTable.from_rows(
+    table = reference.stats_table(
         (pair(w, "x", pos=pos, relation=rel), stats)
         for w, pos, rel in [("a", "VERB", "SYN"), ("b", "NOUN", "UNR"), ("c", "VERB", "SYN"),
                             ("d", "NOUN", "ANT"), ("e", "NOUN", "FOO")]

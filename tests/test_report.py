@@ -1,9 +1,12 @@
+import math
 import random
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from coocstat.lexicon import ANT, HOL, HYP, SYN, UNR, DerivedPair
-from coocstat.metrics import PairStats, StatsTable
+from coocstat.metrics import StatsTable
 from coocstat.report import (
     ReportOptions,
     associated_counts,
@@ -20,29 +23,28 @@ from conftest import pair
 
 def scored(w, v, pos="NOUN", relation=ANT, g2=10.0, sig=True, order=0.0,
            pref=False, dist=5.0, n_cooc=10, head=None, asym=None):
-    """A (pair, stats) row for `StatsTable.from_rows`."""
-    stats = PairStats(
-        g2=g2,
-        g2_significant=sig,
-        order_score=order,
-        has_preferred_order=pref,
-        order_p=0.5 if n_cooc else None,
-        mean_distance=dist if n_cooc else None,
-        n_cooc=n_cooc,
-        asym_order_score=asym,
-        asym_has_preferred_order=None if asym is None else asym != 0,
-        asym_order_p=None if asym is None else 0.001,
+    """A pair and its `StatsTable` row, the row's values in column order."""
+    return pair(w, v, pos, relation, head), (
+        w, v, pos, relation, g2, sig, order, pref,
+        0.5 if n_cooc else math.nan, dist if n_cooc else math.nan, n_cooc, head or "",
+        math.nan if asym is None else asym, -1 if asym is None else int(asym != 0),
+        math.nan if asym is None else 0.001, math.nan,
     )
-    return pair(w, v, pos, relation, head), stats
 
 
 def table(rows):
-    return StatsTable.from_rows(rows)
+    """The `StatsTable` of `scored` rows."""
+    columns = list(zip(*(row for _, row in rows))) or [()] * len(fields(StatsTable))
+    dtypes = {"g2_sig": bool, "order_pref": bool, "n_cooc": np.int64, "asym_order_pref": np.int8}
+    return StatsTable(*(
+        list(values) if field.type == "list[str]" else np.array(values, dtype=dtypes.get(field.name, np.float64))
+        for field, values in zip(fields(StatsTable), columns)
+    ))
 
 
 def pairs_table(pairs):
     """A table of `pairs`, each with the default stats of `scored`."""
-    return table((p, scored("w", "v")[1]) for p in pairs)
+    return table(scored(p.w.lemma, p.v.lemma, p.w.pos, p.relation, head=p.head) for p in pairs)
 
 
 class TestSummarize:

@@ -143,6 +143,18 @@ def _then(*edits):
 # A file that still loads, to the same result as the toy run's.
 LOADS = "loads"
 
+# Stats rows: the asym_* fields exactly when the pair is HYP or HOL, has a
+# head and co-occurs.  The first toy row is ANT; line 13 is a co-occurring
+# HOL pair with head w.
+ASYM_CASES = [
+    ("undirected-with-asym-order", ["stats.tsv"], _edit_row(lambda f: "\t".join(
+        f[:12] + ["0.5", "1", "0.001"] + f[15:]
+    )), 2),
+    *[(f"directed-without-{column}", ["stats.tsv"], _set_field(i, "", row=12), 13)
+      for i, column in ((12, "asym-order-score"), (13, "asym-order-pref"), (14, "asym-order-p"))],
+    ("headless-with-asym-order", ["stats.tsv"], _set_field(11, "", row=12), 13),
+]
+
 # (case, files, edit of the file's lines, line named in the error, None, or LOADS)
 CASES = [
     ("wrong-header", list(READERS), lambda lines: ["lemma\tpos"] + lines[1:], 1),
@@ -160,6 +172,7 @@ CASES = [
     ("co-occurring-without-mean-dist", ["stats.tsv"], _set_field(9, ""), 2),
     ("co-occurring-without-order-p", ["stats.tsv"], _set_field(8, ""), 2),
     ("no-co-occurrence-with-order", ["stats.tsv"], _set_field(10, "0"), 2),
+    *ASYM_CASES,
     ("unknown-pair", ["events.tsv"], _set_field(0, "nosuchlemma"), 2),
     # One event fewer for the first pair, named by its observations.tsv line.
     ("event-count-mismatch", ["events.tsv"], lambda lines: lines[:1] + lines[2:], 2),
