@@ -67,6 +67,7 @@ class RunConfig:
             raise ValueError("min sentence length must be >= 1")
         if self.unr_n < 1:
             raise ValueError("UNR sample size must be >= 1")
+        lexicon.check_seed(self.seed)
         self.report_options().validate()
 
 
@@ -214,7 +215,7 @@ def run_count(args: argparse.Namespace) -> int:
     pairs = [p for path in args.pairs for p in lexicon.read_pairs(path)]
     out = Path(args.out)
     result = count_pairs(corpus.read_corpus(args.corpus, args.min_sentence_len), pairs, out)
-    print(f"sentences: {result.n}; pairs counted: {len(result.pairs)} -> {out}")
+    print(f"sentences: {result.n}; pairs counted: {len(result.cells)} -> {out}")
     return 0
 
 
@@ -295,8 +296,8 @@ def run_pipeline(config: RunConfig) -> list[Path]:
         )
 
     events = {rel: 0 for rel in lexicon.RELATIONS}
-    for pair, m in zip(result.pairs, result.cells[:, 0].tolist()):
-        events[pair.relation] += m
+    for relation, m in zip(result.relation, result.cells[:, 0].tolist()):
+        events[relation] += m
     manifest = {
         "config": asdict(config),
         "counters": {

@@ -9,12 +9,13 @@ layout of Evert 2005, *The Statistics of Word Cooccurrences*, ch. 2-3).
 One stable sort by pair after the walk puts each pair's events in input
 order.  Any iterable of `Sentence` is compiled into a `Corpus` first.
 
-A count is one columnar `CountResult` with one row per pair: a `(P, 4)`
-int64 array of the pairs' cells and one `(E, 3)` int64 array of every
-pair's co-occurrence events in pair order, with the columns
-`sentence_id, pos_w, pos_v`, 24 bytes per event.  It goes from `count`
-through `write_observations` and `read_observations` to the metrics as
-it is; no Python object is built per pair or per event on the way.
+A count is one columnar `CountResult` with one row per pair: the five
+`PAIRS` key columns as lists of str, a `(P, 4)` int64 array of the
+pairs' cells and one `(E, 3)` int64 array of every pair's co-occurrence
+events in pair order, with the columns `sentence_id, pos_w, pos_v`, 24
+bytes per event.  It goes from `count` through `write_observations` and
+`read_observations` to the metrics as it is; no Python object is built
+per pair or per event on the way, the keys included.
 
 `merge` combines the results of disjoint sentence-id ranges exactly as
 one pass would count them."""
@@ -31,9 +32,7 @@ import numpy as np
 from coocstat.corpus import (
     CONTENT_POS, Corpus, LemmaKey, PairUniverse, Sentence, as_corpus, sorted_unique,
 )
-from coocstat.lexicon import (
-    PAIRS, LemmaPair, pair_fields, pair_keys, pair_name, pairs_from_columns,
-)
+from coocstat.lexicon import PAIRS, LemmaPair, pair_columns, pair_keys, pairs_from_columns
 from coocstat.tsv import Faults, Table, int64s, read_columns, read_keyed_ints, write_table
 
 
@@ -82,18 +81,37 @@ class MergeError(ValueError):
 
 @dataclass(eq=False)
 class CountResult:
-    """Counts for one corpus segment, one row per pair of `pairs`: `cells`
-    holds each pair's `o_wv, o_w_notv, o_notw_v, o_notw_notv`, and `events`
-    each pair's `o_wv` events in turn.  `id_runs` records the sentence-id
-    intervals the segment covered, which is what lets `merge` reject
-    overlapping shards; a count read back from files has none.
+    """Counts for one corpus segment, one row per pair: the pair's five
+    `PAIRS` fields, `head` "" for none; `cells` holds each pair's `o_wv,
+    o_w_notv, o_notw_v, o_notw_notv`, and `events` each pair's `o_wv`
+    events in turn.  `id_runs` records the sentence-id intervals the
+    segment covered, which is what lets `merge` reject overlapping shards;
+    a count read back from files has none.
     """
 
-    pairs: list[LemmaPair]
+    lemma_w: list[str]
+    lemma_v: list[str]
+    pos: list[str]
+    relation: list[str]
+    head: list[str]
     cells: np.ndarray
     events: np.ndarray
     n: int
     id_runs: tuple[tuple[int, int], ...]
+
+    @property
+    def key_columns(self) -> list[list[str]]:
+        """The five `PAIRS` columns."""
+        return [self.lemma_w, self.lemma_v, self.pos, self.relation, self.head]
+
+    def pair_name(self, row: int) -> str:
+        """Row `row`'s pair as its four key fields, `lemma_w lemma_v pos relation`."""
+        return " ".join(column[row] for column in self.key_columns[:4])
+
+    @functools.cached_property
+    def pairs(self) -> list[LemmaPair]:
+        """Each row's pair, built on first access."""
+        return pairs_from_columns(self.key_columns)
 
     @functools.cached_property
     def observations(self) -> dict[LemmaPair, PairObservations]:
@@ -230,7 +248,7 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
     n_wv = np.bincount(pair, minlength=len(pairs))
     n_w, n_v = key_count[w], key_count[v]
     cells = np.stack((n_wv, n_w - n_wv, n_v - n_wv, n - n_w - n_v + n_wv), axis=1)
-    return CountResult(pairs, cells, events, n, _id_runs(corpus.sentence_ids))
+    return CountResult(*pair_columns(pairs), cells, events, n, _id_runs(corpus.sentence_ids))
 
 
 def _coalesce(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -266,7 +284,7 @@ def merge(a: CountResult, b: CountResult) -> CountResult:
     ))
     events = np.concatenate((a.events, b.events))
     events = events[np.lexsort((events[:, 0], rank))]
-    return CountResult(list(a.pairs), a.cells + b.cells[in_b], events, a.n + b.n, runs)
+    return CountResult(*a.key_columns, a.cells + b.cells[in_b], events, a.n + b.n, runs)
 
 
 # The name the CLI calls and the benchmark's tracer wraps.
@@ -345,13 +363,11 @@ LEMMA_FREQS = Table("lemma-frequency", ("lemma", "pos", "count"))
 
 
 def write_observations(result: CountResult, obs_path: str, events_path: str) -> None:
-    fields = list(map(pair_fields, result.pairs))
-    n = str(result.n)
-    write_table(obs_path, OBSERVATIONS, (
-        (*f, *map(str, cells), n) for f, cells in zip(fields, result.cells.tolist())
-    ))
+    key_columns = result.key_columns
+    cells = (map(str, column) for column in result.cells.T.tolist())
+    write_table(obs_path, OBSERVATIONS, zip(*key_columns, *cells, itertools.repeat(str(result.n))))
     # Each event row starts with its pair's first four fields, joined once.
-    keys = map("\t".join, (f[:4] for f in fields))
+    keys = map("\t".join, zip(*key_columns[:4]))
     prefixes = itertools.chain.from_iterable(
         map(itertools.repeat, keys, result.cells[:, 0].tolist())
     )
@@ -382,11 +398,10 @@ def _check_event_rows(pair: np.ndarray, values: np.ndarray, faults: Faults) -> n
 
 def _observations_from_columns(
     columns: list[list[str]], faults: Faults
-) -> tuple[list[LemmaPair], list[str], np.ndarray, int]:
-    """The pairs of an observations table, their key fields joined by tabs,
-    their `(P, 4)` cells and the count's `n`."""
-    pairs = pairs_from_columns(columns, faults)
-    keys = pair_keys(columns, faults)
+) -> tuple[list[list[str]], list[str], np.ndarray, int]:
+    """The five key columns of an observations table, each row's key fields
+    joined by tabs, the `(P, 4)` cells and the count's `n`."""
+    keys = pair_keys(columns[:5], faults)
     cells = [int64s(columns.pop(5), faults) for _ in range(5)]  # freeing each text column
     rows = min(map(len, cells))
     cells, n = np.stack([c[:rows] for c in cells[:4]], axis=1), cells[4][:rows]
@@ -394,7 +409,7 @@ def _observations_from_columns(
     sums = cells.sum(axis=1, dtype=object)  # exact: four int64 cells can pass 2**63
     faults.where(sums != n, lambda row: f"cells sum to {sums[row]}, not n = {n[row]}")
     faults.where(n != n[:1], lambda row: f"n = {n[row]} differs from the first row's n = {n[0]}")
-    return pairs, keys, cells, int(n[0]) if rows else 0
+    return columns, keys, cells, int(n[0]) if rows else 0
 
 
 def read_observations(obs_path: str, events_path: str) -> CountResult:
@@ -409,7 +424,7 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
     sorted by `sentence_id`, whatever the row order of `events_path`.
     In each file the first bad line is reported.
     """
-    pairs, keys, cells, n = read_columns(obs_path, OBSERVATIONS, _observations_from_columns)
+    columns, keys, cells, n = read_columns(obs_path, OBSERVATIONS, _observations_from_columns)
     index = {key: i for i, key in enumerate(keys)}
 
     def event_pair(key: str) -> int:
@@ -422,15 +437,16 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
     pair, values = read_keyed_ints(events_path, EVENTS, 4, event_pair, faults)
     order = _check_event_rows(pair, values, faults)
     faults.raise_first()
-    counts = np.bincount(pair, minlength=len(pairs))
+    result = CountResult(*columns, cells, values if order is None else values[order], n, ())
+    counts = np.bincount(pair, minlength=len(keys))
     wrong = np.flatnonzero(counts != cells[:, 0])
     if len(wrong):
         i = int(wrong[0])
         raise ValueError(
-            f"{events_path}: {counts[i]} events for pair {pair_name(pairs[i])}, not its o_wv;"
+            f"{events_path}: {counts[i]} events for pair {result.pair_name(i)}, not its o_wv;"
             f" {obs_path} line {i + 2}: o_wv = {cells[i, 0]}"
         )
-    return CountResult(pairs, cells, values if order is None else values[order], n, ())
+    return result
 
 
 def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:

@@ -243,6 +243,11 @@ def control_lemmas(meta: Mapping[LemmaKey, LemmaMeta], classes: VerbClasses) -> 
     }
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def sample_unrelated(
     corpus_pairs: PairUniverse | Iterable[tuple[LemmaKey, LemmaKey]],
     related: set[tuple[str, str, str]],
@@ -260,6 +265,7 @@ def sample_unrelated(
     """
     if n <= 0:
         raise ValueError(f"sample size must be positive, got {n}")
+    check_seed(seed)
     if not isinstance(corpus_pairs, PairUniverse):
         corpus_pairs = PairUniverse.from_pairs(corpus_pairs)
     keys, codes, size = corpus_pairs.keys, corpus_pairs.codes, len(corpus_pairs.keys)
@@ -502,17 +508,17 @@ def pair_fields(p: LemmaPair) -> tuple[str, ...]:
     return (p.w.lemma, p.v.lemma, p.w.pos, p.relation, p.head or "")
 
 
-def pair_name(p: LemmaPair) -> str:
-    """A pair as its four key fields, `lemma_w lemma_v pos relation`."""
-    return " ".join(pair_fields(p)[:4])
-
-
 _HEADS = ("", "w", "v")
 
 
-def label_error(pos: str, relation: str, head: str) -> str | None:
-    """What is wrong with the `pos`, `relation` and `head` fields of a row
-    of a pair file, or None when they are labels a pair can have."""
+def pair_row_error(lemma_w: str, lemma_v: str, pos: str, relation: str, head: str) -> str | None:
+    """What is wrong with the five `PAIRS` fields of a row of a pair file,
+    or None when they are the fields of a pair: two distinct non-empty
+    lemmas and labels a pair can have."""
+    if not (lemma_w and lemma_v):
+        return "empty lemma"
+    if lemma_w == lemma_v:
+        return "identical lemmas"
     if pos not in CONTENT_POS:
         return f"unknown pos {pos!r}"
     if relation not in RELATIONS:
@@ -522,27 +528,39 @@ def label_error(pos: str, relation: str, head: str) -> str | None:
     return None
 
 
-def check_labels(labels: Sequence[list[str]], faults: Faults) -> None:
-    """Add the first row of the `pos`, `relation` and `head` columns of a
-    pair file with a label that no pair can have."""
-    for row, error in enumerate(map(label_error, *labels)):
+def check_pair_rows(columns: Sequence[list[str]], faults: Faults) -> None:
+    """Add the first row of the five `PAIRS` columns of a pair file that
+    holds no pair."""
+    for row, error in enumerate(map(pair_row_error, *columns)):
         if error is not None:
             faults.add(row, error)
             return
 
 
-def pairs_from_columns(columns: Sequence[list[str]], faults: Faults) -> list[LemmaPair]:
-    """The pairs of the five `PAIRS` columns, checking their labels."""
-    check_labels(columns[2:5], faults)
+def pair_columns(pairs: Sequence[LemmaPair]) -> list[list[str]]:
+    """The five `PAIRS` columns of `pairs`; `pairs_from_columns` inverts it."""
+    columns = [list(column) for column in zip(*map(pair_fields, pairs))]
+    return columns or [[] for _ in PAIRS.columns]
+
+
+def pairs_from_columns(columns: Sequence[list[str]]) -> list[LemmaPair]:
+    """The pairs of the five `PAIRS` columns."""
     return [
         LemmaPair(LemmaKey(w, pos), LemmaKey(v, pos), relation, head or None)
-        for w, v, pos, relation, head in zip(*columns[:5])
+        for w, v, pos, relation, head in zip(*columns)
     ]
 
 
+def _checked_pairs(columns: Sequence[list[str]], faults: Faults) -> list[LemmaPair]:
+    check_pair_rows(columns, faults)
+    return pairs_from_columns(columns)
+
+
 def pair_keys(columns: Sequence[list[str]], faults: Faults) -> list[str]:
-    """The four key fields of each row of a pair file, joined by tabs,
-    adding the first row whose pair an earlier row already has."""
+    """The four key fields of each row of the five `PAIRS` columns of a
+    pair file, joined by tabs, adding the first row that holds no pair and
+    the first whose pair an earlier row already has."""
+    check_pair_rows(columns, faults)
     keys = list(map("\t".join, zip(*columns[:4])))
     faults.repeats(keys, lambda key: "duplicate pair " + key.replace("\t", " "))
     return keys
@@ -553,7 +571,7 @@ def write_pairs(pairs: Iterable[LemmaPair], path: str) -> None:
 
 
 def read_pairs(path: str) -> list[LemmaPair]:
-    return read_columns(path, PAIRS, pairs_from_columns)
+    return read_columns(path, PAIRS, _checked_pairs)
 
 
 def write_derived_map(derived: Iterable[DerivedPair], path: str) -> None:
@@ -562,8 +580,8 @@ def write_derived_map(derived: Iterable[DerivedPair], path: str) -> None:
 
 
 def _derived_from_columns(columns: list[list[str]], faults: Faults) -> list[DerivedPair]:
-    original = pairs_from_columns(columns[:5], faults)
-    derived = pairs_from_columns(columns[5:], faults)
+    original = _checked_pairs(columns[:5], faults)
+    derived = _checked_pairs(columns[5:], faults)
     return list(map(DerivedPair, original, derived))
 
 

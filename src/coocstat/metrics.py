@@ -11,14 +11,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS
 from coocstat.counting import ContingencyTable, CooccurrenceEvent, CountResult, PairObservations
-from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, check_labels, pair_keys, pair_name
+from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, pair_columns, pair_keys
 from coocstat.stats import binom_test_two_sided, chi2_sfs, math_map
 from coocstat.tsv import Faults, Table, float64s, int64s, read_columns, write_table
 
@@ -319,9 +318,6 @@ class StatsTable:
 
 _CELLS = tuple(itertools.product(CONTENT_POS, RELATIONS))
 _CELL_CODE = {cell: code for code, cell in enumerate(_CELLS)}
-# A pair's `head` as its `head` column: "" for None, else itself, given
-# as the default of `get`.
-_HEAD_TEXT = {None: ""}
 # The (relation, head) of the pairs with an asymmetric order.
 _DIRECTED = frozenset(itertools.product((HYP, HOL), ("w", "v")))
 
@@ -339,14 +335,12 @@ def compute_all_stats(
     A pair whose G2 is undefined raises `UndefinedMetricError` naming the
     first such pair.
     """
-    pairs, cells, n = result.pairs, result.cells, result.n
-    g2 = _g2(cells, n, lambda row: f"pair {pair_name(pairs[row])}: ")
+    cells, n = result.cells, result.n
+    g2 = _g2(cells, n, lambda row: f"pair {result.pair_name(row)}: ")
     m = cells[:, 0]
     w_first, gap_sum = event_sums(result.events, m)
-    relation = list(map(attrgetter("relation"), pairs))
-    heads = list(map(attrgetter("head"), pairs))
-    head = list(map(_HEAD_TEXT.get, heads, heads))
-    size = len(pairs)
+    relation, head = result.relation, result.head
+    size = len(relation)
     sym = np.flatnonzero(m)
     directed = np.fromiter(map(_DIRECTED.__contains__, zip(relation, head)), dtype=bool, count=size)
     asym = sym[directed[sym]]
@@ -358,8 +352,7 @@ def compute_all_stats(
     )
     s = len(sym)
     return StatsTable(
-        list(map(attrgetter("w.lemma"), pairs)), list(map(attrgetter("v.lemma"), pairs)),
-        list(map(attrgetter("w.pos"), pairs)), relation,
+        result.lemma_w, result.lemma_v, result.pos, relation,
         g2, chi2_sfs(g2) < alpha,
         _spread(size, sym, score[:s], 0.0), _spread(size, sym, pref[:s], False, bool),
         _spread(size, sym, p[:s], np.nan),
@@ -379,14 +372,12 @@ def compute_pair_stats(
     """Score one pair's observations, its table and its `o_wv` events; see
     PairStats for field semantics."""
     events = np.asarray(obs.events, dtype=np.int64).reshape(-1, 3)
+    result = CountResult(*pair_columns([obs.pair]), _one_row(obs.table), events, obs.table.n, ())
     if len(events) != obs.table.o_wv:
         raise ValueError(
-            f"pair {pair_name(obs.pair)}: {len(events)} events, not its o_wv {obs.table.o_wv}"
+            f"pair {result.pair_name(0)}: {len(events)} events, not its o_wv {obs.table.o_wv}"
         )
-    t = compute_all_stats(
-        CountResult([obs.pair], _one_row(obs.table), events, obs.table.n, ()),
-        alpha, with_baselines,
-    )
+    t = compute_all_stats(result, alpha, with_baselines)
     # The columns in `PairStats` order, NaN as None.
     row = [c.item() for c in (
         t.g2, t.g2_sig, t.order_score, t.order_pref, t.order_p, t.mean_dist, t.n_cooc,
@@ -450,8 +441,7 @@ def _flags(column: Sequence[str], faults: Faults, optional: bool = False) -> np.
 def _table_from_columns(columns: list[list[str]], faults: Faults) -> StatsTable:
     (lemma_w, lemma_v, pos, relation, g2, g2_sig, order_score, order_pref, order_p,
      mean_dist, n_cooc, head, asym_score, asym_pref, asym_p, pmi) = columns
-    check_labels((pos, relation, head), faults)
-    pair_keys(columns, faults)
+    pair_keys((lemma_w, lemma_v, pos, relation, head), faults)
     counts = int64s(n_cooc, faults)
     faults.where(counts < 0, lambda row: "negative n_cooc")
     # `compute_all_stats` gives order_p and mean_dist exactly when n_cooc > 0,

@@ -39,7 +39,8 @@ from coocstat.lexicon import (
     LemmaMeta,
     LemmaPair,
     _orient,
-    pair_name,
+    pair_columns,
+    pair_fields,
     unordered_key,
 )
 from coocstat.metrics import (
@@ -163,7 +164,7 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
         both = n_wv[idx]
         cells.append((both, n_w[idx] - both, n_v[idx] - both, n - n_w[idx] - n_v[idx] + both))
     return CountResult(
-        pairs,
+        *pair_columns(pairs),
         np.array(cells, dtype=np.int64).reshape(-1, 4),
         np.array([e for pair_events in events for e in pair_events], dtype=np.int64).reshape(-1, 3),
         n,
@@ -368,7 +369,7 @@ def _pair_stats(
     try:
         g2 = g2_score(table)
     except UndefinedMetricError as exc:
-        raise UndefinedMetricError(f"pair {pair_name(pair)}: {exc}") from None
+        raise UndefinedMetricError(f"pair {' '.join(pair_fields(pair)[:4])}: {exc}") from None
     stats = PairStats(
         g2=g2,
         g2_significant=chi2_sf(g2) < alpha,

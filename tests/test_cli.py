@@ -402,6 +402,16 @@ class TestOptionChecks:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["all", "sample-unrelated"])
+    def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, toy_paths, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = ["--corpus", toy_paths["corpus"], "--lexicon", toy_paths["lexicon"]]
+        target = out / ("run" if command == "all" else "unr.tsv")
+        assert main([command, *inputs, "--out", str(target), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(out.iterdir()) == []
+
 
 def _rerun(tmp_path: Path, toy_run: Path, edit) -> tuple[int, Path, Path]:
     """Rerun `all` from the toy run's manifest after `edit` changes it."""

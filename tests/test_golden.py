@@ -26,7 +26,7 @@ from unittest import mock
 import pytest
 from test_cli import toy_config
 
-from coocstat import counting
+from coocstat import counting, lexicon, metrics
 from coocstat.cli import main, run_pipeline
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -104,18 +104,37 @@ def test_toy_chain_outputs_match_recorded_hashes(tmp_path, toy_paths):
 
 
 def test_pipeline_reads_only_the_count_columns(tmp_path, toy_paths):
-    # `all`, `count` and `metrics` build no per-pair view of the count:
-    # with it patched to raise, they still write the recorded bytes.
+    # `all`, `count` and `metrics` build no per-pair view of the count,
+    # neither its observations nor its pairs: with both patched to raise,
+    # they still write the recorded bytes.
     def refuse(result):
-        raise AssertionError("CountResult.observations built on the pipeline path")
+        raise AssertionError("a per-pair view of CountResult built on the pipeline path")
 
-    with mock.patch.object(counting.CountResult, "observations", property(refuse)):
+    with mock.patch.object(counting.CountResult, "observations", property(refuse)), \
+            mock.patch.object(counting.CountResult, "pairs", property(refuse)):
         assert toy_output_hashes(toy_paths, tmp_path / "run") == json.loads(
             HASHES.read_text(encoding="utf-8")
         )
         assert toy_chain_hashes(toy_paths, tmp_path / "chain") == json.loads(
             CHAIN_HASHES.read_text(encoding="utf-8")
         )
+
+
+def test_metrics_builds_no_lemma_pair(tmp_path, toy_paths):
+    # `metrics` reads the count's key columns, scores them and writes them
+    # back without a `LemmaPair`.
+    run_pipeline(toy_config(toy_paths, tmp_path / "run"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LemmaPair built on the metrics path")
+
+    out = tmp_path / "stats.tsv"
+    with mock.patch.object(lexicon, "LemmaPair", refuse), \
+            mock.patch.object(counting, "LemmaPair", refuse), \
+            mock.patch.object(metrics, "LemmaPair", refuse):
+        assert main(["metrics", "--obs", str(tmp_path / "run"), "--out", str(out)]) == 0
+    expected = json.loads(HASHES.read_text(encoding="utf-8"))["stats.tsv"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def test_toy_report_options_match_recorded_hashes(tmp_path, toy_paths):

@@ -25,6 +25,7 @@ from coocstat.metrics import (
     pmi_score,
 )
 from coocstat.counting import CountResult, PairObservations, read_observations
+from coocstat.lexicon import pair_columns
 from conftest import TOY_PATHS, pair
 from test_cli import toy_config
 
@@ -232,6 +233,11 @@ class TestComputePairStats:
         assert stats.asym_order_score is not None
         assert stats.asym_order_score > 0  # head (v side) precedes in 12/13
 
+    def test_event_count_must_be_o_wv(self):
+        t = ContingencyTable(2, 3, 4, 991, 1000)
+        with pytest.raises(ValueError, match="^pair a b NOUN ANT: 1 events, not its o_wv 2$"):
+            compute_pair_stats(PairObservations(pair("a", "b"), t, events((1, 3))))
+
 
 @st.composite
 def pair_observations(draw) -> PairObservations:
@@ -286,7 +292,7 @@ def count_results(draw) -> tuple[list[PairObservations], CountResult]:
         for obs in drawn
     ]
     result = CountResult(
-        [obs.pair for obs in observations],
+        *pair_columns([obs.pair for obs in observations]),
         np.array([obs.table[:4] for obs in observations], dtype=np.int64).reshape(-1, 4),
         np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
             np.asarray(obs.events, dtype=np.int64).reshape(-1, 3) for obs in observations
@@ -334,7 +340,8 @@ def _python_steps(score, *args):
 def _doubled(result: CountResult) -> CountResult:
     """`result` with every pair listed twice, which adds no (k, m)."""
     return CountResult(
-        result.pairs * 2, np.concatenate((result.cells, result.cells)),
+        *(column * 2 for column in result.key_columns),
+        np.concatenate((result.cells, result.cells)),
         np.concatenate((result.events, result.events)), result.n, (),
     )
 

@@ -190,7 +190,10 @@ CASES = [
     ), index=2), 3),
     # A copy of the first data row as line 3.
     ("duplicate-pair", ["observations.tsv", "stats.tsv"], _repeat_first_row, 3),
-    # Pair labels: pos in CONTENT_POS, relation in RELATIONS, head w, v or empty.
+    # Pair rows: two distinct non-empty lemmas, pos in CONTENT_POS, relation
+    # in RELATIONS, head w, v or empty.
+    ("empty-lemma", list(HEAD_COLUMN), _set_field(0, ""), 2),
+    ("identical-lemmas", list(HEAD_COLUMN), _edit_row(lambda f: "\t".join([f[1]] + f[1:])), 2),
     ("unknown-relation", list(HEAD_COLUMN), _set_field(3, "FOO"), 2),
     ("unknown-pos", list(HEAD_COLUMN), _set_field(2, "XYZ"), 2),
     *[("bad-head", [name], _set_field(i, "x"), 2) for name, i in HEAD_COLUMN.items()],
@@ -325,7 +328,9 @@ def test_bad_event_value_deep_in_a_long_file_names_its_line(tmp_path, value):
     events[:, 0] = np.arange(m)
     events[:, 2] = 1
     p = pair("a", "b")
-    result = counting.CountResult([p], np.array([[m, 0, 0, 0]]), events, m, ())
+    result = counting.CountResult(
+        *lexicon.pair_columns([p]), np.array([[m, 0, 0, 0]]), events, m, ()
+    )
     counting.write_observations(
         result, str(tmp_path / "observations.tsv"), str(tmp_path / "events.tsv")
     )
