@@ -67,7 +67,7 @@ class RunConfig:
             raise ValueError("min sentence length must be >= 1")
         if self.unr_n < 1:
             raise ValueError("UNR sample size must be >= 1")
-        lexicon.check_seed(self.seed)
+        lexicon.check_sample(self.unr_n, self.seed)
         self.report_options().validate()
 
 
@@ -176,6 +176,8 @@ def score_pairs(
 # Subcommands
 
 def run_extract_pairs(args: argparse.Namespace) -> int:
+    if args.corpus_freqs and args.dump_freqs:
+        raise ValueError("--dump-freqs needs --corpus: it writes the scanned frequencies")
     _, _, filtered = load_entries(args.lexicon, args.verb_classes)
     if args.corpus_freqs:
         freqs = counting.read_lemma_freqs(args.corpus_freqs)
@@ -202,6 +204,7 @@ def run_extract_pairs(args: argparse.Namespace) -> int:
 
 
 def run_sample_unrelated(args: argparse.Namespace) -> int:
+    lexicon.check_sample(args.n, args.seed)  # before the corpus is read
     raw = lexicon.load_lexicon(args.lexicon)
     classes = load_classes(args.verb_classes)
     _, scan = scan_controls(args.corpus, args.min_sentence_len, args.lemma_attrs, raw, classes)
@@ -213,6 +216,7 @@ def run_sample_unrelated(args: argparse.Namespace) -> int:
 
 def run_count(args: argparse.Namespace) -> int:
     pairs = [p for path in args.pairs for p in lexicon.read_pairs(path)]
+    counting.check_pairs(pairs)  # before the corpus is read
     out = Path(args.out)
     result = count_pairs(corpus.read_corpus(args.corpus, args.min_sentence_len), pairs, out)
     print(f"sentences: {result.n}; pairs counted: {len(result.cells)} -> {out}")

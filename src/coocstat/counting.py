@@ -198,6 +198,11 @@ def _join(
     ), axis=1)
 
 
+def check_pairs(pairs: Sequence[LemmaPair]) -> None:
+    if not pairs:
+        raise ValueError("pair list must be non-empty")
+
+
 def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
     """Count sentence-level (co-)occurrences of every pair.
 
@@ -206,8 +211,7 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
     each lemma with the pair's PoS.  Each pair's events are in input
     order.  The corpus is walked once, joining every pair per block.
     """
-    if not pairs:
-        raise ValueError("pair list must be non-empty")
+    check_pairs(pairs)
     corpus = as_corpus(sentences)
     pairs = _dedupe(pairs)
     n, size = len(corpus), len(corpus.keys)

@@ -243,7 +243,9 @@ def control_lemmas(meta: Mapping[LemmaKey, LemmaMeta], classes: VerbClasses) -> 
     }
 
 
-def check_seed(seed: int) -> None:
+def check_sample(n: int, seed: int) -> None:
+    if n <= 0:
+        raise ValueError(f"sample size must be positive, got {n}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -263,9 +265,7 @@ def sample_unrelated(
     Fisher-Yates shuffle over the canonically sorted universe, driven by a
     PCG64 generator, so a fixed seed always returns the same pairs.
     """
-    if n <= 0:
-        raise ValueError(f"sample size must be positive, got {n}")
-    check_seed(seed)
+    check_sample(n, seed)
     if not isinstance(corpus_pairs, PairUniverse):
         corpus_pairs = PairUniverse.from_pairs(corpus_pairs)
     keys, codes, size = corpus_pairs.keys, corpus_pairs.codes, len(corpus_pairs.keys)

@@ -11,6 +11,12 @@
   lemma attributes, verb classes) row by row, skipping blank and ``#``
   lines, and stops at the first bad row.
 
+Each number field of every file is checked against one of two patterns:
+`_INT`, ASCII digits after an optional ``-``, or `_FLOAT`, that with the
+fraction and exponent that `repr` writes (`int` and `float` alone also take
+``+``, ``_``, spaces, other scripts' digits, ``inf`` and ``nan``).  Their
+repeats are possessive, so one match over a column keeps no state per field.
+
 Every check of a headered table, each line's field count included, adds
 the first bad row it finds to the table's one `Faults`, and the earliest
 line in file order is reported as ``<path> line N: ...``.  A wrong header
@@ -93,13 +99,16 @@ class Faults:
 
 
 _INT64 = range(-(1 << 63), 1 << 63)
+_INT = re.compile(r"-?+[0-9]++")
+_FLOAT = re.compile(_INT.pattern + r"(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+")
+_INT_LINES = re.compile(f"(?:{_INT.pattern}\n)*+")
+_FLOAT_LINES = re.compile(f"(?:{_FLOAT.pattern}\n)*+")
+_OPTIONAL_FLOAT_LINES = re.compile(f"(?:(?:{_FLOAT.pattern})?+\n)*+")
 
 
 def decimal(text: str) -> int:
-    """`int` of ASCII digits after an optional ``-``, the one integer form
-    of every file the pipeline reads (`int` alone also takes ``+``, ``_``,
-    spaces and other scripts' digits)."""
-    if not (text.removeprefix("-").isdigit() and text.isascii()):
+    """`int` of a field in the `_INT` form."""
+    if not _INT.fullmatch(text):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
@@ -128,27 +137,25 @@ def _ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarr
     return values, len(values)
 
 
+def _lines(pattern: re.Pattern[str], column: Sequence[str]) -> tuple[str, int]:
+    """`column` joined by newlines after a leading one, and the index of its
+    first field that `pattern`'s one match does not reach, or ``len(column)``."""
+    text = "\n".join(["", *column, ""])
+    return text, text.count("\n", 1, pattern.match(text, 1).end())
+
+
 def int64s(column: Sequence[str], faults: Faults) -> np.ndarray:
     """An int64 array of the integers of `column` before the first field
-    that is not a `decimal` integer or does not fit int64.
-
-    The fields are checked and read in NumPy from their text joined by
-    newlines, after a leading one: a byte is a digit, a ``-`` that starts
-    a field and comes before a digit, or a newline that ends a digit."""
-    buf = np.frombuffer("\n".join(["", *column, ""]).encode(), dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    digit = buf - ord("0") < 10
-    good = digit.copy()
-    good[0] = True
-    good[1:] |= digit[:-1] & (buf[1:] == ord("\n"))
-    good[1:-1] |= (buf[:-2] == ord("\n")) & (buf[1:-1] == ord("-")) & digit[2:]
-    rows = len(column)
-    if not good.all():
-        rows = int(np.searchsorted(newlines, np.argmin(good))) - 1  # the bad byte's field
+    that is not a `decimal` integer or does not fit int64.  The fields are
+    checked by one match of their joined text and read from its bytes."""
+    text, rows = _lines(_INT_LINES, column)
+    if rows < len(column):
         try:
             decimal(column[rows])
         except ValueError as exc:
             faults.add(rows, str(exc))
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
     values, fit = _ints(buf, newlines[:rows] + 1, newlines[1:rows + 1])
     if fit < rows:
         faults.add(fit, f"integer out of int64 range: {column[fit]}")
@@ -157,37 +164,10 @@ def int64s(column: Sequence[str], faults: Faults) -> np.ndarray:
 
 def float64s(column: Sequence[str], faults: Faults, optional: bool = False) -> np.ndarray:
     """A float64 array of the floats of `column` before the first field
-    that is not a finite float in the one float form of every table, the
-    ASCII ``-?[0-9]+(\\.[0-9]+)?(e[-+][0-9]+)?`` of `repr`; where `optional`,
-    an empty field is NaN.  (`float` alone also takes ``inf``, ``nan``,
-    ``+``, ``_``, spaces and other scripts' digits.)
-
-    The form is checked in NumPy, as `int64s` checks its, on the text joined
-    by newlines after a leading one: a byte is a digit, a ``.`` between
-    digits, an ``e`` after a digit and before a sign, a sign after an ``e``
-    and before a digit, a ``-`` that starts a field and comes before a
-    digit, or a newline that ends a digit (or, where `optional`, an empty
-    field); and no ``.`` or ``e`` comes after an ``e``, nor a ``.`` after a
-    ``.``, in one field."""
-    buf = np.frombuffer("\n".join(["", *column, ""]).encode(), dtype=np.uint8)
-    newline = buf == ord("\n")
-    digit = buf - ord("0") < 10
-    e = buf == ord("e")
-    sign = (buf == ord("-")) | (buf == ord("+"))
-    dot = buf == ord(".")
-    good = digit.copy()
-    good[0] = True
-    good[1:] |= newline[1:] & (digit[:-1] | (newline[:-1] & optional))
-    good[1:-1] |= dot[1:-1] & digit[:-2] & digit[2:]
-    good[1:-1] |= e[1:-1] & digit[:-2] & sign[2:]
-    good[1:-1] |= sign[1:-1] & digit[2:] & (e[:-2] | newline[:-2] & (buf[1:-1] == ord("-")))
-    marks = np.flatnonzero(newline | dot | e)  # each field's `.` and `e` in turn
-    kind = buf[marks]
-    good[marks[1:][(kind[1:] != ord("\n")) & (kind[:-1] == ord("e"))]] = False
-    good[marks[1:][(kind[1:] == ord(".")) & (kind[:-1] == ord("."))]] = False
-    rows = len(column)
-    if not good.all():
-        rows = int(np.searchsorted(np.flatnonzero(newline), np.argmin(good))) - 1
+    that is not a finite float in the `_FLOAT` form; where `optional`, an
+    empty field is NaN.  The fields are checked by one match, as in `int64s`."""
+    _, rows = _lines(_OPTIONAL_FLOAT_LINES if optional else _FLOAT_LINES, column)
+    if rows < len(column):
         faults.add(rows, f"not a number: {column[rows]!r}")
     values = np.array([float(text) if text else math.nan for text in column[:rows]], np.float64)
     faults.where(np.isinf(values), lambda row: f"not a number: {column[row]!r}")
@@ -258,8 +238,8 @@ def read_keyed_ints(
     too.  A file that is not UTF-8 is reported at its first such line.
     """
     width, n_int = len(table.columns), len(table.columns) - n_key
-    tail = "\t".join(["-?[0-9]+"] * n_int) + "\n"  # a line's integers, in `decimal` form
-    run = re.compile(f"((?:[^\t\n]*\t){{{n_key}}}){tail}(?:\\1{tail})*")
+    tail = "\t".join([_INT.pattern] * n_int) + "\n"  # a line's integers
+    run = re.compile(f"((?:[^\t\n]*+\t){{{n_key}}}){tail}(?:\\1{tail})*+")
     run_keys: list[int] = []  # the key of each run of lines with equal key fields
     run_lines: list[int] = []  # and its number of lines
     known: tuple[str | None, int] = (None, 0)  # the last run's key fields and key

@@ -412,6 +412,39 @@ class TestOptionChecks:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("case, message", [
+        ("negative seed", "seed must be >= 0, got -1"),
+        ("no sample", "sample size must be positive, got 0"),
+        ("no pairs", "pair list must be non-empty"),
+        ("dump without scan", "--dump-freqs needs --corpus"),
+    ])
+    def test_argument_faults_end_before_the_corpus_is_read(
+        self, tmp_path, toy_paths, toy_run, capsys, monkeypatch, case, message
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus", no_read)
+        no_pairs = str(tmp_path / "pairs.tsv")
+        write_table(no_pairs, cli.lexicon.PAIRS, [])
+        out = tmp_path / "out"
+        out.mkdir()
+        sample = ["sample-unrelated", "--corpus", toy_paths["corpus"],
+                  "--lexicon", toy_paths["lexicon"], "--out", str(out / "unr.tsv")]
+        argv = {
+            "negative seed": [*sample, "--seed", "-1"],
+            "no sample": [*sample, "--n", "0"],
+            "no pairs": ["count", "--corpus", toy_paths["corpus"], "--pairs", no_pairs,
+                         "--out", str(out / "counts")],
+            "dump without scan": ["extract-pairs", "--lexicon", toy_paths["lexicon"],
+                                  "--corpus-freqs", str(toy_run / "corpus_freqs.tsv"),
+                                  "--out", str(out / "pairs.tsv"),
+                                  "--dump-freqs", str(out / "freqs.tsv")],
+        }[case]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(out.iterdir()) == []
+
 
 def _rerun(tmp_path: Path, toy_run: Path, edit) -> tuple[int, Path, Path]:
     """Rerun `all` from the toy run's manifest after `edit` changes it."""

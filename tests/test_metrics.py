@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 import sys
@@ -329,11 +330,13 @@ def _python_steps(score, *args):
         steps += 1
         return trace
 
+    gc.disable()  # a collection would run `gc.callbacks`, Hypothesis has one, in the trace
     sys.settrace(trace)
     try:
         table = score(*args)
     finally:
         sys.settrace(None)
+        gc.enable()
     return table, steps
 
 

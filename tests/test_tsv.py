@@ -4,11 +4,13 @@ exit status 1."""
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -418,6 +420,17 @@ def test_int64s_matches_the_per_field_rule(column):
     assert (values.tolist(), faults.found) == reference.int64s(column)
 
 
+@settings(max_examples=300)
+@given(_FIELDS)
+def test_decimal_matches_the_reference(text):
+    want = reference._integer(text)
+    if want is None:
+        with pytest.raises(ValueError, match="^not a decimal integer: "):
+            tsv.decimal(text)
+    else:
+        assert tsv.decimal(text) == want
+
+
 _FLOAT_FIELDS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from([
@@ -445,6 +458,23 @@ def test_every_finite_float_reads_back(floats):
     values = tsv.float64s(list(map(repr, floats)), faults)
     assert not faults.found
     assert values.tobytes() == np.array(floats, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("optional", [False, True])
+def test_float_check_keeps_no_per_field_scratch(optional):
+    # One match over the joined column: about 60 bytes per field at the
+    # peak, the joined text and the floats read, where a check of byte
+    # masks over the text took about 200.
+    rng = random.Random(5)
+    column = [repr(rng.uniform(-1e6, 1e6)) for _ in range(200_000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tsv.float64s(column, tsv.Faults("x"), optional)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(column) <= 100
 
 
 def _toy_key(toy_run: Path):
