@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import json
 import sys
@@ -65,8 +66,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.min_sentence_len < 1:
             raise ValueError("min sentence length must be >= 1")
-        if self.unr_n < 1:
-            raise ValueError("UNR sample size must be >= 1")
         lexicon.check_sample(self.unr_n, self.seed)
         self.report_options().validate()
 
@@ -504,5 +503,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The process entry: `main` of the command line, for the ``coocstat``
+    console script and ``python -m coocstat.cli``."""
+    # The objects made at import live for the whole run; frozen, they are
+    # left out of every collection, where each full one walked them all.
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

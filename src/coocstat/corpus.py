@@ -7,8 +7,9 @@ comments.  Files ending in ``.gz`` are decompressed transparently.
 `read_corpus` parses a file once into a `Corpus`: interned
 ``(lemma, coarse PoS)`` keys and integer arrays of token ids and sentence
 offsets, about 4 bytes per token.  Surface forms are not kept, since no
-stage reads them.  Each distinct token line is parsed once; repeats cost
-one dictionary lookup.
+stage reads them.  The file is read as bytes, in blocks of whole lines.
+Each distinct line is decoded and parsed once; repeats cost one
+dictionary lookup, made for a whole block at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from array import array
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -131,11 +133,9 @@ def _opener(path: str) -> Callable[..., IO]:
     return gzip.open if str(path).endswith(".gz") else open
 
 
-def _open_text(path: str) -> IO[str]:
-    return _opener(path)(path, "rt", encoding="utf-8")
-
-
-def _parse_key(text: str, line_no: int, path: str) -> LemmaKey:
+def _parse_key(text: str, line_no: int, path: str, coarse: dict[str, str]) -> tuple[str, str]:
+    """The ``(lemma, coarse PoS)`` of a token line; `coarse` remembers
+    `map_pos` of each raw tag."""
     fields = text.split("\t")
     if len(fields) != 3:
         raise CorpusParseError(
@@ -145,9 +145,12 @@ def _parse_key(text: str, line_no: int, path: str) -> LemmaKey:
     lemma = lemma.casefold()
     if not lemma:
         raise CorpusParseError("empty lemma field", line_no, path)
-    if any(ch.isspace() for ch in lemma):
+    if lemma.split() != [lemma]:  # `str.split` cuts at exactly the `str.isspace` characters
         raise CorpusParseError(f"lemma contains whitespace: {lemma!r}", line_no, path)
-    return LemmaKey(lemma, map_pos(raw_pos))
+    pos = coarse.get(raw_pos)
+    if pos is None:
+        pos = coarse[raw_pos] = map_pos(raw_pos)
+    return lemma, pos
 
 
 def _id_order(key: LemmaKey) -> tuple[str, str]:
@@ -216,7 +219,7 @@ class Corpus:
             offsets.append(len(ids))
             sentence_ids.append(sent.id)
         return _compile(
-            [LemmaKey(*k) for k in index],
+            list(index),
             np.frombuffer(ids, dtype=np.intc),
             np.array(offsets, dtype=np.int64),
             np.array(sentence_ids, dtype=np.int64),
@@ -246,45 +249,95 @@ def as_corpus(sentences: Iterable[Sentence]) -> Corpus:
 
 
 def _compile(
-    keys: list[LemmaKey],
+    keys: list[tuple[str, str]],
     ids: np.ndarray,
     offsets: np.ndarray,
     sentence_ids: np.ndarray,
     skipped: int,
 ) -> Corpus:
-    """Drop the keys no token uses and renumber the rest in id order."""
+    """Drop the ``(lemma, pos)`` keys no token uses, renumber the rest in
+    id order and make them `LemmaKey`s."""
     used = np.zeros(len(keys), dtype=bool)
     used[ids] = True  # a mask, where `np.bincount` would copy `ids` as int64
     used = np.flatnonzero(used).tolist()
-    order = sorted(used, key=lambda i: _id_order(keys[i]))
+    order = sorted(used, key=[(pos, lemma) for lemma, pos in keys].__getitem__)
     remap = np.zeros(len(keys), dtype=np.int32)
     remap[order] = np.arange(len(order), dtype=np.int32)
-    return Corpus([keys[i] for i in order], remap[ids], offsets, sentence_ids, skipped)
+    return Corpus(
+        [LemmaKey(*keys[i]) for i in order], remap[ids], offsets, sentence_ids, skipped
+    )
 
 
-def _parse(handle: IO[str], path: str) -> tuple[list[LemmaKey], array, array]:
-    """Intern every token line: the keys in first-seen order, each token's
-    key id (C ints), and the offsets of the non-empty sentences (0, then
-    each end; int64)."""
-    index: dict[LemmaKey, int] = {}
-    by_line: dict[str, int] = {}  # a parsed raw line -> its key id
+# Bytes per read of the parse.  Each block's line list and id scratch are
+# the parse's transient memory: on the corpus of
+# `test_read_corpus_peak_is_compact`, `read_corpus` peaked at about 10
+# bytes per token with 64 KiB blocks, 20 with 256 KiB and 65 with 1 MiB.
+_BLOCK = 1 << 16
+# What a line stands for beside a key id: a sentence end, a comment, or
+# nothing known yet.
+_END, _COMMENT, _MISS = -1, -2, -3
+
+
+def _line_blocks(handle: IO[bytes]) -> Iterator[bytes]:
+    """The bytes of `handle` in blocks of whole lines of about `_BLOCK`
+    bytes, every line ended by ``\\n``: a ``\\r\\n`` or a lone ``\\r``
+    becomes one, as in text mode, and a last line without an end gets one.
+
+    The lines that each `read1` completes are yielded before the next
+    read, so damage that a read meets in a ``.gz`` file is raised after
+    the lines of the reads before it are parsed."""
+    rest = b""
+    while chunk := handle.read1(_BLOCK):
+        while chunk.endswith(b"\r") and (more := handle.read(1)):
+            chunk += more  # the `\n` of a `\r\n` that the read cut
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        block = rest + chunk
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield block[:cut]
+        rest = block[cut:]
+    if rest:
+        yield rest + b"\n"
+
+
+def _parse(handle: IO[bytes], path: str) -> tuple[list[tuple[str, str]], array, array]:
+    """Intern every token line: the ``(lemma, pos)`` keys in first-seen
+    order, each token's key id (C ints), and the offsets of the non-empty
+    sentences (0, then each end; int64).
+
+    Each block's lines are looked up in one pass through a dict of the
+    lines seen before, the blank line among them as a sentence end; Python
+    runs only for a line not seen before, in line order."""
+    index: dict[tuple[str, str], int] = {}
+    by_line: dict[bytes, int] = {b"": _END}  # a raw line -> its key id, _END or _COMMENT
+    coarse: dict[str, str] = {}
     ids = array("i")
     bounds = array("q", [0])
-    lookup, append = by_line.get, ids.append
-    for line_no, line in enumerate(handle, start=1):
-        kid = lookup(line)
-        if kid is not None:
-            append(kid)
-            continue
-        text = line.rstrip("\n").rstrip("\r")
-        if text.startswith("#"):
-            continue
-        if not text.strip():
-            if len(ids) > bounds[-1]:
-                bounds.append(len(ids))
-            continue
-        kid = by_line[line] = index.setdefault(_parse_key(text, line_no, path), len(index))
-        append(kid)
+    line_no = 0  # of the lines before the block
+    for block in _line_blocks(handle):
+        lines = block.split(b"\n")
+        lines.pop()  # the empty text after the last line's end
+        values = np.fromiter(map(by_line.get, lines, repeat(_MISS)), np.int32, len(lines))
+        for i in np.flatnonzero(values == _MISS).tolist():
+            line = lines[i]
+            value = by_line.get(line)  # a miss may repeat a line seen earlier in the block
+            if value is None:
+                text = line.decode("utf-8")
+                if text.startswith("#"):
+                    value = _COMMENT
+                elif not text.strip():
+                    value = _END
+                else:
+                    key = _parse_key(text, line_no + i + 1, path, coarse)
+                    value = index.setdefault(key, len(index))
+                by_line[line] = value
+            values[i] = value
+        line_no += len(lines)
+        tokens = values >= 0
+        ends = np.cumsum(tokens, dtype=np.int64)[values == _END] + len(ids)
+        bounds.frombytes(ends[np.diff(ends, prepend=bounds[-1]) > 0].tobytes())
+        ids.frombytes(values[tokens].tobytes())
     if len(ids) > bounds[-1]:
         bounds.append(len(ids))
     return list(index), ids, bounds
@@ -300,7 +353,7 @@ def read_corpus(path: str, min_len: int = 5) -> Corpus:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
     try:  # the outer handler also covers damage met while locating a bad line
         try:
-            with _open_text(path) as handle:
+            with _opener(path)(path, "rb") as handle:
                 keys, token_ids, bounds = _parse(handle, path)
         except UnicodeDecodeError as exc:
             raise _utf8_error(path, exc, _opener(path)) from None
@@ -309,7 +362,7 @@ def read_corpus(path: str, min_len: int = 5) -> Corpus:
     ids = np.frombuffer(token_ids, dtype=np.intc)
     offsets = np.frombuffer(bounds, dtype=np.int64)
     lengths = np.diff(offsets)
-    content = np.array([k.pos != PUNCT for k in keys], dtype=np.uint8)
+    content = np.array([pos != PUNCT for _, pos in keys], dtype=np.uint8)
     # int32: no sentence has 2**31 tokens, and the sum casts the mask to it first.
     n_content = np.add.reduceat(content[ids], offsets[:-1], dtype=np.int32)
     keep = n_content >= min_len

@@ -7,14 +7,15 @@ the toolkit agnostic about where the pairs come from.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS, VERB, LemmaKey, PairUniverse
-from coocstat.tsv import Faults, Table, decimal, read_columns, read_rows, write_table
+from coocstat.tsv import Faults, Table, decimals, read_columns, write_table
 
 ANT = "ANT"
 SYN = "SYN"
@@ -350,60 +351,60 @@ def derived_pairs(
 # ---------------------------------------------------------------------------
 # File formats
 
-def _parse_flags(text: str) -> frozenset[str]:
-    if not text:
-        return frozenset()
-    flags = frozenset(text.split(","))
-    bad = flags - FLAGS
-    if bad:
-        raise ValueError(f"unknown flags {sorted(bad)}")
-    return flags
+LEXICON = Table("lexicon", (
+    "lemma_a", "pos", "lemma_b", "relation", "directed_head", "path_length",
+    "wn_freq_a", "wn_freq_b", "flags_a", "flags_b",
+), header=False)
+DERIVATIONS = Table("derivations", ("lemma", "pos", "derived_lemma", "derived_pos"), header=False)
+LEMMA_ATTRS = Table("lemma-attributes", ("lemma", "pos", "wn_freq", "flags"), header=False)
+VERB_CLASSES = Table("verb-classes", ("lemma", "class"), header=False)
 
 
-def _count(text: str) -> int:
-    return decimal(text) if text else 0
-
-
-def _lemma_key(lemma: str, pos: str) -> LemmaKey:
-    if not lemma:
-        raise ValueError("empty lemma")
-    pos = pos.upper()
-    if pos not in CONTENT_POS:
-        raise ValueError(f"bad pos {pos!r}")
+def _lemma_keys(lemmas: list[str], pos: list[str], faults: Faults) -> list[LemmaKey]:
+    """The case-folded key of each row, adding the first row with an empty
+    lemma and the first whose PoS, upper-cased, is not a content PoS."""
+    faults.first(lemmas, operator.not_, lambda row: "empty lemma")
     # One string per PoS for all rows, not one per row and side.
-    return LemmaKey(lemma.casefold(), sys.intern(pos))
+    upper = {tag: sys.intern(tag.upper()) for tag in set(pos)}
+    faults.first(pos, lambda tag: upper[tag] not in CONTENT_POS,
+                 lambda row: f"bad pos {upper[pos[row]]!r}")
+    return list(map(LemmaKey, map(str.casefold, lemmas), map(upper.__getitem__, pos)))
 
 
-def _entry_from_fields(f: list[str]) -> LexiconEntry:
-    lemma_a, pos, lemma_b, relation, head, plen, freq_a, freq_b, flags_a, flags_b = f
-    a, b = _lemma_key(lemma_a, pos), _lemma_key(lemma_b, pos)
-    relation = relation.upper()
-    if relation not in RELATED:
-        raise ValueError(f"bad relation {relation!r}")
-    if a == b:
-        raise ValueError("identical lemmas")
-    if head not in ("", "a", "b"):
-        raise ValueError(f"bad directed_head {head!r}")
-    if head and relation not in (HYP, HOL):
-        raise ValueError(f"directed_head given for {relation}")
-    if relation == HYP and not plen:
-        raise ValueError("HYP needs path_length")
-    if plen and relation != HYP:
-        raise ValueError(f"path_length given for {relation}")
-    path_length = decimal(plen) if plen else None
-    if path_length is not None and path_length < 0:
-        raise ValueError(f"path_length must be >= 0, got {path_length}")
-    return LexiconEntry(
-        a=a,
-        b=b,
-        relation=relation,
-        directed_head=head or None,
-        path_length=path_length,
-        wn_freq_a=_count(freq_a),
-        wn_freq_b=_count(freq_b),
-        flags_a=_parse_flags(flags_a),
-        flags_b=_parse_flags(flags_b),
-    )
+def _flag_sets(column: list[str], faults: Faults) -> list[frozenset[str]]:
+    """The comma-separated flags of each row, adding the first row with an
+    unknown flag.  Rows with the same text share one set."""
+    sets = {text: frozenset(text.split(",") if text else ()) for text in set(column)}
+    faults.first(column, lambda text: not sets[text] <= FLAGS,
+                 lambda row: f"unknown flags {sorted(sets[column[row]] - FLAGS)}")
+    return list(map(sets.__getitem__, column))
+
+
+def _entries_from_columns(columns: list[list[str]], faults: Faults) -> list[LexiconEntry]:
+    lemma_a, pos, lemma_b, relation, head, plen, freq_a, freq_b, flags_a, flags_b = columns
+    a = _lemma_keys(lemma_a, pos, faults)
+    b = _lemma_keys(lemma_b, pos, faults)
+    upper = {name: name.upper() for name in set(relation)}
+    relation = list(map(upper.__getitem__, relation))
+    faults.first(relation, lambda name: name not in RELATED,
+                 lambda row: f"bad relation {relation[row]!r}")
+    faults.first(list(map(operator.eq, a, b)), bool, lambda row: "identical lemmas")
+    faults.first(head, lambda side: side not in ("", "a", "b"),
+                 lambda row: f"bad directed_head {head[row]!r}")
+    faults.first(list(zip(head, relation)), lambda pair: pair[0] and pair[1] not in (HYP, HOL),
+                 lambda row: f"directed_head given for {relation[row]}")
+    given = list(zip(relation, map(bool, plen)))
+    faults.first(given, lambda pair: pair == (HYP, False), lambda row: "HYP needs path_length")
+    faults.first(given, lambda pair: pair[1] and pair[0] != HYP,
+                 lambda row: f"path_length given for {relation[row]}")
+    path_length = decimals(plen, faults, None)
+    faults.first(path_length, lambda n: n is not None and n < 0,
+                 lambda row: f"path_length must be >= 0, got {path_length[row]}")
+    return list(map(
+        LexiconEntry, a, b, relation, [side or None for side in head], path_length,
+        decimals(freq_a, faults, 0), decimals(freq_b, faults, 0),
+        _flag_sets(flags_a, faults), _flag_sets(flags_b, faults),
+    ))
 
 
 def load_lexicon(path: str) -> list[LexiconEntry]:
@@ -413,35 +414,34 @@ def load_lexicon(path: str) -> list[LexiconEntry]:
     wn_freq_a wn_freq_b flags_a flags_b.  Empty fields mean "absent";
     flags are comma-separated.
     """
-    return list(read_rows(path, 10, _entry_from_fields))
+    return read_columns(path, LEXICON, _entries_from_columns)
 
 
-def _link_from_fields(f: list[str]) -> DerivationLink:
-    link = DerivationLink(_lemma_key(f[0], f[1]), _lemma_key(f[2], f[3]))
-    if link.source == link.derived:
-        raise ValueError("self-link")
-    return link
+def _links_from_columns(columns: list[list[str]], faults: Faults) -> list[DerivationLink]:
+    lemma, pos, derived_lemma, derived_pos = columns
+    source = _lemma_keys(lemma, pos, faults)
+    derived = _lemma_keys(derived_lemma, derived_pos, faults)
+    faults.first(list(map(operator.eq, source, derived)), bool, lambda row: "self-link")
+    return list(map(DerivationLink, source, derived))
 
 
 def load_derivations(path: str) -> list[DerivationLink]:
     """Read derivation links: lemma pos derived_lemma derived_pos."""
-    return list(read_rows(path, 4, _link_from_fields))
+    return read_columns(path, DERIVATIONS, _links_from_columns)
 
 
-def _attrs_from_fields(f: list[str], seen: Container[LemmaKey]) -> tuple[LemmaKey, LemmaMeta]:
-    key = _lemma_key(f[0], f[1])
-    if key in seen:
-        raise ValueError(f"duplicate lemma {key.lemma} {key.pos}")
-    return key, LemmaMeta(_count(f[2]), _parse_flags(f[3]))
+def _attrs_from_columns(columns: list[list[str]], faults: Faults) -> dict[LemmaKey, LemmaMeta]:
+    lemma, pos, wn_freq, flags = columns
+    keys = _lemma_keys(lemma, pos, faults)
+    faults.repeats(keys, lambda key: f"duplicate lemma {key.lemma} {key.pos}")
+    meta = map(LemmaMeta, decimals(wn_freq, faults, 0), _flag_sets(flags, faults))
+    return dict(zip(keys, meta))
 
 
 def load_lemma_attrs(path: str) -> dict[LemmaKey, LemmaMeta]:
     """Read per-lemma attributes: lemma pos wn_freq flags, one row per
     case-folded ``lemma pos``."""
-    attrs: dict[LemmaKey, LemmaMeta] = {}
-    for key, meta in read_rows(path, 4, lambda f: _attrs_from_fields(f, attrs)):
-        attrs[key] = meta
-    return attrs
+    return read_columns(path, LEMMA_ATTRS, _attrs_from_columns)
 
 
 def lemma_meta_from_entries(entries: Iterable[LexiconEntry]) -> dict[LemmaKey, LemmaMeta]:
@@ -461,20 +461,21 @@ _VERB_CLASS_NAMES = {
 }
 
 
-def _verb_class_from_fields(f: list[str]) -> tuple[str, str]:
-    if not f[0]:
-        raise ValueError("empty lemma")
-    if f[1] not in _VERB_CLASS_NAMES:
-        raise ValueError(f"unknown verb class {f[1]!r} (choose from linking, aux, light)")
-    return f[0].casefold(), _VERB_CLASS_NAMES[f[1]]
+def _classes_from_columns(columns: list[list[str]], faults: Faults) -> dict[str, frozenset[str]]:
+    lemma, name = columns
+    faults.first(lemma, operator.not_, lambda row: "empty lemma")
+    faults.first(name, lambda text: text not in _VERB_CLASS_NAMES, lambda row: (
+        f"unknown verb class {name[row]!r} (choose from linking, aux, light)"
+    ))
+    classes: dict[str, frozenset[str]] = {}
+    for key, flag in zip(map(str.casefold, lemma), map(_VERB_CLASS_NAMES.get, name)):
+        classes[key] = classes.get(key, frozenset()) | {flag}
+    return classes
 
 
 def load_verb_classes(path: str) -> dict[str, frozenset[str]]:
     """Read the verb word list: lemma class, class in {linking, aux, light}."""
-    classes: dict[str, frozenset[str]] = {}
-    for lemma, flag in read_rows(path, 2, _verb_class_from_fields):
-        classes[lemma] = classes.get(lemma, frozenset()) | {flag}
-    return classes
+    return read_columns(path, VERB_CLASSES, _classes_from_columns)
 
 
 def with_verb_classes(key: LemmaKey, flags: frozenset[str], classes: VerbClasses) -> frozenset[str]:

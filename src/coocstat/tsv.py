@@ -1,15 +1,14 @@
 """The one TSV layer behind every file the pipeline reads.
 
 * `read_columns` reads each table the pipeline writes and reads back
-  (pairs, derived map, observations, lemma frequencies, per-pair stats):
-  a header line of column names, then one line per row.  It splits the
-  file whole into one list of text per column, for a decoder to check.
+  (pairs, derived map, observations, lemma frequencies, per-pair stats),
+  a header line of column names and then one line per row, and the
+  headerless input files (lexicon, derivations, lemma attributes, verb
+  classes), whose blank and ``#`` lines it skips.  It splits the file
+  whole into one list of text per column, for a decoder to check.
 * `read_keyed_ints` reads `events.tsv`, the one long table, in blocks of
   whole lines: one regular expression checks each run of lines of one
   key, and NumPy reads their integers from the block's bytes.
-* `read_rows` reads the headerless input files (lexicon, derivations,
-  lemma attributes, verb classes) row by row, skipping blank and ``#``
-  lines, and stops at the first bad row.
 
 Each number field of every file is checked against one of two patterns:
 `_INT`, ASCII digits after an optional ``-``, or `_FLOAT`, that with the
@@ -17,28 +16,34 @@ fraction and exponent that `repr` writes (`int` and `float` alone also take
 ``+``, ``_``, spaces, other scripts' digits, ``inf`` and ``nan``).  Their
 repeats are possessive, so one match over a column keeps no state per field.
 
-Every check of a headered table, each line's field count included, adds
-the first bad row it finds to the table's one `Faults`, and the earliest
-line in file order is reported as ``<path> line N: ...``.  A wrong header
-is line 1; a file that is not UTF-8 is reported at its first such line.
+Every check of a table, each line's field count included, adds the first
+bad row it finds to the table's one `Faults`, and the earliest line in
+file order is reported as ``<path> line N: ...``; of two faults on one
+line, the check added first.  A wrong header is line 1; a file that is
+not UTF-8 is reported at its first such line.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
+import sys
+from itertools import compress, count
+from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+H = TypeVar("H", bound=Hashable)
 
 
 class Table(NamedTuple):
-    """A file kind, named in error messages, and its column names."""
+    """A file kind, named in error messages, and its column names, which
+    are the first line of a file with a `header`."""
 
     kind: str
     columns: tuple[str, ...]
+    header: bool = True
 
 
 def write_table(path: str, table: Table, rows: Iterable[Sequence[str]]) -> None:
@@ -64,12 +69,14 @@ def _utf8_error(
 
 
 class Faults:
-    """The bad data rows of one headered table, each the first that one
-    check found, named by the row's 0-based index among the data rows;
-    `raise_first` reports the earliest of them."""
+    """The bad data rows of one table, each the first that one check
+    found, named by the row's 0-based index among the data rows;
+    `raise_first` reports the earliest of them by its file line number,
+    ``lines[row]``, by default the row's line after a header line."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, lines: Sequence[int] = range(2, sys.maxsize)) -> None:
         self.path = path
+        self.lines = lines
         self.found: list[tuple[int, str]] = []
 
     def add(self, row: int, message: str) -> None:
@@ -81,10 +88,20 @@ class Faults:
             row = int(np.argmax(bad))
             self.add(row, message(row))
 
-    def repeats(self, keys: Sequence[str], message: Callable[[str], str]) -> None:
+    def first(
+        self, values: Sequence[H], bad: Callable[[H], object], message: Callable[[int], str]
+    ) -> None:
+        """Add the first row whose value `bad` holds for, calling `bad`
+        once per distinct value."""
+        marked = {value for value in set(values) if bad(value)}
+        if marked:
+            row = next(compress(count(), map(marked.__contains__, values)))
+            self.add(row, message(row))
+
+    def repeats(self, keys: Sequence[H], message: Callable[[H], str]) -> None:
         """Add the first row whose key an earlier row already has."""
         if len(set(keys)) < len(keys):
-            seen: set[str] = set()
+            seen: set[H] = set()
             for row, key in enumerate(keys):
                 if key in seen:
                     self.add(row, message(key))
@@ -95,7 +112,7 @@ class Faults:
         """Raise the fault on the earliest row, or the first added of two."""
         if self.found:
             row, message = min(self.found, key=lambda fault: fault[0])
-            raise ValueError(f"{self.path} line {row + 2}: {message}")
+            raise ValueError(f"{self.path} line {self.lines[row]}: {message}")
 
 
 _INT64 = range(-(1 << 63), 1 << 63)
@@ -111,6 +128,22 @@ def decimal(text: str) -> int:
     if not _INT.fullmatch(text):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+def decimals(column: Sequence[str], faults: Faults, empty: int | None) -> list[int | None]:
+    """The `decimal` integer of each field of `column`, `empty` for an
+    empty field, adding the first field that is neither to `faults` (and
+    None for it).  Unlike `int64s`, any size is taken.  Each distinct field
+    is read once."""
+    values: dict[str, int | None] = {}
+    errors: dict[str, str] = {}
+    for text in set(column):
+        try:
+            values[text] = decimal(text) if text else empty
+        except ValueError as exc:
+            errors[text] = str(exc)
+    faults.first(column, errors.__contains__, lambda row: errors[column[row]])
+    return list(map(values.get, column))
 
 
 def _ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, int]:
@@ -181,21 +214,29 @@ def read_columns(
     list with one field per data row and `faults` collects what `decode`
     finds wrong, to be raised after it returns.
 
-    The file is split whole, making no list or tuple per row.  The first
-    line with a wrong field count is a fault that ends the rows.  `decode`
-    may empty the list of columns as it converts them, to free their text.
+    The file is split whole, making no list or tuple per row.  Without a
+    header, blank lines (whitespace only, too) and lines that start with
+    ``#`` hold no row.  The first line with a wrong field count is a fault
+    that ends the rows.  `decode` may empty the list of columns as it
+    converts them, to free their text.
     """
     width = len(table.columns)
-    faults = Faults(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            if handle.readline().rstrip("\n") != "\t".join(table.columns):
+            if table.header and handle.readline().rstrip("\n") != "\t".join(table.columns):
                 raise ValueError(f"{path} line 1: not a {table.kind} file")
             lines = handle.read().split("\n")
     except UnicodeDecodeError as exc:
         raise _utf8_error(path, exc, open) from None
     if lines[-1] == "":
         lines.pop()  # after the newline that ends the last line
+    if table.header:
+        faults = Faults(path)
+    else:
+        numbers = [n for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
+        if len(numbers) < len(lines):
+            lines = [lines[n - 1] for n in numbers]
+        faults = Faults(path, numbers)
     tabs = [line.count("\t") for line in lines]
     n_rows = next((row for row, n in enumerate(tabs) if n != width - 1), len(lines))
     if n_rows < len(lines):
@@ -294,23 +335,3 @@ def read_keyed_ints(
         raise _utf8_error(path, exc, open) from None
     pair = np.repeat(np.array(run_keys, dtype=np.int64), run_lines)[:rows]
     return pair, ints[:rows]
-
-
-def read_rows(path: str, width: int, decode: Callable[[list[str]], T]) -> Iterator[T]:
-    """Yield `decode(fields)` per row of a headerless file of `width`
-    fields, skipping blank and ``#`` lines; a `ValueError` from `decode`
-    comes back prefixed with the file and line number."""
-    line_no = 0
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip() or line[0] == "#":
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != width:
-                    raise ValueError(f"expected {width} fields, got {len(fields)}")
-                yield decode(fields)
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(path, exc, open) from None
-    except ValueError as exc:
-        raise ValueError(f"{path} line {line_no}: {exc}") from None

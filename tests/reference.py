@@ -1,6 +1,7 @@
 """Plain-Python reference versions of the corpus parser, the frequency and
 pair scan, the counter, the control-pair sampler, the event metrics, the
-pair scorer and the `events.tsv` decoder.
+pair scorer, the `events.tsv` decoder and the row-by-row readers of the
+headerless input files.
 
 These are the loop implementations the array code in `coocstat.corpus`,
 `coocstat.counting`, `coocstat.lexicon` and `coocstat.metrics` replaced:
@@ -13,14 +14,15 @@ exactly their results.
 
 from __future__ import annotations
 
+import gzip
 import itertools
 import math
 import re
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from coocstat.corpus import CONTENT_POS, PUNCT, LemmaKey, Sentence, Token, _open_text, map_pos
+from coocstat.corpus import CONTENT_POS, PUNCT, LemmaKey, Sentence, Token, map_pos
 from coocstat.counting import (
     ContingencyTable,
     CooccurrenceEvent,
@@ -32,12 +34,17 @@ from coocstat.counting import (
 from coocstat.lexicon import (
     _UNIT_FLAGS,
     _VERB_CLASS_FLAGS,
+    _VERB_CLASS_NAMES,
+    FLAGS,
     HOL,
     HYP,
+    RELATED,
     UNR,
     VERB,
+    DerivationLink,
     LemmaMeta,
     LemmaPair,
+    LexiconEntry,
     _orient,
     pair_columns,
     pair_fields,
@@ -51,7 +58,7 @@ from coocstat.metrics import (
     UndefinedMetricError,
     _order_test,
 )
-from coocstat.tsv import Table
+from coocstat.tsv import Table, _utf8_error, decimal
 
 
 class ReferenceParseError(ValueError):
@@ -86,7 +93,8 @@ class SentenceStream:
 
     def __iter__(self) -> Iterator[Sentence]:
         tokens: list[Token] = []
-        with _open_text(self._path) as handle:
+        opener = gzip.open if str(self._path).endswith(".gz") else open
+        with opener(self._path, "rt", encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 line = line.rstrip("\n").rstrip("\r")
                 if line.startswith("#"):
@@ -530,3 +538,127 @@ def read_events(
             return keys, rows, (row, str(exc))
         rows.append(values)
     return keys, rows, None
+
+
+# -- the headerless input files, row by row -----------------------------------
+
+T = TypeVar("T")
+
+
+def read_rows(path: str, width: int, decode: Callable[[list[str]], T]) -> Iterator[T]:
+    """Yield `decode(fields)` per row of a headerless file of `width`
+    fields, skipping blank and ``#`` lines; a `ValueError` from `decode`
+    comes back prefixed with the file and line number."""
+    line_no = 0
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip() or line[0] == "#":
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                yield decode(fields)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, exc, open) from None
+    except ValueError as exc:
+        raise ValueError(f"{path} line {line_no}: {exc}") from None
+
+
+def _parse_flags(text: str) -> frozenset[str]:
+    if not text:
+        return frozenset()
+    flags = frozenset(text.split(","))
+    bad = flags - FLAGS
+    if bad:
+        raise ValueError(f"unknown flags {sorted(bad)}")
+    return flags
+
+
+def _count(text: str) -> int:
+    return decimal(text) if text else 0
+
+
+def _lemma_key(lemma: str, pos: str) -> LemmaKey:
+    if not lemma:
+        raise ValueError("empty lemma")
+    pos = pos.upper()
+    if pos not in CONTENT_POS:
+        raise ValueError(f"bad pos {pos!r}")
+    return LemmaKey(lemma.casefold(), pos)
+
+
+def _entry_from_fields(f: list[str]) -> LexiconEntry:
+    lemma_a, pos, lemma_b, relation, head, plen, freq_a, freq_b, flags_a, flags_b = f
+    a, b = _lemma_key(lemma_a, pos), _lemma_key(lemma_b, pos)
+    relation = relation.upper()
+    if relation not in RELATED:
+        raise ValueError(f"bad relation {relation!r}")
+    if a == b:
+        raise ValueError("identical lemmas")
+    if head not in ("", "a", "b"):
+        raise ValueError(f"bad directed_head {head!r}")
+    if head and relation not in (HYP, HOL):
+        raise ValueError(f"directed_head given for {relation}")
+    if relation == HYP and not plen:
+        raise ValueError("HYP needs path_length")
+    if plen and relation != HYP:
+        raise ValueError(f"path_length given for {relation}")
+    path_length = decimal(plen) if plen else None
+    if path_length is not None and path_length < 0:
+        raise ValueError(f"path_length must be >= 0, got {path_length}")
+    return LexiconEntry(
+        a=a,
+        b=b,
+        relation=relation,
+        directed_head=head or None,
+        path_length=path_length,
+        wn_freq_a=_count(freq_a),
+        wn_freq_b=_count(freq_b),
+        flags_a=_parse_flags(flags_a),
+        flags_b=_parse_flags(flags_b),
+    )
+
+
+def load_lexicon(path: str) -> list[LexiconEntry]:
+    return list(read_rows(path, 10, _entry_from_fields))
+
+
+def _link_from_fields(f: list[str]) -> DerivationLink:
+    link = DerivationLink(_lemma_key(f[0], f[1]), _lemma_key(f[2], f[3]))
+    if link.source == link.derived:
+        raise ValueError("self-link")
+    return link
+
+
+def load_derivations(path: str) -> list[DerivationLink]:
+    return list(read_rows(path, 4, _link_from_fields))
+
+
+def _attrs_from_fields(f: list[str], seen: Container[LemmaKey]) -> tuple[LemmaKey, LemmaMeta]:
+    key = _lemma_key(f[0], f[1])
+    if key in seen:
+        raise ValueError(f"duplicate lemma {key.lemma} {key.pos}")
+    return key, LemmaMeta(_count(f[2]), _parse_flags(f[3]))
+
+
+def load_lemma_attrs(path: str) -> dict[LemmaKey, LemmaMeta]:
+    attrs: dict[LemmaKey, LemmaMeta] = {}
+    for key, meta in read_rows(path, 4, lambda f: _attrs_from_fields(f, attrs)):
+        attrs[key] = meta
+    return attrs
+
+
+def _verb_class_from_fields(f: list[str]) -> tuple[str, str]:
+    if not f[0]:
+        raise ValueError("empty lemma")
+    if f[1] not in _VERB_CLASS_NAMES:
+        raise ValueError(f"unknown verb class {f[1]!r} (choose from linking, aux, light)")
+    return f[0].casefold(), _VERB_CLASS_NAMES[f[1]]
+
+
+def load_verb_classes(path: str) -> dict[str, frozenset[str]]:
+    classes: dict[str, frozenset[str]] = {}
+    for lemma, flag in read_rows(path, 2, _verb_class_from_fields):
+        classes[lemma] = classes.get(lemma, frozenset()) | {flag}
+    return classes

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
@@ -415,6 +416,7 @@ class TestOptionChecks:
     @pytest.mark.parametrize("case, message", [
         ("negative seed", "seed must be >= 0, got -1"),
         ("no sample", "sample size must be positive, got 0"),
+        ("all without a sample", "sample size must be positive, got 0"),
         ("no pairs", "pair list must be non-empty"),
         ("dump without scan", "--dump-freqs needs --corpus"),
     ])
@@ -434,6 +436,9 @@ class TestOptionChecks:
         argv = {
             "negative seed": [*sample, "--seed", "-1"],
             "no sample": [*sample, "--n", "0"],
+            "all without a sample": ["all", "--corpus", toy_paths["corpus"],
+                                     "--lexicon", toy_paths["lexicon"],
+                                     "--out", str(out / "run"), "--unr-n", "0"],
             "no pairs": ["count", "--corpus", toy_paths["corpus"], "--pairs", no_pairs,
                          "--out", str(out / "counts")],
             "dump without scan": ["extract-pairs", "--lexicon", toy_paths["lexicon"],
@@ -700,3 +705,17 @@ def test_benchmark_tracer_runs_the_toy_all(tmp_path, toy_paths, toy_run):
     traced, plain = read_all(tmp_path / "all"), read_all(toy_run)
     del traced["manifest.json"], plain["manifest.json"]  # they name their own out_dir
     assert traced == plain
+
+
+def test_process_entry_freezes_the_objects_the_imports_made():
+    """The console script and ``python -m coocstat.cli`` go through `entry`,
+    which freezes the collector before `main` runs."""
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"]["coocstat"] == "coocstat.cli:entry"
+    script = ("import gc, sys\nfrom coocstat import cli\n"
+              "cli.main = lambda: print(gc.get_freeze_count()) or 0\nsys.exit(cli.entry())")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 10_000

@@ -2,6 +2,7 @@ import ast
 import gc
 import gzip
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference
+from coocstat import corpus as corpus_module
 from coocstat.corpus import (
     ADJ,
     ADV,
@@ -22,6 +25,7 @@ from coocstat.corpus import (
     read_corpus,
     sorted_unique,
 )
+from conftest import TOY_PATHS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coocstat"
 
@@ -195,6 +199,67 @@ def test_read_corpus_peak_is_compact(tmp_path):
         tracemalloc.stop()
     assert corpus.skipped and len(corpus)  # the filter drops some sentences
     assert peak / n_tokens <= 11
+
+
+def _same_corpus(got, want) -> None:
+    assert got.keys == want.keys
+    for name in ("token_ids", "offsets", "sentence_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.skipped == want.skipped
+
+
+def _outcome(path: str, min_len: int):
+    """The corpus of `path`, or the message of the error reading it."""
+    try:
+        return read_corpus(path, min_len)
+    except CorpusParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_block_edges_leave_the_corpus_as_one_read_gives_it(tmp_path, monkeypatch, block):
+    # At these sizes every line, and every `\r\n` of the `\r\n` copy,
+    # is cut by some block edge, and the bad line is in a later block.
+    data = Path(TOY_PATHS["corpus"]).read_bytes()
+    lines = data.splitlines(keepends=True)
+    copies = {
+        "toy": data,
+        "crlf": data.replace(b"\n", b"\r\n"),
+        "cr": data.replace(b"\n", b"\r"),
+        "bad-line": b"".join(lines[:700] + [b"x\ty z\tNOUN\n"] + lines[700:]),
+    }
+    paths = {}
+    for name, copy in copies.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(copy)
+    want = {(name, n): _outcome(str(path), n) for name, path in paths.items() for n in (1, 5)}
+    assert want["bad-line", 1] == f"{paths['bad-line']} line 701: lemma contains whitespace: 'y z'"
+    monkeypatch.setattr(corpus_module, "_BLOCK", block)
+    for (name, min_len), expected in want.items():
+        got = _outcome(str(paths[name]), min_len)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            _same_corpus(got, expected)
+            _same_corpus(got, want["toy", min_len])
+
+
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]  # 29 of them
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_lemma_with_whitespace_fails_as_the_reference_does(tmp_path, space):
+    # A tab, `\n` or `\r` in a lemma field cuts the field or the line, so
+    # the line fails for its field count instead.
+    path = write(tmp_path, f"a\ta\tNOUN\nx\tp{space}q\tNOUN\n\n")
+    with pytest.raises(reference.ReferenceParseError) as want:
+        list(reference.SentenceStream(path, 1))
+    with pytest.raises(CorpusParseError) as got:
+        read_corpus(path, 1)
+    assert str(got.value) == f"{path} {want.value}"
+    if space not in "\t\n\r":
+        assert str(got.value) == f"{path} line 2: lemma contains whitespace: {'p' + space + 'q'!r}"
 
 
 _PROP_PATH = None

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+import reference
+from coocstat import lexicon
 from coocstat.cli import DEFAULT_VERB_CLASSES, main, run_pipeline
 from conftest import TOY_PATHS
 from test_cli import toy_config
@@ -123,3 +125,72 @@ def test_mutated_input_exits_cleanly(work, capsys, name):
     finally:
         path.write_bytes(original)
     assert not failures, failures
+
+
+# The headerless input files, their readers and the row-by-row reference
+# readers, a good row of each, and edits of its fields, each making the row
+# fail one check, in the order the reference checks a row.
+HEADERLESS = {
+    "lexicon.tsv": (lexicon.load_lexicon, reference.load_lexicon, "x\tNOUN\ty\tHYP\tb\t1\t5\t5\t\t", [
+        {0: ""}, {1: "NOUNS"}, {2: ""}, {3: "MER"}, {2: "X"}, {4: "c"}, {3: "ANT"}, {5: ""},
+        {5: "x"}, {5: "-1"}, {6: "+5"}, {7: "+5"}, {8: "FOO"}, {9: "MWE,FOO"},
+    ]),
+    "lemma_attrs.tsv": (lexicon.load_lemma_attrs, reference.load_lemma_attrs, "x\tNOUN\t5\t", [
+        {0: ""}, {1: "X"}, {0: "Appear", 1: "verb"}, {2: "five"}, {3: "FOO"},
+    ]),
+    "derivations.tsv": (lexicon.load_derivations, reference.load_derivations, "x\tADJ\ty\tADV", [
+        {0: ""}, {1: "X"}, {2: ""}, {3: "X"}, {2: "X", 3: "adj"},
+    ]),
+    "verb_classes.tsv": (lexicon.load_verb_classes, reference.load_verb_classes, "x\tlinking", [
+        {0: ""}, {1: "modal"},
+    ]),
+}
+
+
+def _edited(row: str, *edits: dict[int, str]) -> str:
+    fields = row.split("\t")
+    for edit in edits:
+        for column, text in edit.items():
+            fields[column] = text
+    return "\t".join(fields)
+
+
+def _loaded(load, path: str) -> object:
+    """What `load` reads from `path`, dicts as their items in order, or the
+    message of the `ValueError` it raises."""
+    try:
+        result = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+@pytest.mark.parametrize("name", HEADERLESS)
+def test_headerless_readers_match_the_row_by_row_reference(work, tmp_path, name):
+    # Every mutation of the gate; every two faults of a row on one line,
+    # where the check that runs first wins; the last check's fault on a
+    # line before the first check's, and after; and blank, whitespace-only
+    # and comment lines before a bad row.
+    load, load_reference, good, edits = HEADERLESS[name]
+    text = (work / name).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    late, early = _edited(good, edits[-1]), _edited(good, edits[0])
+    skipped = ["", " \t", "# a comment\twith a tab", "#"]
+    cases = _cases(name, text) + [
+        (f"faults-{i}-{j}", [*lines[:2], _edited(good, edits[i], edits[j]), *lines[2:]])
+        for i, j in itertools.permutations(range(len(edits)), 2)
+        if edits[i].keys().isdisjoint(edits[j])
+    ] + [
+        ("late-then-early", [*lines[:2], late, *lines[2:4], early, *lines[4:]]),
+        ("early-then-late", [*lines[:2], early, *lines[2:4], late, *lines[4:]]),
+        ("skipped-then-bad", [*lines[:3], *skipped, early, *lines[3:]]),
+        ("skipped-at-the-end", [*lines, good, *skipped]),
+    ]
+    path = tmp_path / name
+    outcomes = set()
+    for case, data in cases:
+        path.write_bytes(data if isinstance(data, bytes) else "\n".join(data).encode())
+        want = _loaded(load_reference, str(path))
+        assert _loaded(load, str(path)) == want, case
+        outcomes.add(type(want))
+    assert outcomes == {str, list}
