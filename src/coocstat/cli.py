@@ -71,11 +71,8 @@ class RunConfig:
 
 
 def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -7,9 +7,9 @@ comments.  Files ending in ``.gz`` are decompressed transparently.
 `read_corpus` parses a file once into a `Corpus`: interned
 ``(lemma, coarse PoS)`` keys and integer arrays of token ids and sentence
 offsets, about 4 bytes per token.  Surface forms are not kept, since no
-stage reads them.  The file is read as bytes, in blocks of whole lines.
-Each distinct line is decoded and parsed once; repeats cost one
-dictionary lookup, made for a whole block at a time.
+stage reads them.  The file is read as bytes by `coocstat.tsv.LineBlocks`,
+in blocks of whole lines.  Each distinct line is decoded and parsed once;
+repeats cost one dictionary lookup, made for a whole block at a time.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from coocstat.tsv import _utf8_error
+from coocstat.tsv import LineBlocks
 
 NOUN = "NOUN"
 VERB = "VERB"
@@ -126,11 +126,6 @@ def map_pos(raw_tag: str) -> str:
         if tag.startswith(prefix):
             return coarse
     return OTHER
-
-
-def _opener(path: str) -> Callable[..., IO]:
-    """`gzip.open` for a ``.gz`` path, else the built-in `open`."""
-    return gzip.open if str(path).endswith(".gz") else open
 
 
 def _parse_key(text: str, line_no: int, path: str, coarse: dict[str, str]) -> tuple[str, str]:
@@ -278,30 +273,7 @@ _BLOCK = 1 << 16
 _END, _COMMENT, _MISS = -1, -2, -3
 
 
-def _line_blocks(handle: IO[bytes]) -> Iterator[bytes]:
-    """The bytes of `handle` in blocks of whole lines of about `_BLOCK`
-    bytes, every line ended by ``\\n``: a ``\\r\\n`` or a lone ``\\r``
-    becomes one, as in text mode, and a last line without an end gets one.
-
-    The lines that each `read1` completes are yielded before the next
-    read, so damage that a read meets in a ``.gz`` file is raised after
-    the lines of the reads before it are parsed."""
-    rest = b""
-    while chunk := handle.read1(_BLOCK):
-        while chunk.endswith(b"\r") and (more := handle.read(1)):
-            chunk += more  # the `\n` of a `\r\n` that the read cut
-        if b"\r" in chunk:
-            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        block = rest + chunk
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield block[:cut]
-        rest = block[cut:]
-    if rest:
-        yield rest + b"\n"
-
-
-def _parse(handle: IO[bytes], path: str) -> tuple[list[tuple[str, str]], array, array]:
+def _parse(blocks: LineBlocks) -> tuple[list[tuple[str, str]], array, array]:
     """Intern every token line: the ``(lemma, pos)`` keys in first-seen
     order, each token's key id (C ints), and the offsets of the non-empty
     sentences (0, then each end; int64).
@@ -315,7 +287,7 @@ def _parse(handle: IO[bytes], path: str) -> tuple[list[tuple[str, str]], array, 
     ids = array("i")
     bounds = array("q", [0])
     line_no = 0  # of the lines before the block
-    for block in _line_blocks(handle):
+    for block in blocks:
         lines = block.split(b"\n")
         lines.pop()  # the empty text after the last line's end
         values = np.fromiter(map(by_line.get, lines, repeat(_MISS)), np.int32, len(lines))
@@ -323,13 +295,17 @@ def _parse(handle: IO[bytes], path: str) -> tuple[list[tuple[str, str]], array, 
             line = lines[i]
             value = by_line.get(line)  # a miss may repeat a line seen earlier in the block
             if value is None:
-                text = line.decode("utf-8")
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    blocks.decode(block, line_no)  # raises the error naming the line
+                    raise
                 if text.startswith("#"):
                     value = _COMMENT
                 elif not text.strip():
                     value = _END
                 else:
-                    key = _parse_key(text, line_no + i + 1, path, coarse)
+                    key = _parse_key(text, line_no + i + 1, blocks.path, coarse)
                     value = index.setdefault(key, len(index))
                 by_line[line] = value
             values[i] = value
@@ -351,12 +327,9 @@ def read_corpus(path: str, min_len: int = 5) -> Corpus:
     """
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
-    try:  # the outer handler also covers damage met while locating a bad line
-        try:
-            with _opener(path)(path, "rb") as handle:
-                keys, token_ids, bounds = _parse(handle, path)
-        except UnicodeDecodeError as exc:
-            raise _utf8_error(path, exc, _opener(path)) from None
+    try:
+        with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as handle:
+            keys, token_ids, bounds = _parse(LineBlocks(path, handle, _BLOCK))
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"{path}: unreadable gzip data: {exc}") from exc
     ids = np.frombuffer(token_ids, dtype=np.intc)

@@ -1,5 +1,7 @@
 """The one TSV layer behind every file the pipeline reads.
 
+* `LineBlocks`, the line reader of every input file, the corpus too, alone
+  decides where a line ends, and names the first line that is not UTF-8.
 * `read_columns` reads each table the pipeline writes and reads back
   (pairs, derived map, observations, lemma frequencies, per-pair stats),
   a header line of column names and then one line per row, and the
@@ -19,8 +21,8 @@ repeats are possessive, so one match over a column keeps no state per field.
 Every check of a table, each line's field count included, adds the first
 bad row it finds to the table's one `Faults`, and the earliest line in
 file order is reported as ``<path> line N: ...``; of two faults on one
-line, the check added first.  A wrong header is line 1; a file that is
-not UTF-8 is reported at its first such line.
+line, the check added first.  A wrong header is line 1.  A line that is
+not UTF-8 comes before every other fault of a table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import re
 import sys
 from itertools import compress, count
-from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
+from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,19 +55,50 @@ def write_table(path: str, table: Table, rows: Iterable[Sequence[str]]) -> None:
             out.write("\t".join(row) + "\n")
 
 
-def _utf8_error(
-    path: str, exc: UnicodeDecodeError, opener: Callable[..., IO[bytes]]
-) -> ValueError:
-    """Locate the first line of `path` that is not UTF-8, reading it as
-    bytes through `opener` (`open`, or `gzip.open` for a compressed file).
-    Text is decoded in blocks, so `exc` alone does not tell which line it is."""
-    with opener(path, "rb") as handle:
-        for line_no, line in enumerate(handle, start=1):
+class LineBlocks:
+    """The binary file `handle`, named `path`, in blocks of whole lines of
+    about `size` bytes, or whole for a negative `size`.  A ``\\r\\n`` or a
+    lone ``\\r`` becomes ``\\n``, and a last line without an end gets one.
+    The lines that each read completes are yielded before the next read, so
+    damage that a read meets in a ``.gz`` file is raised after them."""
+
+    def __init__(self, path: str, handle: IO[bytes], size: int = -1) -> None:
+        self.path, self.handle, self.size = path, handle, size
+        self.unended = False  # whether the last block's line end was added
+
+    def __iter__(self) -> Iterator[bytes]:
+        read = self.handle.read1 if self.size > 0 else self.handle.read
+        self.unended, rest = False, b""
+        while chunk := read(self.size):
+            while chunk.endswith(b"\r") and (more := read(1)):
+                chunk += more  # the `\n` of a `\r\n` that the read cut
+            if b"\r" in chunk:
+                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            chunk = rest + chunk
+            cut = chunk.rfind(b"\n") + 1
+            chunk, rest = chunk[:cut], chunk[cut:]  # no second buffer kept
+            if chunk:
+                yield chunk
+        if rest:
+            self.unended = True
+            yield rest + b"\n"
+
+    def decode(self, block: bytes, line_no: int) -> str:
+        """`block`, the lines after line `line_no`, decoded.  Its first line
+        N that is not UTF-8 raises ValueError ``<path> line N: <error>``:
+        Python's error for that line's bytes as the file holds them."""
+        try:
+            return block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start = block.rfind(b"\n", 0, exc.start) + 1
+            end = block.index(b"\n", exc.start) + 1
+            end -= self.unended and end == len(block)  # the end the file lacks
+            line_no += block.count(b"\n", 0, start) + 1
             try:
-                line.decode("utf-8")
+                block[start:end].decode("utf-8")
             except UnicodeDecodeError as line_exc:
-                return ValueError(f"{path} line {line_no}: {line_exc}")
-    return ValueError(f"{path}: {exc}")
+                exc = line_exc
+            raise ValueError(f"{self.path} line {line_no}: {exc}") from None
 
 
 class Faults:
@@ -221,16 +254,14 @@ def read_columns(
     converts them, to free their text.
     """
     width = len(table.columns)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            if table.header and handle.readline().rstrip("\n") != "\t".join(table.columns):
-                raise ValueError(f"{path} line 1: not a {table.kind} file")
-            lines = handle.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(path, exc, open) from None
-    if lines[-1] == "":
-        lines.pop()  # after the newline that ends the last line
+    with open(path, "rb") as handle:
+        blocks = LineBlocks(path, handle)
+        lines = blocks.decode(b"".join(blocks), 0).split("\n")
+    lines.pop()  # the empty text after the last line's end
     if table.header:
+        if lines[:1] != ["\t".join(table.columns)]:
+            raise ValueError(f"{path} line 1: not a {table.kind} file")
+        del lines[0]
         faults = Faults(path)
     else:
         numbers = [n for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
@@ -251,15 +282,8 @@ def read_columns(
     return result
 
 
-# Characters per read of `read_keyed_ints`, which bounds its scratch arrays.
+# Bytes per read of `read_keyed_ints`, which bound its scratch arrays.
 _BLOCK = 1 << 18
-
-
-def _line_blocks(handle: TextIO) -> Iterator[str]:
-    """The rest of `handle` in blocks of whole lines of about `_BLOCK`
-    characters, each ending in a newline (added to a last line without one)."""
-    while block := handle.read(_BLOCK) + handle.readline():
-        yield block if block.endswith("\n") else block + "\n"
 
 
 def read_keyed_ints(
@@ -276,7 +300,7 @@ def read_keyed_ints(
     first line that the pattern rejects, that holds an integer outside
     int64 or whose key fields `key` rejects goes to `faults` and ends the
     rows, for the caller's checks of the rows before it to add to `faults`
-    too.  A file that is not UTF-8 is reported at its first such line.
+    too.  A line that is not UTF-8 is reported before any of these.
     """
     width, n_int = len(table.columns), len(table.columns) - n_key
     tail = "\t".join([_INT.pattern] * n_int) + "\n"  # a line's integers
@@ -294,44 +318,49 @@ def read_keyed_ints(
         int64s(fields[n_key:], cells)
         return cells.found[0][1] if cells.found else None
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            header, body = handle.readline(), handle.tell()
-            # A first pass counts the lines, for the integers to fill one
-            # array, and meets any text that is not UTF-8 before a bad line.
-            ints = np.empty((sum(b.count("\n") for b in _line_blocks(handle)), n_int), np.int64)
-            if header.rstrip("\n") != "\t".join(table.columns):
-                raise ValueError(f"{path} line 1: not a {table.kind} file")
-            handle.seek(body)
-            for block in _line_blocks(handle):
-                pos, error = 0, None
-                while pos < len(block):
-                    match = run.match(block, pos)
-                    try:
-                        if match is None:
-                            raise ValueError  # `row_error` tells what is wrong
-                        if match[1] != known[0]:
-                            known = match[1], key(match[1][:-1])
-                    except ValueError as exc:
-                        error = row_error(block[pos:block.index("\n", pos)]) or str(exc)
-                        break
-                    run_keys.append(known[1])
-                    run_lines.append(block.count("\n", pos, match.end()))
-                    pos = match.end()
-                buf = np.frombuffer(block[:pos].encode(), dtype=np.uint8)
-                # Each line's tabs and newline: the pattern let no other byte 9
-                # or 10 through, and no UTF-8 character holds one.
-                seps = np.flatnonzero(buf - 9 <= 1).reshape(-1, width)
-                values, fit = _ints(buf, seps[:, n_key - 1:-1].ravel() + 1, seps[:, n_key:].ravel())
-                lines = fit // n_int
-                ints[rows:rows + lines] = values[:lines * n_int].reshape(-1, n_int)
-                rows += lines
-                if lines < len(seps):  # an integer outside int64, before `error`'s line
-                    error = row_error(block.split("\n", lines + 1)[lines])
-                if error is not None:
-                    faults.add(rows, error)
+    with open(path, "rb") as handle:
+        blocks = LineBlocks(path, handle, _BLOCK)
+        # A first pass counts the lines, for the integers to fill one array,
+        # and meets any line that is not UTF-8 before a bad row.
+        header, n_lines = None, 0
+        for block in blocks:
+            blocks.decode(block, n_lines)
+            header = block[:block.index(b"\n")] if header is None else header
+            n_lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
+        if header != "\t".join(table.columns).encode():
+            raise ValueError(f"{path} line 1: not a {table.kind} file")
+        ints = np.empty((n_lines - 1, n_int), np.int64)
+        handle.seek(0)
+        start = len(header) + 1  # the header line, which starts the first block
+        for raw in blocks:
+            block = raw.decode("utf-8")
+            pos, error, runs = start, None, len(run_lines)
+            while pos < len(block):
+                match = run.match(block, pos)
+                try:
+                    if match is None:
+                        raise ValueError  # `row_error` tells what is wrong
+                    if match[1] != known[0]:
+                        known = match[1], key(match[1][:-1])
+                except ValueError as exc:
+                    error = row_error(block[pos:block.index("\n", pos)]) or str(exc)
                     break
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(path, exc, open) from None
+                run_keys.append(known[1])
+                run_lines.append(block.count("\n", pos, match.end()))
+                pos = match.end()
+            buf = np.frombuffer(raw, dtype=np.uint8, offset=start)
+            # The matched lines' tabs and newlines: the pattern let no other
+            # byte 9 or 10 through, and no UTF-8 character holds one.
+            seps = np.flatnonzero(buf - 9 <= 1)[:sum(run_lines[runs:]) * width].reshape(-1, width)
+            values, fit = _ints(buf, seps[:, n_key - 1:-1].ravel() + 1, seps[:, n_key:].ravel())
+            lines = fit // n_int
+            ints[rows:rows + lines] = values[:lines * n_int].reshape(-1, n_int)
+            rows += lines
+            if lines < len(seps):  # an integer outside int64, before `error`'s line
+                error = row_error(block[start:].split("\n", lines + 1)[lines])
+            if error is not None:
+                faults.add(rows, error)
+                break
+            start = 0
     pair = np.repeat(np.array(run_keys, dtype=np.int64), run_lines)[:rows]
     return pair, ints[:rows]

@@ -58,7 +58,7 @@ from coocstat.metrics import (
     UndefinedMetricError,
     _order_test,
 )
-from coocstat.tsv import Table, _utf8_error, decimal
+from coocstat.tsv import Table, decimal
 
 
 class ReferenceParseError(ValueError):
@@ -497,6 +497,21 @@ def float64s(
     return values, faults
 
 
+def _read_text(path: str) -> str:
+    """The text of `path` with every line end a ``\\n``, as text mode reads
+    it, decoded a line at a time: the first line that is not UTF-8, with
+    its line end, raises ValueError naming it."""
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    text = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            text.append(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from None
+    return "".join(text).replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_events(
     path: str, table: Table, n_key: int, key: Callable[[str], int]
 ) -> tuple[list[int], list[list[int]], tuple[int, str] | None]:
@@ -506,19 +521,9 @@ def read_events(
     A line is bad if it has the wrong number of fields, an integer field
     that is not ASCII digits after an optional ``-``, an integer outside
     int64, or key fields that `key` rejects, checked in that order.  A
-    wrong header, or text that is not UTF-8 anywhere in the file, raises
-    ValueError naming line 1 or the first such line."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-    except UnicodeDecodeError:
-        with open(path, "rb") as raw:
-            for line_no, line in enumerate(raw, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path} line {line_no}: {exc}") from None
-        raise
+    line that is not UTF-8 anywhere in the file, or else a wrong header,
+    raises ValueError naming the first such line or line 1."""
+    lines = _read_text(path).split("\n")
     if lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != "\t".join(table.columns):
@@ -549,18 +554,16 @@ def read_rows(path: str, width: int, decode: Callable[[list[str]], T]) -> Iterat
     """Yield `decode(fields)` per row of a headerless file of `width`
     fields, skipping blank and ``#`` lines; a `ValueError` from `decode`
     comes back prefixed with the file and line number."""
+    lines = _read_text(path).split("\n")
     line_no = 0
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip() or line[0] == "#":
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != width:
-                    raise ValueError(f"expected {width} fields, got {len(fields)}")
-                yield decode(fields)
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(path, exc, open) from None
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip() or line[0] == "#":
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            yield decode(fields)
     except ValueError as exc:
         raise ValueError(f"{path} line {line_no}: {exc}") from None
 

@@ -193,8 +193,14 @@ class TestSubcommands:
             (b"a\ta\tNOUN\nbad\tNOUN\n\n", " line 2: expected 3 tab-separated fields, got 2\n"),
             (b"a\ta\tNOUN\nb\t\xffb\tNOUN\n\n",
              " line 2: 'utf-8' codec can't decode byte 0xff in position 2: "),
+            # A character cut short by its line's end, and by the end of a
+            # last line without one.
+            (b"a\ta\tNOUN\nb\tb\tNOUN\xc3\n\n", " line 2: 'utf-8' codec can't decode "
+             "byte 0xc3 in position 8: invalid continuation byte\n"),
+            (b"a\ta\tNOUN\nb\tb\tNOUN\xc3", " line 2: 'utf-8' codec can't decode "
+             "byte 0xc3 in position 8: unexpected end of data\n"),
         ],
-        ids=["field-count", "invalid-utf8"],
+        ids=["field-count", "invalid-utf8", "cut-character", "cut-character-at-the-end"],
     )
     def test_bad_corpus_error_names_the_file(self, tmp_path, toy_paths, capsys, data, message):
         corpus = tmp_path / "bad.tsv"
@@ -209,23 +215,23 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("suffix", [".tsv", ".tsv.gz"], ids=["plain", "gzip"])
     def test_invalid_utf8_corpus_names_the_line(self, tmp_path, toy_paths, capsys, suffix):
-        lines = Path(toy_paths["corpus"]).read_bytes().splitlines(keepends=True)
-        line_no = 1000  # a token line past the first 8 KB decode block
-        assert lines[line_no - 1].count(b"\t") == 2
-        lines[line_no - 1] = b"caf\xe9" + lines[line_no - 1]
-        data = b"".join(lines)
+        # Under each of the three line ends, the line and the position in it.
+        lines = Path(toy_paths["corpus"]).read_bytes().splitlines()
+        assert lines[2].count(b"\t") == 2
+        lines[2] = b"\xe9" + lines[2]
         corpus = tmp_path / f"bad{suffix}"
-        corpus.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
-        rc = main([
-            "extract-pairs", "--lexicon", toy_paths["lexicon"],
-            "--corpus", str(corpus), "--out", str(tmp_path / "pairs.tsv"),
-        ])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(
-            f"error: {corpus} line {line_no}: 'utf-8' codec can't decode byte 0xe9 in position 3: "
-        )
-        assert len(err.splitlines()) == 1
+        for end in (b"\n", b"\r\n", b"\r"):
+            data = b"".join(line + end for line in lines)
+            corpus.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+            rc = main([
+                "extract-pairs", "--lexicon", toy_paths["lexicon"],
+                "--corpus", str(corpus), "--out", str(tmp_path / "pairs.tsv"),
+            ])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"error: {corpus} line 3: 'utf-8' codec can't decode byte 0xe9 in position 0: "
+                "invalid continuation byte\n"
+            ), end
 
     def test_stagewise_matches_orchestrator(self, tmp_path, toy_paths):
         # extract-pairs -> sample-unrelated -> count -> metrics -> report

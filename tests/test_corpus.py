@@ -213,7 +213,7 @@ def _outcome(path: str, min_len: int):
     """The corpus of `path`, or the message of the error reading it."""
     try:
         return read_corpus(path, min_len)
-    except CorpusParseError as exc:
+    except ValueError as exc:
         return str(exc)
 
 
@@ -228,13 +228,20 @@ def test_block_edges_leave_the_corpus_as_one_read_gives_it(tmp_path, monkeypatch
         "crlf": data.replace(b"\n", b"\r\n"),
         "cr": data.replace(b"\n", b"\r"),
         "bad-line": b"".join(lines[:700] + [b"x\ty z\tNOUN\n"] + lines[700:]),
+        "bad-byte": b"".join(lines[:700] + [b"x\t\xc3\tNOUN\n"] + lines[700:]),
     }
+    copies["bad-byte-cr"] = copies["bad-byte"].replace(b"\n", b"\r")
     paths = {}
     for name, copy in copies.items():
         paths[name] = tmp_path / name
         paths[name].write_bytes(copy)
     want = {(name, n): _outcome(str(path), n) for name, path in paths.items() for n in (1, 5)}
     assert want["bad-line", 1] == f"{paths['bad-line']} line 701: lemma contains whitespace: 'y z'"
+    for name in ("bad-byte", "bad-byte-cr"):
+        assert want[name, 1] == (
+            f"{paths[name]} line 701: 'utf-8' codec can't decode byte 0xc3 in position 2: "
+            "invalid continuation byte"
+        )
     monkeypatch.setattr(corpus_module, "_BLOCK", block)
     for (name, min_len), expected in want.items():
         got = _outcome(str(paths[name]), min_len)

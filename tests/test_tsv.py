@@ -312,13 +312,60 @@ def test_damaged_file_loads_or_raises_value_error(
 
 
 def test_invalid_utf8_names_the_file(toy_run, tmp_path):
+    # Under each of the three line ends, the line and the position in it.
     d = shutil.copytree(toy_run, tmp_path / "run")
-    n_lines = len((d / "pairs.tsv").read_bytes().splitlines())
-    with open(d / "pairs.tsv", "ab") as handle:
-        handle.write(b"a\tb\tNOUN\tANT\t\xff\n")
-    with pytest.raises(ValueError, match="can't decode") as err:
-        lexicon.read_pairs(str(d / "pairs.tsv"))
-    assert str(err.value).startswith(f"{d / 'pairs.tsv'} line {n_lines + 1}: ")
+    shutil.copy(TOY_PATHS["lexicon"], d / "lexicon.tsv")
+    readers = {**READERS, "lexicon.tsv": lambda d: lexicon.load_lexicon(str(d / "lexicon.tsv"))}
+    for name in ("pairs.tsv", "events.tsv", "stats.tsv", "lexicon.tsv"):
+        lines = (d / name).read_bytes().splitlines()
+        lines[2] = b"\xff" + lines[2]
+        for end in (b"\n", b"\r\n", b"\r"):
+            (d / name).write_bytes(b"".join(line + end for line in lines))
+            with pytest.raises(ValueError) as err:
+                readers[name](d)
+            assert str(err.value) == (
+                f"{d / name} line 3: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte"
+            ), (name, end)
+
+
+@pytest.mark.parametrize(
+    "where,message",
+    [
+        ("middle", "line 3: 'utf-8' codec can't decode byte 0xc3 in position 29: "
+                   "invalid continuation byte"),
+        ("end", "line 32: 'utf-8' codec can't decode byte 0xc3 in position 33: "
+                "unexpected end of data"),
+    ],
+)
+def test_cut_character_in_the_lexicon(tmp_path, where, message):
+    # A character cut short by its line's end reads as a bad continuation
+    # byte; on a last line without an end, as data that ends too soon.
+    lines = Path(TOY_PATHS["lexicon"]).read_bytes().splitlines()
+    row = 2 if where == "middle" else len(lines) - 1
+    lines[row] += b"\xc3"
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes(b"\n".join(lines) + (b"\n" if where == "middle" else b""))
+    with pytest.raises(ValueError) as err:
+        lexicon.load_lexicon(str(path))
+    assert str(err.value) == f"{path} {message}"
+
+
+def test_bad_byte_comes_before_a_wrong_header(toy_run, tmp_path):
+    # Also past the first 8 KiB, where a text-mode read would decode only
+    # after it had read the header.
+    d = shutil.copytree(toy_run, tmp_path / "run")
+    lines = (d / "observations.tsv").read_bytes().splitlines()
+    lines = [b"lemma\tpos"] + lines[1:] * (9000 // len(b"\n".join(lines)) + 2)
+    assert len(b"\n".join(lines[:-1])) > 8192
+    lines[-1] = b"\xff" + lines[-1]
+    (d / "observations.tsv").write_bytes(b"".join(line + b"\n" for line in lines))
+    with pytest.raises(ValueError) as err:
+        READERS["observations.tsv"](d)
+    assert str(err.value) == (
+        f"{d / 'observations.tsv'} line {len(lines)}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    )
 
 
 @pytest.mark.parametrize("value", ["x", str(2 ** 63)])
@@ -580,13 +627,15 @@ def _event_mutations(text: str, seed: int = 16) -> list[tuple[str, bytes]]:
     cases += [("crlf", data.replace(b"\n", b"\r\n")), ("no-final-newline", data[:-1])]
     cases += [(f"{name}-crlf", case.replace(b"\n", b"\r\n")) for name, case in rng.sample(cases, 10)]
     cases += [(f"{name}-no-final-newline", case.rstrip(b"\n")) for name, case in rng.sample(cases, 10)]
+    cases += [("cr", data.replace(b"\n", b"\r"))]
+    cases += [(f"{name}-cr", case.replace(b"\n", b"\r")) for name, case in rng.sample(cases, 10)]
     return cases
 
 
 @pytest.mark.parametrize("block", [1, 64, tsv._BLOCK])
 def test_events_reader_matches_the_reference(toy_run, tmp_path, monkeypatch, block):
-    # A block of 1 or 64 characters splits lines and runs across blocks and
-    # puts most faults in a later block than the first.
+    # A block of 1 or 64 bytes splits lines and runs across blocks and puts
+    # most faults in a later block than the first, under each line end.
     monkeypatch.setattr(tsv, "_BLOCK", block)
     key, path = _toy_key(toy_run), str(tmp_path / "events.tsv")
     outcomes = set()
