@@ -188,11 +188,6 @@ class Corpus:
         """The id of each key, built once per corpus."""
         return dict(zip(self.keys, range(len(self.keys))))
 
-    @property
-    def n_yielded(self) -> int:
-        """The number of sentences: the corpus size N of all statistics."""
-        return len(self)
-
     def __iter__(self) -> Iterator[Sentence]:
         """The sentences as `Token` lists, with empty surface forms."""
         tokens = [Token("", k.lemma, k.pos) for k in self.keys]

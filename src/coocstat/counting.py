@@ -32,7 +32,9 @@ import numpy as np
 from coocstat.corpus import (
     CONTENT_POS, Corpus, LemmaKey, PairUniverse, Sentence, as_corpus, sorted_unique,
 )
-from coocstat.lexicon import PAIRS, LemmaPair, pair_columns, pair_keys, pairs_from_columns
+from coocstat.lexicon import (
+    PAIRS, LemmaPair, pair_columns, pair_keys, pair_name, pairs_from_columns,
+)
 from coocstat.tsv import Faults, Table, int64s, read_columns, read_keyed_ints, write_table
 
 
@@ -105,8 +107,8 @@ class CountResult:
         return [self.lemma_w, self.lemma_v, self.pos, self.relation, self.head]
 
     def pair_name(self, row: int) -> str:
-        """Row `row`'s pair as its four key fields, `lemma_w lemma_v pos relation`."""
-        return " ".join(column[row] for column in self.key_columns[:4])
+        """Row `row`'s `pair_name`, spaced for a message."""
+        return pair_name([column[row] for column in self.key_columns]).replace("\t", " ")
 
     @functools.cached_property
     def pairs(self) -> list[LemmaPair]:
@@ -121,10 +123,6 @@ class CountResult:
             p: PairObservations(p, ContingencyTable(*cells, self.n), self.events[lo:hi])
             for p, cells, lo, hi in zip(self.pairs, self.cells.tolist(), [0, *ends], ends)
         }
-
-
-def _dedupe(pairs: Sequence[LemmaPair]) -> list[LemmaPair]:
-    return list(dict.fromkeys(pairs))
 
 
 def _id_runs(sentence_ids: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -198,9 +196,20 @@ def _join(
     ), axis=1)
 
 
-def check_pairs(pairs: Sequence[LemmaPair]) -> None:
+def check_pairs(pairs: Sequence[LemmaPair]) -> list[LemmaPair]:
+    """The pairs that `count` counts, the first of each `pair_name`; no
+    pairs, or two of one name (one listed with both heads), raise ValueError."""
     if not pairs:
         raise ValueError("pair list must be non-empty")
+    first: dict[str, LemmaPair] = {}
+    for name, p in zip(map(pair_name, zip(*pair_columns(pairs))), pairs):
+        kept = first.setdefault(name, p)
+        if kept != p:
+            spaced = name.replace("\t", " ")
+            raise ValueError(
+                f"pair {spaced} listed with head {kept.head or ''!r} and with head {p.head or ''!r}"
+            )
+    return list(first.values())
 
 
 def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
@@ -211,9 +220,8 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
     each lemma with the pair's PoS.  Each pair's events are in input
     order.  The corpus is walked once, joining every pair per block.
     """
-    check_pairs(pairs)
+    pairs = check_pairs(pairs)
     corpus = as_corpus(sentences)
-    pairs = _dedupe(pairs)
     n, size = len(corpus), len(corpus.keys)
     keys = [k for p in pairs for k in (p.w, p.v)]
     key_of = np.fromiter(
@@ -301,7 +309,6 @@ count_sharded = count
 class UniverseScan(NamedTuple):
     freqs: dict[LemmaKey, int]
     pairs: PairUniverse | None
-    n_sentences: int
 
 
 def _same_pos_pairs(sent: np.ndarray, key: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
@@ -353,7 +360,7 @@ def scan_corpus(
         codes = np.concatenate(found)
         found.clear()  # free the parts before the sort copies `codes`
         pairs = PairUniverse(keys, sorted_unique(codes), corpus.key_ids)
-    return UniverseScan(freqs, pairs, len(corpus))
+    return UniverseScan(freqs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +377,8 @@ def write_observations(result: CountResult, obs_path: str, events_path: str) -> 
     key_columns = result.key_columns
     cells = (map(str, column) for column in result.cells.T.tolist())
     write_table(obs_path, OBSERVATIONS, zip(*key_columns, *cells, itertools.repeat(str(result.n))))
-    # Each event row starts with its pair's first four fields, joined once.
-    keys = map("\t".join, zip(*key_columns[:4]))
+    # Each event row starts with its pair's name, made once per pair.
+    keys = map(pair_name, zip(*key_columns[:4]))
     prefixes = itertools.chain.from_iterable(
         map(itertools.repeat, keys, result.cells[:, 0].tolist())
     )

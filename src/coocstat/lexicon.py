@@ -509,6 +509,12 @@ def pair_fields(p: LemmaPair) -> tuple[str, ...]:
     return (p.w.lemma, p.v.lemma, p.w.pos, p.relation, p.head or "")
 
 
+def pair_name(fields: Sequence[str]) -> str:
+    """The name of the pair of the `PAIRS` fields `fields`, head optional,
+    that tells it apart in every count file: its four key fields, tab-joined."""
+    return "\t".join(fields[:4])
+
+
 _HEADS = ("", "w", "v")
 
 
@@ -558,11 +564,11 @@ def _checked_pairs(columns: Sequence[list[str]], faults: Faults) -> list[LemmaPa
 
 
 def pair_keys(columns: Sequence[list[str]], faults: Faults) -> list[str]:
-    """The four key fields of each row of the five `PAIRS` columns of a
-    pair file, joined by tabs, adding the first row that holds no pair and
-    the first whose pair an earlier row already has."""
+    """The `pair_name` of each row of the five `PAIRS` columns of a pair
+    file, adding the first row that holds no pair and the first whose pair
+    an earlier row already has."""
     check_pair_rows(columns, faults)
-    keys = list(map("\t".join, zip(*columns[:4])))
+    keys = list(map(pair_name, zip(*columns[:4])))
     faults.repeats(keys, lambda key: "duplicate pair " + key.replace("\t", " "))
     return keys
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from coocstat.corpus import CONTENT_POS
-from coocstat.lexicon import RELATIONS, DerivedPair, pair_fields
+from coocstat.lexicon import RELATIONS, DerivedPair, pair_fields, pair_name
 from coocstat.metrics import DEFAULT_ALPHA, StatsTable, check_alpha
 from coocstat.stats import TestResult, brunner_munzel, sequential_sum
 
@@ -208,15 +208,13 @@ def derivation_persistence(
     """
     if not derived:
         return []
-    row_of = {
-        key: row
-        for row, key in enumerate(zip(table.lemma_w, table.lemma_v, table.pos, table.relation))
-    }
+    names = map(pair_name, zip(table.lemma_w, table.lemma_v, table.pos, table.relation))
+    row_of = {name: row for row, name in enumerate(names)}
     significant = table.g2_sig.tolist()
     counts: dict[tuple[str, str, str, str], list[int]] = {}
     for d in derived:
-        orig_row = row_of.get(pair_fields(d.original)[:4])
-        derv_row = row_of.get(pair_fields(d.derived)[:4])
+        orig_row = row_of.get(pair_name(pair_fields(d.original)))
+        derv_row = row_of.get(pair_name(pair_fields(d.derived)))
         if orig_row is None or derv_row is None:
             continue
         if not significant[orig_row]:

@@ -10,7 +10,7 @@
   whole into one list of text per column, for a decoder to check.
 * `read_keyed_ints` reads `events.tsv`, the one long table, in blocks of
   whole lines: one regular expression checks each run of lines of one
-  key, and NumPy reads their integers from the block's bytes.
+  key in the block's bytes, and NumPy reads their integers from them.
 
 Each number field of every file is checked against one of two patterns:
 `_INT`, ASCII digits after an optional ``-``, or `_FLOAT`, that with the
@@ -293,25 +293,25 @@ def read_keyed_ints(
     other columns are integers, as each row's `key(key fields joined by
     tabs)` and an int64 array of its integers.
 
-    The file is read in blocks of whole lines.  One pattern matches each
-    run of lines with equal key fields, checking every line's field count
-    and integers by the rule of `int64s`, and `key` is called once per run;
-    NumPy reads the matched lines' integers from the block's bytes.  The
-    first line that the pattern rejects, that holds an integer outside
+    The file is read twice in blocks of whole lines: to meet any line that
+    is not UTF-8 before a bad row and count the lines, for one int array,
+    then to match one pattern per run of lines with equal key fields in the
+    block's bytes, checking each line's field count and integers by the
+    rule of `int64s`; `key` is called once per run, with its fields decoded.
+    The first line that the pattern rejects, that holds an integer outside
     int64 or whose key fields `key` rejects goes to `faults` and ends the
-    rows, for the caller's checks of the rows before it to add to `faults`
-    too.  A line that is not UTF-8 is reported before any of these.
+    rows, for the caller's checks of the rows before it to add to `faults` too.
     """
     width, n_int = len(table.columns), len(table.columns) - n_key
     tail = "\t".join([_INT.pattern] * n_int) + "\n"  # a line's integers
-    run = re.compile(f"((?:[^\t\n]*+\t){{{n_key}}}){tail}(?:\\1{tail})*+")
+    run = re.compile(f"((?:[^\t\n]*+\t){{{n_key}}}){tail}(?:\\1{tail})*+".encode())
     run_keys: list[int] = []  # the key of each run of lines with equal key fields
-    run_lines: list[int] = []  # and its number of lines
-    known: tuple[str | None, int] = (None, 0)  # the last run's key fields and key
+    run_lines: list[np.ndarray] = []  # and, a block at a time, their numbers of lines
+    known: tuple[bytes | None, int] = (None, 0)  # the last run's key fields and key
     rows = 0
 
-    def row_error(line: str) -> str | None:
-        fields = line.split("\t")
+    def row_error(line: bytes) -> str | None:
+        fields = line.decode("utf-8").split("\t")
         if len(fields) != width:
             return f"expected {width} fields, got {len(fields)}"
         cells = Faults(path)
@@ -320,8 +320,6 @@ def read_keyed_ints(
 
     with open(path, "rb") as handle:
         blocks = LineBlocks(path, handle, _BLOCK)
-        # A first pass counts the lines, for the integers to fill one array,
-        # and meets any line that is not UTF-8 before a bad row.
         header, n_lines = None, 0
         for block in blocks:
             blocks.decode(block, n_lines)
@@ -332,35 +330,38 @@ def read_keyed_ints(
         ints = np.empty((n_lines - 1, n_int), np.int64)
         handle.seek(0)
         start = len(header) + 1  # the header line, which starts the first block
-        for raw in blocks:
-            block = raw.decode("utf-8")
-            pos, error, runs = start, None, len(run_lines)
+        for block in blocks:
+            pos, error, ends = start, None, [0]
             while pos < len(block):
                 match = run.match(block, pos)
                 try:
                     if match is None:
                         raise ValueError  # `row_error` tells what is wrong
                     if match[1] != known[0]:
-                        known = match[1], key(match[1][:-1])
+                        known = match[1], key(match[1][:-1].decode("utf-8"))
                 except ValueError as exc:
-                    error = row_error(block[pos:block.index("\n", pos)]) or str(exc)
+                    error = row_error(block[pos:block.index(b"\n", pos)]) or str(exc)
                     break
                 run_keys.append(known[1])
-                run_lines.append(block.count("\n", pos, match.end()))
                 pos = match.end()
-            buf = np.frombuffer(raw, dtype=np.uint8, offset=start)
-            # The matched lines' tabs and newlines: the pattern let no other
-            # byte 9 or 10 through, and no UTF-8 character holds one.
-            seps = np.flatnonzero(buf - 9 <= 1)[:sum(run_lines[runs:]) * width].reshape(-1, width)
+                ends.append(pos - start)
+            buf = np.frombuffer(block, dtype=np.uint8, offset=start)
+            # The matched lines' tabs and newlines, `width` a line, also before
+            # each run's end: the pattern let no other byte 9 or 10 through,
+            # and no UTF-8 character holds one.
+            seps = np.flatnonzero(buf - 9 <= 1)
+            ended = np.searchsorted(seps, ends) // width
+            run_lines.append(np.diff(ended))
+            seps = seps[:ended[-1] * width].reshape(-1, width)
             values, fit = _ints(buf, seps[:, n_key - 1:-1].ravel() + 1, seps[:, n_key:].ravel())
             lines = fit // n_int
             ints[rows:rows + lines] = values[:lines * n_int].reshape(-1, n_int)
             rows += lines
             if lines < len(seps):  # an integer outside int64, before `error`'s line
-                error = row_error(block[start:].split("\n", lines + 1)[lines])
+                error = row_error(block[start:].split(b"\n", lines + 1)[lines])
             if error is not None:
                 faults.add(rows, error)
                 break
             start = 0
-    pair = np.repeat(np.array(run_keys, dtype=np.int64), run_lines)[:rows]
+    pair = np.repeat(np.array(run_keys, dtype=np.int64), np.concatenate(run_lines))[:rows]
     return pair, ints[:rows]

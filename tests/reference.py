@@ -29,7 +29,6 @@ from coocstat.counting import (
     CountResult,
     PairObservations,
     _coalesce,
-    _dedupe,
 )
 from coocstat.lexicon import (
     _UNIT_FLAGS,
@@ -122,8 +121,25 @@ class SentenceStream:
         return sentence
 
 
+def _distinct(pairs: Sequence[LemmaPair]) -> list[LemmaPair]:
+    """The first of each pair named by its lemmas, PoS and relation, which
+    must not name two different pairs, such as one with both heads."""
+    kept: list[LemmaPair] = []
+    for pair in pairs:
+        name = (pair.w.lemma, pair.v.lemma, pair.w.pos, pair.relation)
+        same = [p for p in kept if (p.w.lemma, p.v.lemma, p.w.pos, p.relation) == name]
+        if not same:
+            kept.append(pair)
+        elif same[0] != pair:
+            raise ValueError(
+                f"pair {' '.join(name)} listed with head {same[0].head or ''!r}"
+                f" and with head {pair.head or ''!r}"
+            )
+    return kept
+
+
 def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
-    pairs = _dedupe(pairs)
+    pairs = _distinct(pairs)
     key_map: dict[LemmaKey, list[tuple[int, int]]] = {}
     for idx, pair in enumerate(pairs):
         key_map.setdefault(pair.w, []).append((idx, 0))

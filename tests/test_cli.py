@@ -304,6 +304,17 @@ class TestSubcommands:
         assert rc == 0
         assert pairs_a.read_bytes() == pairs_b.read_bytes()
 
+    def test_pairs_files_that_repeat_pairs_exactly_count_each_once(
+        self, tmp_path, toy_paths, toy_run
+    ):
+        pairs_f, counts, stats_f = str(toy_run / "pairs.tsv"), tmp_path / "counts", tmp_path / "s"
+        argv = ["count", "--corpus", toy_paths["corpus"], "--pairs", pairs_f, pairs_f]
+        assert main([*argv, "--out", str(counts)]) == 0
+        assert main(["metrics", "--obs", str(counts), "--out", str(stats_f)]) == 0
+        for name in ("observations.tsv", "events.tsv"):
+            assert (counts / name).read_bytes() == (toy_run / name).read_bytes()
+        assert stats_f.read_bytes() == (toy_run / "stats.tsv").read_bytes()
+
 
 class TestMetricsOnCountDir:
     def _metrics(self, counts: Path, tmp_path: Path) -> list[str]:
@@ -424,6 +435,7 @@ class TestOptionChecks:
         ("no sample", "sample size must be positive, got 0"),
         ("all without a sample", "sample size must be positive, got 0"),
         ("no pairs", "pair list must be non-empty"),
+        ("pair named twice", "pair car wheel NOUN HOL listed with head 'w' and with head 'v'\n"),
         ("dump without scan", "--dump-freqs needs --corpus"),
     ])
     def test_argument_faults_end_before_the_corpus_is_read(
@@ -433,8 +445,11 @@ class TestOptionChecks:
             raise AssertionError("the corpus was read")
 
         monkeypatch.setattr(cli.corpus, "read_corpus", no_read)
-        no_pairs = str(tmp_path / "pairs.tsv")
+        no_pairs, two_heads = str(tmp_path / "pairs.tsv"), str(tmp_path / "heads.tsv")
         write_table(no_pairs, cli.lexicon.PAIRS, [])
+        write_table(two_heads, cli.lexicon.PAIRS, [
+            ("car", "wheel", "NOUN", "HOL", "w"), ("car", "wheel", "NOUN", "HOL", "v"),
+        ])
         out = tmp_path / "out"
         out.mkdir()
         sample = ["sample-unrelated", "--corpus", toy_paths["corpus"],
@@ -447,6 +462,8 @@ class TestOptionChecks:
                                      "--out", str(out / "run"), "--unr-n", "0"],
             "no pairs": ["count", "--corpus", toy_paths["corpus"], "--pairs", no_pairs,
                          "--out", str(out / "counts")],
+            "pair named twice": ["count", "--corpus", toy_paths["corpus"], "--pairs", two_heads,
+                                 "--out", str(out / "counts")],
             "dump without scan": ["extract-pairs", "--lexicon", toy_paths["lexicon"],
                                   "--corpus-freqs", str(toy_run / "corpus_freqs.tsv"),
                                   "--out", str(out / "pairs.tsv"),

@@ -90,7 +90,7 @@ class TestReadCorpus:
         stream = read_corpus(write(tmp_path, SIMPLE), min_len=1)
         sentences = list(stream)
         assert len(sentences) == 2
-        assert stream.n_yielded == 2
+        assert len(stream) == 2
         assert [s.id for s in sentences] == [0, 1]
         first = sentences[0]
         assert [t.lemma for t in first.tokens] == ["the", "cat", "sit", "down", "."]
@@ -119,7 +119,7 @@ class TestReadCorpus:
         stream = read_corpus(write(tmp_path, "".join(lines)), min_len=5)
         kept = list(stream)
         assert len(kept) == 2
-        assert stream.n_yielded == 2
+        assert len(stream) == 2
         assert [s.id for s in kept] == [0, 1]
 
     def test_min_len_one_keeps_everything(self, tmp_path):

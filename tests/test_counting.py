@@ -226,7 +226,7 @@ class TestScan:
         # different PoS never pairs
         assert not any(a.pos != b.pos for a, b in scan.pairs)
         assert (LemmaKey("c", "VERB"), LemmaKey("d", "VERB")) in scan.pairs
-        assert scan.n_sentences == 3
+        assert len(sentences) == 3
 
     def test_vocab_restriction(self):
         sentences = [sent(0, "a", "b", "c")]

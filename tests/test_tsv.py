@@ -632,28 +632,45 @@ def _event_mutations(text: str, seed: int = 16) -> list[tuple[str, bytes]]:
     return cases
 
 
+def _non_ascii_count(toy_run: Path, dest: Path) -> Path:
+    """A copy of the toy count whose lemmas, in both files, hold 2-, 3- and
+    4-byte characters, so that a line's bytes outnumber its characters."""
+    spelled = str.maketrans({"a": "ä", "e": "€", "o": "𝑜"})
+    dest.mkdir()
+    for name in ("observations.tsv", "events.tsv"):
+        header, *lines = (toy_run / name).read_text(encoding="utf-8").splitlines()
+        rows = [line.split("\t", 2) for line in lines]
+        lines = [f"{w.translate(spelled)}\t{v.translate(spelled)}\t{rest}" for w, v, rest in rows]
+        (dest / name).write_bytes(_joined([header, *lines]))
+    return dest
+
+
 @pytest.mark.parametrize("block", [1, 64, tsv._BLOCK])
 def test_events_reader_matches_the_reference(toy_run, tmp_path, monkeypatch, block):
     # A block of 1 or 64 bytes splits lines and runs across blocks and puts
     # most faults in a later block than the first, under each line end.
     monkeypatch.setattr(tsv, "_BLOCK", block)
-    key, path = _toy_key(toy_run), str(tmp_path / "events.tsv")
+    path = str(tmp_path / "events.tsv")
     outcomes = set()
-    for name, data in _event_mutations((toy_run / "events.tsv").read_text(encoding="utf-8")):
-        (tmp_path / "events.tsv").write_bytes(data)
-        try:
-            want = reference.read_events(path, counting.EVENTS, 4, key)
-        except ValueError as exc:
-            want = str(exc)
-        faults = tsv.Faults(path)
-        try:
-            pair, ints = tsv.read_keyed_ints(path, counting.EVENTS, 4, key, faults)
-            got = (pair.tolist(), ints.tolist(), faults.found[0] if faults.found else None)
-        except ValueError as exc:
-            got = str(exc)
-        assert got == want, name
-        outcomes.add("raised" if isinstance(want, str) else "fault" if want[2] else "read")
-    assert outcomes == {"raised", "fault", "read"}
+    for count_dir in (toy_run, _non_ascii_count(toy_run, tmp_path / "non-ascii")):
+        key = _toy_key(count_dir)
+        for name, data in _event_mutations((count_dir / "events.tsv").read_text(encoding="utf-8")):
+            (tmp_path / "events.tsv").write_bytes(data)
+            try:
+                want = reference.read_events(path, counting.EVENTS, 4, key)
+            except ValueError as exc:
+                want = str(exc)
+            faults = tsv.Faults(path)
+            try:
+                pair, ints = tsv.read_keyed_ints(path, counting.EVENTS, 4, key, faults)
+                got = (pair.tolist(), ints.tolist(), faults.found[0] if faults.found else None)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (count_dir.name, name)
+            outcomes.add((count_dir, "raised" if isinstance(want, str) else
+                           "fault" if want[2] else "read"))
+    assert {outcome for _, outcome in outcomes} == {"raised", "fault", "read"}
+    assert len(outcomes) == 6  # each outcome from each count
 
 
 @pytest.mark.parametrize("block", [64, tsv._BLOCK])
