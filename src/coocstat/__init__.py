@@ -12,6 +12,14 @@ with Brunner-Munzel rank tests and summarised into tables and
 distribution files.
 """
 
+import os
+
+# coocstat calls no BLAS routine (no `dot`, `matmul`, `linalg` or `einsum`),
+# and the thread pool that NumPy's OpenBLAS starts on import costs tens of
+# milliseconds per process.  Set before the first NumPy import; a value
+# the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from coocstat.corpus import Corpus, LemmaKey, Sentence, Token, map_pos, read_corpus
 from coocstat.counting import (
     ContingencyTable,

@@ -10,6 +10,7 @@ iterated in a fixed PoS/relation order and floats are serialized with
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -19,7 +20,7 @@ import numpy as np
 from coocstat.corpus import CONTENT_POS
 from coocstat.lexicon import RELATIONS, DerivedPair, pair_fields, pair_name
 from coocstat.metrics import DEFAULT_ALPHA, StatsTable, check_alpha
-from coocstat.stats import TestResult, brunner_munzel, sequential_sum
+from coocstat.stats import TestResult, brunner_munzel_ranked, rank, sequential_sum
 
 POS_ORDER = CONTENT_POS
 REL_ORDER = RELATIONS
@@ -117,14 +118,15 @@ def compare_relations(
     relations = [r for r in REL_ORDER if r in groups] + [
         r for r in groups if r not in REL_ORDER
     ]
+    # Each testable group is ranked once, for all of its comparisons.
+    ranked = {rel: rank(values) for rel, values in groups.items() if len(values) >= 2}
     results: dict[frozenset[str], TestResult | None] = {}
     for i, rel_a in enumerate(relations):
         for rel_b in relations[i + 1 :]:
-            a, b = groups[rel_a], groups[rel_b]
-            if len(a) < 2 or len(b) < 2:
-                results[frozenset((rel_a, rel_b))] = None
-            else:
-                results[frozenset((rel_a, rel_b))] = brunner_munzel(list(a), list(b))
+            a, b = ranked.get(rel_a), ranked.get(rel_b)
+            results[frozenset((rel_a, rel_b))] = (
+                None if a is None or b is None else brunner_munzel_ranked(a, b)
+            )
     distinct = {}
     for rel in relations:
         others = [r for r in relations if r != rel]
@@ -324,6 +326,26 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _csv_line(fields: Sequence[str]) -> str:
+    """`fields` as `csv.writer` writes them, without the line end."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="").writerow(fields)
+    return line.getvalue()
+
+
+def _write_values(path: Path, groups: Mapping[tuple[str, str], list[float]]) -> None:
+    """One `pos,relation,value` row per value, the bytes `_write_csv` gives.
+
+    A float's `repr` needs no quoting, so each group is written as one
+    string: its values joined behind its `pos,relation,` prefix.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(_csv_line(["pos", "relation", "value"]) + "\n")
+        for (pos, rel), values in groups.items():
+            prefix = _csv_line([pos, rel, ""])
+            handle.write(prefix + ("\n" + prefix).join(map(repr, values)) + "\n")
 
 
 def _md_grid(
@@ -579,11 +601,9 @@ def write_report(
             ["pos", "relation", *FiveNumber._fields],
             [[pos, rel, str(f.n), *map(repr, f[1:])] for (pos, rel), f in fives.items()],
         )
-        emit_csv(
-            f"fig_{metric}_values.csv",
-            ["pos", "relation", "value"],
-            ((pos, rel, repr(v)) for (pos, rel), values in groups.items() for v in values),
-        )
+        values_path = out / f"fig_{metric}_values.csv"
+        _write_values(values_path, groups)
+        written.append(values_path)
         if options.svg and fives:  # a box plot needs at least one box
             emit_text(f"fig_{metric}.svg", render_boxplot_svg(fives, metric))
 

@@ -5,9 +5,14 @@ one degree of freedom, the closed form ``erfc(sqrt(x / 2))``, and an
 exact two-sided binomial test against p = 1/2.  Also midranks and the
 Brunner-Munzel rank test (t-distribution tail via the regularized
 incomplete beta function, which also gives the binomial tail for large
-n).  The special functions are stdlib float arithmetic; midranks sort
-with NumPy and stay exact multiples of 1/2.  Float sums are
-`sequential_sum`, which gives the same bits on every Python version.
+n).  The special functions are stdlib float arithmetic.  `rank` sorts a
+sample once with NumPy; its midranks stay exact multiples of 1/2.
+`brunner_munzel_ranked` tests two ranked samples without sorting them
+together: each value's midrank among both is its own midrank plus its
+placement in the other sample, found by `searchsorted`, so a group
+compared with several others is ranked once.  The squared rank
+deviations go through `math.pow`, as `** 2` on a float does.  Float sums
+are `sequential_sum`, which gives the same bits on every Python version.
 
 The incomplete beta is the classic continued fraction (Lentz's method)
 and is accurate to roughly 1e-14 relative, comfortably inside the 1e-10
@@ -16,9 +21,10 @@ contract the rest of the package relies on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,7 +54,9 @@ def sequential_sum(values: Sequence[float] | np.ndarray) -> float:
 
     This is the float sum of the builtin `sum` before Python 3.12, which
     compensates for rounding instead; `np.sum` adds pairwise.  Both would
-    change the last bits of the report's means.
+    change the last bits of the report's means.  A NaN's payload is not
+    part of this contract: a NaN result may carry any, since `repr`
+    writes every NaN as `nan`.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as `sum` gives them
         partial = np.cumsum(np.asarray(values, dtype=np.float64))  # one addition at a time
@@ -194,12 +202,26 @@ def binom_test_two_sided(k: int, n: int) -> TestResult:
 # ---------------------------------------------------------------------------
 # Midranks and the Brunner-Munzel test
 
-def midranks(values: list[float]) -> list[float]:
-    """1-based ranks where tied values share the average of their span."""
-    m = len(values)
+class Ranked(NamedTuple):
+    """One sample sorted once, as `rank` gives it."""
+
+    order: np.ndarray  # the stable sort order of the sample's values
+    ordered: np.ndarray  # the values in that order, as float64
+    ranks: np.ndarray  # the values' midranks, in the sample's order
+
+
+def rank(values: Sequence[float] | np.ndarray) -> Ranked:
+    """Sort `values` once and give each its 1-based midrank: tied values
+    share the average of their span.
+
+    Raises ValueError for an empty sample and for NaN, which has no rank.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    m = len(array)
     if m == 0:
         raise ValueError("midranks of an empty sequence are undefined")
-    array = np.asarray(values, dtype=np.float64)
+    if np.isnan(array).any():
+        raise ValueError("midranks of NaN are undefined")
     order = np.argsort(array, kind="stable")
     ordered = array[order]
     start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
@@ -207,11 +229,47 @@ def midranks(values: list[float]) -> list[float]:
     ranks = np.empty(m)
     # Ranks start+1 .. end+1 of each tie run, averaged.
     ranks[order] = np.repeat((start + end + 2) / 2.0, end - start + 1)
-    return ranks.tolist()
+    return Ranked(order, ordered, ranks)
 
 
-def brunner_munzel(x: list[float], y: list[float]) -> TestResult:
+def midranks(values: list[float]) -> list[float]:
+    """1-based ranks where tied values share the average of their span."""
+    return rank(values).ranks.tolist()
+
+
+def _placements(x: Ranked, y: Ranked) -> np.ndarray:
+    """For each value of `x`, the number of `y` values below it plus half
+    the number equal to it: its midrank among `x + y` less its midrank
+    within `x`.
+
+    Both are exact multiples of 1/2, so ``x.ranks + _placements(x, y)``
+    equals the midranks of `x + y` bit for bit.
+    """
+    below = np.searchsorted(y.ordered, x.ordered, "left")
+    not_above = np.searchsorted(y.ordered, x.ordered, "right")
+    placements = np.empty(len(x.ranks))
+    placements[x.order] = (below + not_above) / 2.0
+    return placements
+
+
+def _sum_of_squares(d: np.ndarray) -> float:
+    # libm's `pow`, which `d ** 2` on a Python float calls: `d * d` differs
+    # from it in the last bit for some values.
+    return sequential_sum(list(map(math.pow, d.tolist(), itertools.repeat(2.0, len(d)))))
+
+
+def brunner_munzel(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Brunner-Munzel test of H0: P(X < Y) + 0.5 P(X = Y) = 1/2.
+
+    `brunner_munzel_ranked` of the two samples' `rank`s.
+    """
+    return brunner_munzel_ranked(rank(x), rank(y))
+
+
+def brunner_munzel_ranked(x: Ranked, y: Ranked) -> TestResult:
+    """Brunner-Munzel test of H0: P(X < Y) + 0.5 P(X = Y) = 1/2 on two
+    ranked samples, so that a sample compared with several others is
+    sorted once.
 
     Returns the studentized statistic with Satterthwaite degrees of
     freedom and a two-sided t-distribution p-value; `effect` is the
@@ -220,31 +278,25 @@ def brunner_munzel(x: list[float], y: list[float]) -> TestResult:
     p = 0 under complete separation (effect 0 or 1), otherwise the
     conservative statistic 0 / p = 1.
     """
-    nx, ny = len(x), len(y)
+    nx, ny = len(x.ranks), len(y.ranks)
     if nx < 2 or ny < 2:
         raise ValueError(f"each sample needs >= 2 values, got {nx} and {ny}")
 
-    combined = list(x) + list(y)
-    ranks = midranks(combined)
-    ranks_x = ranks[:nx]
-    ranks_y = ranks[nx:]
-    inner_x = midranks(list(x))
-    inner_y = midranks(list(y))
-
-    sum_rx = sequential_sum(ranks_x)
-    sum_ry = sequential_sum(ranks_y)
+    # The midranks among x + y are each sample's own midranks plus its
+    # placements, in the sample's order.
+    place_x = _placements(x, y)
+    place_y = _placements(y, x)
+    sum_rx = sequential_sum(x.ranks + place_x)
+    sum_ry = sequential_sum(y.ranks + place_y)
     mean_rx = sum_rx / nx
     mean_ry = sum_ry / ny
     # Midranks are multiples of 1/2, so this matches brute-force
     # (wins + ties/2) / (nx*ny) bit for bit.
     effect = (sum_ry - ny * (ny + 1) / 2.0) / (nx * ny)
 
-    sx2 = sequential_sum([
-        (ranks_x[i] - inner_x[i] - mean_rx + (nx + 1) / 2.0) ** 2 for i in range(nx)
-    ]) / (nx - 1)
-    sy2 = sequential_sum([
-        (ranks_y[i] - inner_y[i] - mean_ry + (ny + 1) / 2.0) ** 2 for i in range(ny)
-    ]) / (ny - 1)
+    # A placement is exactly the combined midrank less the inner one.
+    sx2 = _sum_of_squares(place_x - mean_rx + (nx + 1) / 2.0) / (nx - 1)
+    sy2 = _sum_of_squares(place_y - mean_ry + (ny + 1) / 2.0) / (ny - 1)
 
     var_sum = nx * sx2 + ny * sy2
     if var_sum == 0.0:

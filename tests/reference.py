@@ -1,7 +1,7 @@
 """Plain-Python reference versions of the corpus parser, the frequency and
 pair scan, the counter, the control-pair sampler, the event metrics, the
-pair scorer, the `events.tsv` decoder and the row-by-row readers of the
-headerless input files.
+pair scorer, the Brunner-Munzel test, the `events.tsv` decoder and the
+row-by-row readers of the headerless input files.
 
 These are the loop implementations the array code in `coocstat.corpus`,
 `coocstat.counting`, `coocstat.lexicon` and `coocstat.metrics` replaced:
@@ -57,6 +57,7 @@ from coocstat.metrics import (
     UndefinedMetricError,
     _order_test,
 )
+from coocstat.stats import TestResult, sequential_sum, t_sf_two_sided
 from coocstat.tsv import Table, decimal
 
 
@@ -455,6 +456,62 @@ def stats_table(rows: Iterable[tuple[LemmaPair, PairStats]]) -> StatsTable:
                   for s in stats], dtype=np.int8),
         values("asym_order_p", np.float64), values("pmi", np.float64),
     )
+
+
+# ---------------------------------------------------------------------------
+# The Brunner-Munzel test on the midranks of the concatenated samples, one
+# squared deviation at a time
+
+
+def midranks(values: Sequence[float]) -> list[float]:
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+def brunner_munzel(x: Sequence[float], y: Sequence[float]) -> TestResult:
+    nx, ny = len(x), len(y)
+    if nx < 2 or ny < 2:
+        raise ValueError(f"each sample needs >= 2 values, got {nx} and {ny}")
+
+    ranks = midranks([float(v) for v in [*x, *y]])
+    ranks_x = ranks[:nx]
+    ranks_y = ranks[nx:]
+    inner_x = midranks([float(v) for v in x])
+    inner_y = midranks([float(v) for v in y])
+
+    sum_rx = sequential_sum(ranks_x)
+    sum_ry = sequential_sum(ranks_y)
+    mean_rx = sum_rx / nx
+    mean_ry = sum_ry / ny
+    effect = (sum_ry - ny * (ny + 1) / 2.0) / (nx * ny)
+
+    sx2 = sequential_sum([
+        (ranks_x[i] - inner_x[i] - mean_rx + (nx + 1) / 2.0) ** 2 for i in range(nx)
+    ]) / (nx - 1)
+    sy2 = sequential_sum([
+        (ranks_y[i] - inner_y[i] - mean_ry + (ny + 1) / 2.0) ** 2 for i in range(ny)
+    ]) / (ny - 1)
+
+    var_sum = nx * sx2 + ny * sy2
+    if var_sum == 0.0:
+        if effect in (0.0, 1.0):
+            statistic = math.inf if effect == 1.0 else -math.inf
+            return TestResult(statistic, 0.0, df=None, degenerate=True, effect=effect)
+        return TestResult(0.0, 1.0, df=None, degenerate=True, effect=effect)
+
+    statistic = nx * ny * (mean_ry - mean_rx) / ((nx + ny) * math.sqrt(var_sum))
+    df = var_sum**2 / ((nx * sx2) ** 2 / (nx - 1) + (ny * sy2) ** 2 / (ny - 1))
+    p = t_sf_two_sided(statistic, df)
+    return TestResult(statistic, p, df=df, degenerate=False, effect=effect)
 
 
 # ---------------------------------------------------------------------------

@@ -742,3 +742,28 @@ def test_process_entry_freezes_the_objects_the_imports_made():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 10_000
+
+
+def _import_output(code: str, **env_vars: str) -> str:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(ROOT / "src"), **env_vars)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_starts_openblas_with_one_thread_unless_set():
+    code = "import coocstat, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _import_output(code) == "1"
+    assert _import_output(code, OPENBLAS_NUM_THREADS="3") == "3"
+
+
+def test_import_leaves_one_thread_where_numpy_uses_openblas():
+    import numpy
+
+    blas = numpy.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    if not Path("/proc/self/task").is_dir() or "openblas" not in blas.lower():
+        pytest.skip("needs /proc/self/task and a NumPy built with OpenBLAS")
+    code = "import coocstat.cli, os; print(len(os.listdir('/proc/self/task')))"
+    assert _import_output(code) == "1"

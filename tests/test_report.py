@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 from dataclasses import fields
@@ -213,8 +215,8 @@ class TestDistributions:
 
 
 class TestWriteReport:
-    def _items(self):
-        items = []
+    def _items(self, *extra):
+        items = list(extra)
         for i in range(6):
             items.append(scored(f"a{i}", f"b{i}", g2=40 + i, sig=True,
                                 order=0.6, pref=True, dist=2.0 + i * 0.1))
@@ -228,7 +230,10 @@ class TestWriteReport:
         return table(items)
 
     def test_emits_requested_files(self, tmp_path):
-        written = write_report(self._items(), tmp_path, ReportOptions(svg=True))
+        # ADJ SYN has one value of each metric; UNR has no order or
+        # distance values and only HYP has asymmetric order values.
+        stats = self._items(scored("j", "k", pos="ADJ", relation=SYN, g2=3.0, dist=4.0))
+        written = write_report(stats, tmp_path, ReportOptions(svg=True))
         names = {p.name for p in written}
         for n in range(1, 7):
             assert f"table{n}.csv" in names and f"table{n}.md" in names
@@ -236,6 +241,14 @@ class TestWriteReport:
             assert f"fig_{metric}.csv" in names
             assert f"fig_{metric}_values.csv" in names
             assert f"fig_{metric}.svg" in names
+            # The bytes of one `csv.writer` row per value.
+            want = io.StringIO()
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(["pos", "relation", "value"])
+            for (pos, rel), values in distribution_groups(stats, metric).items():
+                writer.writerows([pos, rel, repr(v)] for v in values)
+            got = (tmp_path / f"fig_{metric}_values.csv").read_bytes()
+            assert got == want.getvalue().encode("utf-8")
         assert "comparisons.csv" in names and "distinct.csv" in names
 
     def test_undefined_cells_rendered_as_dashes(self, tmp_path):
