@@ -196,20 +196,27 @@ def _join(
     ), axis=1)
 
 
-def check_pairs(pairs: Sequence[LemmaPair]) -> list[LemmaPair]:
-    """The pairs that `count` counts, the first of each `pair_name`; no
-    pairs, or two of one name (one listed with both heads), raise ValueError."""
+def check_pairs(pairs: Sequence[LemmaPair]) -> list[list[str]]:
+    """The five `PAIRS` columns of the pairs that `count` counts, the first
+    of each `pair_name`; no pairs, or two of one name (one listed with both
+    heads), raise ValueError."""
     if not pairs:
         raise ValueError("pair list must be non-empty")
-    first: dict[str, LemmaPair] = {}
-    for name, p in zip(map(pair_name, zip(*pair_columns(pairs))), pairs):
-        kept = first.setdefault(name, p)
-        if kept != p:
-            spaced = name.replace("\t", " ")
-            raise ValueError(
-                f"pair {spaced} listed with head {kept.head or ''!r} and with head {p.head or ''!r}"
-            )
-    return list(first.values())
+    columns = pair_columns(pairs)
+    names = list(map("\t".join, zip(*columns[:4])))
+    first = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))  # each name's first row
+    if len(first) == len(names):
+        return columns
+    head = columns[4]
+    kept = list(map(head.__getitem__, map(first.__getitem__, names)))
+    if kept != head:
+        row = next(row for row, side in enumerate(head) if side != kept[row])
+        spaced = names[row].replace("\t", " ")
+        raise ValueError(
+            f"pair {spaced} listed with head {kept[row]!r} and with head {head[row]!r}"
+        )
+    rows = sorted(first.values())
+    return [list(map(column.__getitem__, rows)) for column in columns]
 
 
 def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountResult:
@@ -220,20 +227,23 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
     each lemma with the pair's PoS.  Each pair's events are in input
     order.  The corpus is walked once, joining every pair per block.
     """
-    pairs = check_pairs(pairs)
+    columns = check_pairs(pairs)
     corpus = as_corpus(sentences)
     n, size = len(corpus), len(corpus.keys)
-    keys = [k for p in pairs for k in (p.w, p.v)]
+    lemma_w, lemma_v, pos = columns[:3]
+    n_pairs = len(pos)
+    # A (lemma, pos) tuple finds the `LemmaKey` of those fields.
+    keys = itertools.chain(zip(lemma_w, pos), zip(lemma_v, pos))
     key_of = np.fromiter(
-        map(corpus.key_ids.get, keys, itertools.repeat(size)), dtype=np.int64, count=len(keys)
-    ).reshape(-1, 2)
+        map(corpus.key_ids.get, keys, itertools.repeat(size)), dtype=np.int64, count=2 * n_pairs
+    )
     # Rank the pairs' keys densely; a key absent from the corpus, and every
     # token of a key no pair has, gets the empty rank `n_ranks`.
     wanted = sorted_unique(key_of[key_of < size])
     n_ranks = len(wanted)
     rank = np.full(size + 1, n_ranks, dtype=np.int64)
     rank[wanted] = np.arange(n_ranks)
-    w, v = rank[key_of[:, 0]], rank[key_of[:, 1]]
+    w, v = rank[key_of[:n_pairs]], rank[key_of[n_pairs:]]
 
     key_count = np.zeros(n_ranks + 1, dtype=np.int64)
     pair_parts, event_parts = [np.empty(0, dtype=np.int64)], [np.empty((0, 3), dtype=np.int64)]
@@ -245,7 +255,7 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
         # Batches of pairs with about `_JOIN_BATCH` probes each.
         probes = np.cumsum(np.minimum(per_key[w], per_key[v]))
         cuts = np.searchsorted(probes, np.arange(_JOIN_BATCH, probes[-1], _JOIN_BATCH)) + 1
-        bounds = sorted_unique(np.concatenate(([0], cuts, [len(pairs)]))).tolist()
+        bounds = sorted_unique(np.concatenate(([0], cuts, [n_pairs]))).tolist()
         for a, b in itertools.pairwise(bounds):
             pair, events = _join(codes, first, start, len(block), w[a:b], v[a:b])
             events[:, 0] += lo
@@ -257,10 +267,10 @@ def count(sentences: Iterable[Sentence], pairs: Sequence[LemmaPair]) -> CountRes
     del pair_parts, event_parts  # free the parts before the sort copies `events`
     events = events[np.argsort(pair, kind="stable")]
     events[:, 0] = corpus.sentence_ids[events[:, 0]]
-    n_wv = np.bincount(pair, minlength=len(pairs))
+    n_wv = np.bincount(pair, minlength=n_pairs)
     n_w, n_v = key_count[w], key_count[v]
     cells = np.stack((n_wv, n_w - n_wv, n_v - n_wv, n - n_w - n_v + n_wv), axis=1)
-    return CountResult(*pair_columns(pairs), cells, events, n, _id_runs(corpus.sentence_ids))
+    return CountResult(*columns, cells, events, n, _id_runs(corpus.sentence_ids))
 
 
 def _coalesce(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -467,8 +477,7 @@ def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:
 
 def _freqs_from_columns(columns: list[list[str]], faults: Faults) -> dict[LemmaKey, int]:
     lemma, pos, count = columns
-    unknown = np.array([p not in CONTENT_POS for p in pos], dtype=bool)
-    faults.where(unknown, lambda row: f"unknown pos {pos[row]!r}")
+    faults.first(pos, lambda tag: tag not in CONTENT_POS, lambda row: f"unknown pos {pos[row]!r}")
     faults.repeats(list(map(" ".join, zip(lemma, pos))), lambda key: "duplicate lemma " + key)
     counts = int64s(count, faults)
     faults.where(counts < 0, lambda row: "negative count")

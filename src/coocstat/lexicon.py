@@ -518,30 +518,20 @@ def pair_name(fields: Sequence[str]) -> str:
 _HEADS = ("", "w", "v")
 
 
-def pair_row_error(lemma_w: str, lemma_v: str, pos: str, relation: str, head: str) -> str | None:
-    """What is wrong with the five `PAIRS` fields of a row of a pair file,
-    or None when they are the fields of a pair: two distinct non-empty
-    lemmas and labels a pair can have."""
-    if not (lemma_w and lemma_v):
-        return "empty lemma"
-    if lemma_w == lemma_v:
-        return "identical lemmas"
-    if pos not in CONTENT_POS:
-        return f"unknown pos {pos!r}"
-    if relation not in RELATIONS:
-        return f"unknown relation {relation!r}"
-    if head not in _HEADS:
-        return f"unknown head {head!r} (expected w, v or empty)"
-    return None
-
-
 def check_pair_rows(columns: Sequence[list[str]], faults: Faults) -> None:
-    """Add the first row of the five `PAIRS` columns of a pair file that
-    holds no pair."""
-    for row, error in enumerate(map(pair_row_error, *columns)):
-        if error is not None:
-            faults.add(row, error)
-            return
+    """Add, for each check that the five `PAIRS` columns of a pair file
+    must pass (two distinct non-empty lemmas, and labels a pair can have),
+    the first row that fails it; of two faults on one row, the check made
+    first is named.  Each check runs once per distinct value."""
+    lemma_w, lemma_v, pos, relation, head = columns
+    faults.first(lemma_w, operator.not_, lambda row: "empty lemma")
+    faults.first(lemma_v, operator.not_, lambda row: "empty lemma")
+    faults.first(list(map(operator.eq, lemma_w, lemma_v)), bool, lambda row: "identical lemmas")
+    faults.first(pos, lambda tag: tag not in CONTENT_POS, lambda row: f"unknown pos {pos[row]!r}")
+    faults.first(relation, lambda name: name not in RELATIONS,
+                 lambda row: f"unknown relation {relation[row]!r}")
+    faults.first(head, lambda side: side not in _HEADS,
+                 lambda row: f"unknown head {head[row]!r} (expected w, v or empty)")
 
 
 def pair_columns(pairs: Sequence[LemmaPair]) -> list[list[str]]:
@@ -568,7 +558,7 @@ def pair_keys(columns: Sequence[list[str]], faults: Faults) -> list[str]:
     file, adding the first row that holds no pair and the first whose pair
     an earlier row already has."""
     check_pair_rows(columns, faults)
-    keys = list(map(pair_name, zip(*columns[:4])))
+    keys = list(map("\t".join, zip(*columns[:4])))
     faults.repeats(keys, lambda key: "duplicate pair " + key.replace("\t", " "))
     return keys
 

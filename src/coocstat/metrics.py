@@ -430,11 +430,9 @@ def _flags(column: Sequence[str], faults: Faults, optional: bool = False) -> np.
     """A 0/1 column as bool, or as int8 with -1 for an empty field where
     it is `optional`."""
     codes = _OPT_FLAG if optional else _FLAG
-    values = list(map(codes.get, column))
-    if None in values:
-        row = values.index(None)
-        faults.add(row, f"expected 0 or 1, got {column[row]!r}")
-        del values[row:]
+    faults.first(column, lambda text: text not in codes,
+                 lambda row: f"expected 0 or 1, got {column[row]!r}")
+    values = list(map(codes.get, column, itertools.repeat(0)))
     return np.array(values, dtype=np.int8 if optional else bool)
 
 

@@ -9,8 +9,8 @@
   classes), whose blank and ``#`` lines it skips.  It splits the file
   whole into one list of text per column, for a decoder to check.
 * `read_keyed_ints` reads `events.tsv`, the one long table, in blocks of
-  whole lines: one regular expression checks each run of lines of one
-  key in the block's bytes, and NumPy reads their integers from them.
+  whole lines: one regular expression splits a block's bytes into runs of
+  lines of one key, and NumPy reads their integers from them.
 
 Each number field of every file is checked against one of two patterns:
 `_INT`, ASCII digits after an optional ``-``, or `_FLOAT`, that with the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from itertools import compress, count
+from itertools import compress, count, repeat
 from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -268,8 +268,8 @@ def read_columns(
         if len(numbers) < len(lines):
             lines = [lines[n - 1] for n in numbers]
         faults = Faults(path, numbers)
-    tabs = [line.count("\t") for line in lines]
-    n_rows = next((row for row, n in enumerate(tabs) if n != width - 1), len(lines))
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
+    n_rows = int(np.argmax(np.append(tabs != width - 1, True)))
     if n_rows < len(lines):
         faults.add(n_rows, f"expected {width} fields, got {tabs[n_rows] + 1}")
     del tabs
@@ -295,18 +295,19 @@ def read_keyed_ints(
 
     The file is read twice in blocks of whole lines: to meet any line that
     is not UTF-8 before a bad row and count the lines, for one int array,
-    then to match one pattern per run of lines with equal key fields in the
-    block's bytes, checking each line's field count and integers by the
-    rule of `int64s`; `key` is called once per run, with its fields decoded.
-    The first line that the pattern rejects, that holds an integer outside
-    int64 or whose key fields `key` rejects goes to `faults` and ends the
-    rows, for the caller's checks of the rows before it to add to `faults` too.
+    then to split each block's bytes by one `findall` into runs of lines
+    with equal key fields, each line of the field count and integers that
+    `int64s` takes, or else one line; `key` is called once per run, with
+    its fields decoded.  The first line that is not in a run, that holds an
+    integer outside int64 or whose key fields `key` rejects goes to
+    `faults` and ends the rows, for the caller's checks of the rows before
+    it to add to `faults` too.
     """
     width, n_int = len(table.columns), len(table.columns) - n_key
     tail = "\t".join([_INT.pattern] * n_int) + "\n"  # a line's integers
-    run = re.compile(f"((?:[^\t\n]*+\t){{{n_key}}}){tail}(?:\\1{tail})*+".encode())
+    split = re.compile(f"(((?:[^\t\n]*+\t){{{n_key}}}){tail}(?:\\2{tail})*+)|([^\n]*+)\n".encode())
     run_keys: list[int] = []  # the key of each run of lines with equal key fields
-    run_lines: list[np.ndarray] = []  # and, a block at a time, their numbers of lines
+    run_lines: list[int] = []  # and its number of lines
     known: tuple[bytes | None, int] = (None, 0)  # the last run's key fields and key
     rows = 0
 
@@ -324,44 +325,42 @@ def read_keyed_ints(
         for block in blocks:
             blocks.decode(block, n_lines)
             header = block[:block.index(b"\n")] if header is None else header
-            n_lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
+            n_lines += block.count(b"\n")
         if header != "\t".join(table.columns).encode():
             raise ValueError(f"{path} line 1: not a {table.kind} file")
         ints = np.empty((n_lines - 1, n_int), np.int64)
         handle.seek(0)
         start = len(header) + 1  # the header line, which starts the first block
         for block in blocks:
-            pos, error, ends = start, None, [0]
-            while pos < len(block):
-                match = run.match(block, pos)
-                try:
-                    if match is None:
-                        raise ValueError  # `row_error` tells what is wrong
-                    if match[1] != known[0]:
-                        known = match[1], key(match[1][:-1].decode("utf-8"))
-                except ValueError as exc:
-                    error = row_error(block[pos:block.index(b"\n", pos)]) or str(exc)
+            end, error = start, None
+            for run, fields, line in split.findall(block, start):
+                if not run:  # `line` is in no run: `row_error` tells why
+                    error = row_error(line)
                     break
+                if fields != known[0]:
+                    try:
+                        known = fields, key(fields[:-1].decode("utf-8"))
+                    except ValueError as exc:
+                        error = row_error(run[:run.index(b"\n")]) or str(exc)
+                        break
                 run_keys.append(known[1])
-                pos = match.end()
-                ends.append(pos - start)
-            buf = np.frombuffer(block, dtype=np.uint8, offset=start)
-            # The matched lines' tabs and newlines, `width` a line, also before
-            # each run's end: the pattern let no other byte 9 or 10 through,
-            # and no UTF-8 character holds one.
-            seps = np.flatnonzero(buf - 9 <= 1)
-            ended = np.searchsorted(seps, ends) // width
-            run_lines.append(np.diff(ended))
-            seps = seps[:ended[-1] * width].reshape(-1, width)
-            values, fit = _ints(buf, seps[:, n_key - 1:-1].ravel() + 1, seps[:, n_key:].ravel())
-            lines = fit // n_int
-            ints[rows:rows + lines] = values[:lines * n_int].reshape(-1, n_int)
-            rows += lines
+                run_lines.append(run.count(b"\n"))
+                end += len(run)
+            # The runs' tabs and newlines, `width` a line: the pattern let no
+            # other byte 9 or 10 through, and no UTF-8 character holds one.
+            buf = np.frombuffer(block, np.uint8, end - start, start)
+            seps = np.flatnonzero(buf - 9 <= 1).reshape(-1, width)
+            lines = len(seps)
+            for i in range(n_int):  # a column at a time, each at its own digit width
+                values, fit = _ints(buf, seps[:, n_key + i - 1] + 1, seps[:, n_key + i])
+                ints[rows:rows + fit, i] = values
+                lines = min(lines, fit)
             if lines < len(seps):  # an integer outside int64, before `error`'s line
                 error = row_error(block[start:].split(b"\n", lines + 1)[lines])
+            rows += lines
             if error is not None:
                 faults.add(rows, error)
                 break
             start = 0
-    pair = np.repeat(np.array(run_keys, dtype=np.int64), np.concatenate(run_lines))[:rows]
+    pair = np.repeat(np.array(run_keys, dtype=np.int64), run_lines)[:rows]
     return pair, ints[:rows]

@@ -5,6 +5,7 @@ exit status 1."""
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import random
 import shutil
@@ -157,7 +158,8 @@ ASYM_CASES = [
     ("headless-with-asym-order", ["stats.tsv"], _set_field(11, "", row=12), 13),
 ]
 
-# (case, files, edit of the file's lines, line named in the error, None, or LOADS)
+# (case, files, edit of the file's lines, line named in the error or that
+# line and the error's text, None, or LOADS)
 CASES = [
     ("wrong-header", list(READERS), lambda lines: ["lemma\tpos"] + lines[1:], 1),
     # One field short: for stats.tsv, the 15-column layout without pmi.
@@ -199,6 +201,15 @@ CASES = [
     ("unknown-relation", list(HEAD_COLUMN), _set_field(3, "FOO"), 2),
     ("unknown-pos", list(HEAD_COLUMN), _set_field(2, "XYZ"), 2),
     *[("bad-head", [name], _set_field(i, "x"), 2) for name, i in HEAD_COLUMN.items()],
+    # Of two faults on one row, the first in the order above is named; an
+    # earlier row is named whatever the order of its fault.
+    ("empty-lemma-and-unknown-pos", list(HEAD_COLUMN),
+     _then(_set_field(0, ""), _set_field(2, "XYZ")), (2, "empty lemma")),
+    *[("unknown-relation-and-bad-head", [name], _then(_set_field(3, "FOO"), _set_field(i, "x")),
+       (2, "unknown relation 'FOO'")) for name, i in HEAD_COLUMN.items()],
+    *[("bad-head-before-empty-lemma", [name],
+       _then(_set_field(i, "x"), _set_field(0, "", row=2)),
+       (2, "unknown head 'x' (expected w, v or empty)")) for name, i in HEAD_COLUMN.items()],
     # Columns are converted whole; the earlier line is still the one named,
     # whatever the columns of its fault and of a later line's.
     *[("bad-cells-in-two-columns", [name], _then(
@@ -282,7 +293,8 @@ def test_malformed_file(toy_run, tmp_path, capsys, case, name, edit, line_no):
     message = str(err.value)
     assert message.startswith(str(d / name))
     if line_no is not None:
-        assert f" line {line_no}: " in message
+        line_no, text = line_no if isinstance(line_no, tuple) else (line_no, "")
+        assert f" line {line_no}: {text}" in message
 
     assert main(COMMANDS[name](d)) == 1
     assert capsys.readouterr().err.startswith(f"error: {d / name}")
@@ -629,6 +641,27 @@ def _event_mutations(text: str, seed: int = 16) -> list[tuple[str, bytes]]:
     cases += [(f"{name}-no-final-newline", case.rstrip(b"\n")) for name, case in rng.sample(cases, 10)]
     cases += [("cr", data.replace(b"\n", b"\r"))]
     cases += [(f"{name}-cr", case.replace(b"\n", b"\r")) for name, case in rng.sample(cases, 10)]
+    # At the block edges of 64-byte reads: a bad line right after a run of
+    # one pair's lines that crosses an edge, and an unknown pair whose run
+    # starts a block after the first.
+    starts = list(itertools.accumulate((len(line.encode()) + 1 for line in lines), initial=0))
+    edges = {data.rfind(b"\n", 0, end) + 1 for end in range(64, len(data), 64)}
+    runs = [list(run) for _, run in itertools.groupby(
+        range(1, len(lines)), lambda row: lines[row].split("\t")[:4]
+    )]
+    crossing = next(run for run in runs[:-1] if edges & set(starts[run[0] + 1:run[-1] + 1]))
+    bad = lines[crossing[-1] + 1].split("\t")
+    bad[4] = "x"
+    cases.append(("bad-line-after-crossing-run", _joined(
+        lines[:crossing[-1] + 1] + ["\t".join(bad)] + lines[crossing[-1] + 2:]
+    )))
+    starting = next(run for run in runs[1:] if starts[run[0]] in edges)
+    renamed = [
+        "nosuchlemma\t" + line.split("\t", 1)[1] for line in lines[starting[0]:starting[-1] + 1]
+    ]
+    cases.append(("unknown-pair-run-starting-a-block", _joined(
+        lines[:starting[0]] + renamed + lines[starting[-1] + 1:]
+    )))
     return cases
 
 
