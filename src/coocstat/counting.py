@@ -384,16 +384,13 @@ LEMMA_FREQS = Table("lemma-frequency", ("lemma", "pos", "count"))
 
 
 def write_observations(result: CountResult, obs_path: str, events_path: str) -> None:
-    key_columns = result.key_columns
-    cells = (map(str, column) for column in result.cells.T.tolist())
-    write_table(obs_path, OBSERVATIONS, zip(*key_columns, *cells, itertools.repeat(str(result.n))))
-    # Each event row starts with its pair's name, made once per pair.
-    keys = map(pair_name, zip(*key_columns[:4]))
-    prefixes = itertools.chain.from_iterable(
-        map(itertools.repeat, keys, result.cells[:, 0].tolist())
-    )
-    columns = (map(str, column) for column in result.events.T.tolist())
-    write_table(events_path, EVENTS, zip(prefixes, *columns))
+    cells, n = result.cells, np.full(len(result.cells), result.n, dtype=np.int64)
+    write_table(obs_path, OBSERVATIONS, [*result.key_columns, *cells.T, n])
+    # Each event row starts with its pair's key fields, looked up by the
+    # pair's row, which the memoryview yields as a Python int.
+    pair = np.repeat(np.arange(len(cells)), cells[:, 0])
+    keys = [map(column.__getitem__, pair.data) for column in result.key_columns[:4]]
+    write_table(events_path, EVENTS, [*keys, *result.events.T])
 
 
 def _check_event_rows(pair: np.ndarray, values: np.ndarray, faults: Faults) -> np.ndarray | None:
@@ -471,8 +468,9 @@ def read_observations(obs_path: str, events_path: str) -> CountResult:
 
 
 def write_lemma_freqs(freqs: Mapping[LemmaKey, int], path: str) -> None:
-    rows = ((key.lemma, key.pos, str(freqs[key])) for key in sorted(freqs))
-    write_table(path, LEMMA_FREQS, rows)
+    keys = sorted(freqs)
+    counts = np.fromiter(map(freqs.__getitem__, keys), np.int64, len(keys))
+    write_table(path, LEMMA_FREQS, [[k.lemma for k in keys], [k.pos for k in keys], counts])
 
 
 def _freqs_from_columns(columns: list[list[str]], faults: Faults) -> dict[LemmaKey, int]:

@@ -564,7 +564,7 @@ def pair_keys(columns: Sequence[list[str]], faults: Faults) -> list[str]:
 
 
 def write_pairs(pairs: Iterable[LemmaPair], path: str) -> None:
-    write_table(path, PAIRS, map(pair_fields, pairs))
+    write_table(path, PAIRS, pair_columns(list(pairs)))
 
 
 def read_pairs(path: str) -> list[LemmaPair]:
@@ -572,8 +572,9 @@ def read_pairs(path: str) -> list[LemmaPair]:
 
 
 def write_derived_map(derived: Iterable[DerivedPair], path: str) -> None:
-    rows = (pair_fields(d.original) + pair_fields(d.derived) for d in derived)
-    write_table(path, DERIVED, rows)
+    derived = list(derived)
+    sides = ([d.original for d in derived], [d.derived for d in derived])
+    write_table(path, DERIVED, [*pair_columns(sides[0]), *pair_columns(sides[1])])
 
 
 def _derived_from_columns(columns: list[list[str]], faults: Faults) -> list[DerivedPair]:

@@ -11,7 +11,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from coocstat.corpus import CONTENT_POS
 from coocstat.counting import ContingencyTable, CooccurrenceEvent, CountResult, PairObservations
 from coocstat.lexicon import HOL, HYP, RELATIONS, LemmaPair, pair_columns, pair_keys
 from coocstat.stats import binom_test_two_sided, chi2_sfs, math_map
-from coocstat.tsv import Faults, Table, float64s, int64s, read_columns, write_table
+from coocstat.tsv import Faults, Table, flags, float64s, int64s, read_columns, write_table
 
 
 DEFAULT_ALPHA = 0.01
@@ -392,48 +392,9 @@ def compute_pair_stats(
 
 STATS = Table("pair-stats", tuple(f.name for f in fields(StatsTable)))
 
-_FLAG_TEXT = {False: "0", True: "1"}
-_OPT_FLAG_TEXT = {-1: "", 0: "0", 1: "1"}
-
-
-def _opt_text(values: np.ndarray) -> Iterator[str]:
-    return ("" if x != x else repr(x) for x in values.tolist())
-
 
 def write_pair_stats(table: StatsTable, path: str) -> None:
-    """Write `table` column by column: floats as their `repr`, None as an
-    empty field and flags as 0 or 1."""
-    t = table
-    columns = (
-        t.lemma_w, t.lemma_v, t.pos, t.relation,
-        map(repr, t.g2.tolist()),
-        map(_FLAG_TEXT.__getitem__, t.g2_sig.tolist()),
-        map(repr, t.order_score.tolist()),
-        map(_FLAG_TEXT.__getitem__, t.order_pref.tolist()),
-        _opt_text(t.order_p),
-        _opt_text(t.mean_dist),
-        map(str, t.n_cooc.tolist()),
-        t.head,
-        _opt_text(t.asym_order_score),
-        map(_OPT_FLAG_TEXT.__getitem__, t.asym_order_pref.tolist()),
-        _opt_text(t.asym_order_p),
-        _opt_text(t.pmi),
-    )
-    write_table(path, STATS, zip(*columns))
-
-
-_FLAG = {"0": False, "1": True}
-_OPT_FLAG = {"": -1, "0": 0, "1": 1}
-
-
-def _flags(column: Sequence[str], faults: Faults, optional: bool = False) -> np.ndarray:
-    """A 0/1 column as bool, or as int8 with -1 for an empty field where
-    it is `optional`."""
-    codes = _OPT_FLAG if optional else _FLAG
-    faults.first(column, lambda text: text not in codes,
-                 lambda row: f"expected 0 or 1, got {column[row]!r}")
-    values = list(map(codes.get, column, itertools.repeat(0)))
-    return np.array(values, dtype=np.int8 if optional else bool)
+    write_table(path, STATS, [getattr(table, name) for name in STATS.columns])
 
 
 def _table_from_columns(columns: list[list[str]], faults: Faults) -> StatsTable:
@@ -470,11 +431,11 @@ def _table_from_columns(columns: list[list[str]], faults: Faults) -> StatsTable:
     )
     return StatsTable(
         lemma_w, lemma_v, pos, relation,
-        float64s(g2, faults), _flags(g2_sig, faults),
-        float64s(order_score, faults), _flags(order_pref, faults),
+        float64s(g2, faults), flags(g2_sig, faults),
+        float64s(order_score, faults), flags(order_pref, faults),
         float64s(order_p, faults, optional=True), float64s(mean_dist, faults, optional=True),
         counts, head,
-        float64s(asym_score, faults, optional=True), _flags(asym_pref, faults, optional=True),
+        float64s(asym_score, faults, optional=True), flags(asym_pref, faults, optional=True),
         float64s(asym_p, faults, optional=True), float64s(pmi, faults, optional=True),
     )
 

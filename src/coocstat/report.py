@@ -3,17 +3,16 @@ tests, derivation persistence, associated-lemma counts, and distribution
 exports.
 
 All emitted files are deterministic for identical inputs: groups are
-iterated in a fixed PoS/relation order and floats are serialized with
-``repr`` (CSV) or fixed human formats (Markdown).
+iterated in a fixed PoS/relation order, and the CSV files are written by
+`tsv.write_table`, the Markdown with fixed human formats.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,15 +20,16 @@ from coocstat.corpus import CONTENT_POS
 from coocstat.lexicon import RELATIONS, DerivedPair, pair_fields, pair_name
 from coocstat.metrics import DEFAULT_ALPHA, StatsTable, check_alpha
 from coocstat.stats import TestResult, brunner_munzel_ranked, rank, sequential_sum
+from coocstat.tsv import Table, write_table
 
 POS_ORDER = CONTENT_POS
 REL_ORDER = RELATIONS
 METRICS = ("g2", "order", "distance")
 
 
-def _mean(values: Sequence[float]) -> float | None:
+def _mean(values: np.ndarray) -> float | None:
     # Summed in sorted order so the result is exactly permutation-invariant.
-    return sequential_sum(sorted(values)) / len(values) if values else None
+    return sequential_sum(np.sort(values)) / len(values) if len(values) else None
 
 
 @dataclass
@@ -146,23 +146,21 @@ def _sig_cooc(table: StatsTable, rows: np.ndarray) -> np.ndarray:
 
 def metric_values(
     table: StatsTable, rows: np.ndarray, metric: str, g2_population: str = "all"
-) -> list[float]:
+) -> np.ndarray:
     """Per-pair values of one metric over the `rows` of `table` in that
     metric's population."""
     if metric == "g2":
-        if g2_population == "all":
-            return table.g2[rows].tolist()
-        return table.g2[rows[table.g2_sig[rows]]].tolist()
+        return table.g2[rows if g2_population == "all" else rows[table.g2_sig[rows]]]
     sig_cooc = _sig_cooc(table, rows)
     if metric == "order":
-        return table.order_score[sig_cooc].tolist()
+        return table.order_score[sig_cooc]
     if metric == "distance":
         values = table.mean_dist[sig_cooc]
     elif metric == "order_asym":
         values = table.asym_order_score[sig_cooc]
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    return values[~np.isnan(values)].tolist()  # NaN stands for None
+    return values[~np.isnan(values)]  # NaN stands for None
 
 
 def compare_all(
@@ -181,7 +179,7 @@ def compare_all(
                 rel: metric_values(table, rows, metric, g2_population)
                 for rel, rows in rel_groups.items()
             }
-            values = {rel: vals for rel, vals in values.items() if vals}
+            values = {rel: vals for rel, vals in values.items() if len(vals)}
             if values:
                 out[(pos, metric)] = compare_relations(values, alpha)
     return out
@@ -297,11 +295,11 @@ def five_number(values: Sequence[float]) -> FiveNumber:
 
 def distribution_groups(
     table: StatsTable, metric: str, g2_population: str = "all"
-) -> dict[tuple[str, str], list[float]]:
+) -> dict[tuple[str, str], np.ndarray]:
     out = {}
     for key, rows in table.groups.items():
         values = metric_values(table, rows, metric, g2_population)
-        if values:
+        if len(values):
             out[key] = values
     return out
 
@@ -311,41 +309,6 @@ def distribution_groups(
 
 def _fmt_cell(value: float | None, template: str) -> str:
     return "--" if value is None else template.format(value)
-
-
-def _csv_cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def _flag(value: bool) -> str:
-    return "1" if value else "0"
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _csv_line(fields: Sequence[str]) -> str:
-    """`fields` as `csv.writer` writes them, without the line end."""
-    line = io.StringIO()
-    csv.writer(line, lineterminator="").writerow(fields)
-    return line.getvalue()
-
-
-def _write_values(path: Path, groups: Mapping[tuple[str, str], list[float]]) -> None:
-    """One `pos,relation,value` row per value, the bytes `_write_csv` gives.
-
-    A float's `repr` needs no quoting, so each group is written as one
-    string: its values joined behind its `pos,relation,` prefix.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_csv_line(["pos", "relation", "value"]) + "\n")
-        for (pos, rel), values in groups.items():
-            prefix = _csv_line([pos, rel, ""])
-            handle.write(prefix + ("\n" + prefix).join(map(repr, values)) + "\n")
 
 
 def _md_grid(
@@ -463,7 +426,7 @@ GRID_TABLES = {
 }
 
 
-Rendered = tuple[list[str], list[list[str]], str]  # CSV header, CSV rows, Markdown
+Rendered = tuple[list[str], Sequence[Sequence], str]  # CSV header, CSV rows, Markdown
 
 
 def _grid_table(
@@ -480,9 +443,9 @@ def _grid_table(
         values = table.values(s, options)
         matrix = comparisons.get((s.pos, table.metric))
         distinct = bool(matrix and matrix.distinct.get(s.relation, False))
-        row = [s.pos, s.relation, *map(_csv_cell, values)]
+        row = [s.pos, s.relation, *values]
         if table.metric:
-            row.append(_flag(distinct))
+            row.append(distinct)
         rows.append(row)
         by_column = dict(zip(table.columns, values))
         lines = [_fmt_cell(by_column[col], template) for col, template in table.markdown]
@@ -506,8 +469,7 @@ def _derivation_table(rows: Sequence[DerivationRow]) -> Rendered:
     counts = np.array([(r.count, r.count_sustaining) for r in rows], dtype=np.int64)
     total = counts.reshape(-1, 2).sum(axis=0).tolist()
     lines.append(f"| TOTAL | | | | {total[0]} ({total[1]}) |")
-    csv_rows = [[str(x) for x in r] for r in rows]
-    return list(DerivationRow._fields), csv_rows, "\n".join(lines) + "\n"
+    return list(DerivationRow._fields), rows, "\n".join(lines) + "\n"
 
 
 def _associated_table(rows: Sequence[AssociatedRow], micro: Mapping[str, float]) -> Rendered:
@@ -516,29 +478,22 @@ def _associated_table(rows: Sequence[AssociatedRow], micro: Mapping[str, float])
     md += "| Micro AVG | " + " | ".join(
         _fmt_cell(micro.get(rel), "{:.1f}") for rel in REL_ORDER
     ) + " |\n"
-    csv_rows = [[r.pos, r.relation, repr(r.avg)] for r in rows]
-    csv_rows += [["MICRO", rel, repr(micro[rel])] for rel in REL_ORDER if rel in micro]
-    return ["pos", "relation", "avg_associated"], csv_rows, md
+    micro_rows = [("MICRO", rel, micro[rel]) for rel in REL_ORDER if rel in micro]
+    return ["pos", "relation", "avg_associated"], [*rows, *micro_rows], md
 
 
 def _comparison_rows(
     comparisons: Mapping[tuple[str, str], ComparisonMatrix], alpha: float
-) -> list[list[str]]:
-    """One row per tested relation pair; an untestable pair has empty test cells."""
+) -> list[list]:
+    """One row per tested relation pair; an untestable pair has None test cells."""
     rows = []
     for (pos, metric), matrix in comparisons.items():
         for i, rel_a in enumerate(matrix.relations):
             for rel_b in matrix.relations[i + 1 :]:
                 res = matrix.result(rel_a, rel_b)
-                test = (
-                    [""] * 5
-                    if res is None
-                    else [
-                        *map(_csv_cell, (res.statistic, res.p_value, res.df, res.effect)),
-                        _flag(res.p_value < alpha),
-                    ]
-                )
-                rows.append([pos, metric, rel_a, rel_b, *test, _flag(res is None)])
+                test = [None] * 5 if res is None else [
+                    res.statistic, res.p_value, res.df, res.effect, res.p_value < alpha]
+                rows.append([pos, metric, rel_a, rel_b, *test, res is None])
     return rows
 
 
@@ -555,10 +510,14 @@ def write_report(
     comparisons = compare_all(table, options.alpha, options.avg_population)
     written: list[Path] = []
 
-    def emit_csv(name, header, rows):
+    def emit_csv(name, header, columns):
         path = out / name
-        _write_csv(path, header, rows)
+        write_table(str(path), Table(name, tuple(header), separator=","), columns)
         written.append(path)
+
+    def emit_rows(name, header, rows):
+        columns = [np.array(column, dtype=object) for column in zip(*rows)]
+        emit_csv(name, header, columns or [()] * len(header))
 
     def emit_text(name, text):
         path = out / name
@@ -574,36 +533,39 @@ def write_report(
             header, rows, md = _derivation_table(derivation_persistence(derived, table))
         else:
             header, rows, md = _associated_table(*associated_counts(table))
-        emit_csv(f"table{number}.csv", header, rows)
+        emit_rows(f"table{number}.csv", header, rows)
         emit_text(f"table{number}.md", md)
 
     # Pairwise comparison dump (the boldface evidence for tables 2-4).
-    emit_csv(
+    emit_rows(
         "comparisons.csv",
         ["pos", "metric", "rel_a", "rel_b", "statistic", "p_value", "df", "effect",
          "significant", "untestable"],
         _comparison_rows(comparisons, options.alpha),
     )
     distinct_rows = [
-        [pos, metric, rel, _flag(flag)]
+        [pos, metric, rel, flag]
         for (pos, metric), matrix in comparisons.items()
         for rel, flag in matrix.distinct.items()
     ]
-    emit_csv("distinct.csv", ["pos", "metric", "relation", "distinct"], distinct_rows)
+    emit_rows("distinct.csv", ["pos", "metric", "relation", "distinct"], distinct_rows)
 
     for metric in options.figures:
         groups = distribution_groups(table, metric, options.avg_population)
         if metric == "order_asym" and not groups:
             continue
         fives = {key: five_number(values) for key, values in groups.items()}
-        emit_csv(
+        emit_rows(
             f"fig_{metric}.csv",
             ["pos", "relation", *FiveNumber._fields],
-            [[pos, rel, str(f.n), *map(repr, f[1:])] for (pos, rel), f in fives.items()],
+            [(pos, rel, *f) for (pos, rel), f in fives.items()],
         )
-        values_path = out / f"fig_{metric}_values.csv"
-        _write_values(values_path, groups)
-        written.append(values_path)
+        # Each value's row after its group's pos and relation, repeated.
+        sizes = list(map(len, groups.values()))
+        labels = [itertools.chain.from_iterable(map(itertools.repeat, side, sizes))
+                  for side in [*zip(*groups)] or [(), ()]]
+        emit_csv(f"fig_{metric}_values.csv", ["pos", "relation", "value"],
+                 [*labels, np.concatenate([np.empty(0), *groups.values()])])
         if options.svg and fives:  # a box plot needs at least one box
             emit_text(f"fig_{metric}.svg", render_boxplot_svg(fives, metric))
 

@@ -1,4 +1,4 @@
-"""The one TSV layer behind every file the pipeline reads.
+"""The one TSV layer behind every file the pipeline reads and writes.
 
 * `LineBlocks`, the line reader of every input file, the corpus too, alone
   decides where a line ends, and names the first line that is not UTF-8.
@@ -11,6 +11,10 @@
 * `read_keyed_ints` reads `events.tsv`, the one long table, in blocks of
   whole lines: one regular expression splits a block's bytes into runs of
   lines of one key, and NumPy reads their integers from them.
+* `write_table` writes every table and the report's CSV files from typed
+  columns, a block of rows at a time: a value's text follows from its
+  column's type alone (see `_TEXT`), and `flags`, `int64s` and `float64s`
+  read back what it writes.
 
 Each number field of every file is checked against one of two patterns:
 `_INT`, ASCII digits after an optional ``-``, or `_FLOAT`, that with the
@@ -30,8 +34,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from itertools import compress, count, repeat
-from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from itertools import compress, count, islice, repeat
+from typing import IO, Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -41,18 +45,71 @@ H = TypeVar("H", bound=Hashable)
 
 class Table(NamedTuple):
     """A file kind, named in error messages, and its column names, which
-    are the first line of a file with a `header`."""
+    are the first line of a file with a `header`.  The fields of a line
+    are split by `separator`: a tab, or a comma in the report's CSV
+    tables, which no reader reads."""
 
     kind: str
     columns: tuple[str, ...]
     header: bool = True
+    separator: str = "\t"
 
 
-def write_table(path: str, table: Table, rows: Iterable[Sequence[str]]) -> None:
+# A column to write: a NumPy array, or any other iterable of str.
+Column = np.ndarray | Iterable[str]
+
+# The text of a value of an array, by the array's type: a bool or an int8
+# of 0 or 1 as 0 or 1, an int8 of -1 (for None) empty, an int64 in decimal,
+# and a float64 as its `repr`, or empty for NaN (for None).
+_TEXT: dict[np.dtype, Callable[[Any], str]] = {
+    np.dtype(bool): ("0", "1").__getitem__,
+    np.dtype(np.int8): ("0", "1", "").__getitem__,
+    np.dtype(np.int64): str,
+    np.dtype(np.float64): repr,
+}
+
+
+def _text(value: str | float | None) -> str:
+    """The text of one value of an object array: a str as it is, None or
+    NaN empty, and a number as in an array of its type."""
+    if value is None or value != value:
+        return ""
+    return value if isinstance(value, str) else _TEXT[np.asarray(value).dtype](value)
+
+
+# About how many fields `write_table` holds as text at a time.
+_FIELDS = 1 << 13
+
+
+def _texts(column: Column, rows: int) -> Iterator[list[str]]:
+    """The text of `column`'s values, `rows` at a time."""
+    if not isinstance(column, np.ndarray):
+        values = iter(column)
+        yield from iter(lambda: list(islice(values, rows)), [])
+        return
+    for start in range(0, len(column), rows):
+        part = column[start:start + rows]
+        if part.dtype == object:
+            yield list(map(_text, part.tolist()))
+            continue
+        # Each distinct value once, told apart by its bits, as -0.0 from 0.0.
+        bits, row = np.unique(part.view(f"u{part.itemsize}"), return_inverse=True)
+        values = bits.view(part.dtype)
+        texts = np.array(list(map(_TEXT[part.dtype], values.tolist())), dtype=object)
+        texts[np.isnan(values)] = ""
+        yield texts[row].tolist()
+
+
+def write_table(path: str, table: Table, columns: Sequence[Column]) -> None:
+    """Write a `table` file from one column per name of `table`, all of one
+    length: the header line, then one line per row.  A value's text
+    follows from its column's type (see `_TEXT`), and only a block of rows
+    of about `_FIELDS` fields is text at a time."""
+    sep, width = table.separator, len(table.columns)
     with open(path, "w", encoding="utf-8") as out:
-        out.write("\t".join(table.columns) + "\n")
-        for row in rows:
-            out.write("\t".join(row) + "\n")
+        out.write(sep.join(table.columns) + "\n")
+        for chunk in zip(*(_texts(column, _FIELDS // width) for column in columns)):
+            out.write("\n".join(map(sep.join, zip(*chunk))) + "\n")
 
 
 class LineBlocks:
@@ -238,6 +295,20 @@ def float64s(column: Sequence[str], faults: Faults, optional: bool = False) -> n
     values = np.array([float(text) if text else math.nan for text in column[:rows]], np.float64)
     faults.where(np.isinf(values), lambda row: f"not a number: {column[row]!r}")
     return values
+
+
+_FLAGS = {"0": 0, "1": 1}
+_OPTIONAL_FLAGS = {"": -1, **_FLAGS}
+
+
+def flags(column: Sequence[str], faults: Faults, optional: bool = False) -> np.ndarray:
+    """The 0/1 flags of `column` as bool, or where `optional` as int8 with
+    -1 for an empty field, adding the first other field to `faults` (and
+    0 for it)."""
+    codes = _OPTIONAL_FLAGS if optional else _FLAGS
+    faults.first(column, lambda text: text not in codes,
+                 lambda row: f"expected 0 or 1, got {column[row]!r}")
+    return np.array(list(map(codes.get, column, repeat(0))), np.int8 if optional else bool)
 
 
 def read_columns(

@@ -1,7 +1,7 @@
 """Plain-Python reference versions of the corpus parser, the frequency and
 pair scan, the counter, the control-pair sampler, the event metrics, the
 pair scorer, the Brunner-Munzel test, the `events.tsv` decoder and the
-row-by-row readers of the headerless input files.
+row-by-row readers of `stats.tsv` and of the headerless input files.
 
 These are the loop implementations the array code in `coocstat.corpus`,
 `coocstat.counting`, `coocstat.lexicon` and `coocstat.metrics` replaced:
@@ -38,6 +38,7 @@ from coocstat.lexicon import (
     HOL,
     HYP,
     RELATED,
+    RELATIONS,
     UNR,
     VERB,
     DerivationLink,
@@ -51,6 +52,7 @@ from coocstat.lexicon import (
 )
 from coocstat.metrics import (
     DEFAULT_ALPHA,
+    STATS,
     OrderStats,
     PairStats,
     StatsTable,
@@ -738,3 +740,96 @@ def load_verb_classes(path: str) -> dict[str, frozenset[str]]:
     for lemma, flag in read_rows(path, 2, _verb_class_from_fields):
         classes[lemma] = classes.get(lemma, frozenset()) | {flag}
     return classes
+
+
+# -- `stats.tsv`, row by row ----------------------------------------------------
+
+
+def _float(text: str, optional: bool = False) -> float:
+    """A field in the float form of `repr`, finite, or empty (NaN) where
+    `optional`."""
+    if optional and text == "":
+        return math.nan
+    if not _FLOAT.fullmatch(text) or math.isinf(float(text)):
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
+def _flag(text: str, optional: bool = False) -> int:
+    """A 0/1 field, or empty (-1) where `optional`."""
+    if optional and text == "":
+        return -1
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return int(text)
+
+
+def _stats_row(f: list[str], seen: set[str]) -> list:
+    """The values of one `stats.tsv` line's fields in column order, each
+    check made in the order `metrics.read_pair_stats` makes them."""
+    if len(f) != len(STATS.columns):
+        raise ValueError(f"expected {len(STATS.columns)} fields, got {len(f)}")
+    (lemma_w, lemma_v, pos, relation, g2, g2_sig, order_score, order_pref, order_p,
+     mean_dist, n_cooc, head, asym_score, asym_pref, asym_p, pmi) = f
+    if not lemma_w or not lemma_v:
+        raise ValueError("empty lemma")
+    if lemma_w == lemma_v:
+        raise ValueError("identical lemmas")
+    if pos not in CONTENT_POS:
+        raise ValueError(f"unknown pos {pos!r}")
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    if head not in ("", "w", "v"):
+        raise ValueError(f"unknown head {head!r} (expected w, v or empty)")
+    key = "\t".join(f[:4])
+    if key in seen:
+        raise ValueError("duplicate pair " + key.replace("\t", " "))
+    seen.add(key)
+    count = _integer(n_cooc)
+    if count is None:
+        raise ValueError(f"not a decimal integer: {n_cooc!r}")
+    if not -(2 ** 63) <= count < 2 ** 63:
+        raise ValueError(f"integer out of int64 range: {n_cooc}")
+    if count < 0:
+        raise ValueError("negative n_cooc")
+    if count > 0 and not (order_p and mean_dist):
+        raise ValueError("order_p and mean_dist are required when n_cooc > 0")
+    if count == 0 and (order_p or mean_dist):
+        raise ValueError("order_p and mean_dist must be empty when n_cooc is 0")
+    asym = "asym_order_score, asym_order_pref and asym_order_p"
+    directed = count > 0 and relation in (HYP, HOL) and head in ("w", "v")
+    if directed and not (asym_score and asym_pref and asym_p):
+        raise ValueError(f"{asym} are required for a HYP or HOL pair with a head when n_cooc > 0")
+    if not directed and (asym_score or asym_pref or asym_p):
+        raise ValueError(
+            f"{asym} must be empty unless the pair is HYP or HOL with a head and n_cooc > 0"
+        )
+    return [
+        lemma_w, lemma_v, pos, relation, _float(g2), _flag(g2_sig), _float(order_score),
+        _flag(order_pref), _float(order_p, True), _float(mean_dist, True), count, head,
+        _float(asym_score, True), _flag(asym_pref, True), _float(asym_p, True), _float(pmi, True),
+    ]
+
+
+def read_pair_stats(path: str) -> StatsTable:
+    """`stats.tsv` read a line at a time; the first bad line, or a line
+    that is not UTF-8 anywhere in the file, raises ValueError naming it."""
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if lines[:1] != ["\t".join(STATS.columns)]:
+        raise ValueError(f"{path} line 1: not a pair-stats file")
+    rows: list[list] = []
+    seen: set[str] = set()
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append(_stats_row(line.split("\t"), seen))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from None
+    columns = list(zip(*rows)) or [()] * len(STATS.columns)
+    types = {"g2_sig": bool, "order_pref": bool, "n_cooc": np.int64, "asym_order_pref": np.int8}
+    return StatsTable(*(
+        list(column) if name in ("lemma_w", "lemma_v", "pos", "relation", "head")
+        else np.array(column, dtype=types.get(name, np.float64))
+        for name, column in zip(STATS.columns, columns)
+    ))

@@ -9,6 +9,7 @@ import tomllib
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coocstat import cli, counting, metrics, report
@@ -325,8 +326,8 @@ class TestMetricsOnCountDir:
     def test_header_only(self, tmp_path):
         counts = tmp_path / "counts"
         counts.mkdir()
-        write_table(str(counts / "observations.tsv"), counting.OBSERVATIONS, [])
-        write_table(str(counts / "events.tsv"), counting.EVENTS, [])
+        write_table(str(counts / "observations.tsv"), counting.OBSERVATIONS, [[]] * 10)
+        write_table(str(counts / "events.tsv"), counting.EVENTS, [[]] * 7)
         assert self._metrics(counts, tmp_path) == ["\t".join(metrics.STATS.columns)]
 
     def test_pair_without_cooccurrence_among_others(self, tmp_path):
@@ -351,9 +352,9 @@ class TestMetricsOnCountDir:
         counts = tmp_path / "counts"
         counts.mkdir()
         write_table(str(counts / "observations.tsv"), counting.OBSERVATIONS, [
-            ("cat", "dog", "NOUN", "SYN", "", "0", "0", "0", "10", "10"),
+            ["cat"], ["dog"], ["NOUN"], ["SYN"], [""], *np.array([[0, 0, 0, 10, 10]]).T,
         ])
-        write_table(str(counts / "events.tsv"), counting.EVENTS, [])
+        write_table(str(counts / "events.tsv"), counting.EVENTS, [[]] * 7)
         out = tmp_path / "stats.tsv"
         assert main(["metrics", "--obs", str(counts), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
@@ -446,9 +447,9 @@ class TestOptionChecks:
 
         monkeypatch.setattr(cli.corpus, "read_corpus", no_read)
         no_pairs, two_heads = str(tmp_path / "pairs.tsv"), str(tmp_path / "heads.tsv")
-        write_table(no_pairs, cli.lexicon.PAIRS, [])
+        write_table(no_pairs, cli.lexicon.PAIRS, [[]] * 5)
         write_table(two_heads, cli.lexicon.PAIRS, [
-            ("car", "wheel", "NOUN", "HOL", "w"), ("car", "wheel", "NOUN", "HOL", "v"),
+            ["car", "car"], ["wheel", "wheel"], ["NOUN", "NOUN"], ["HOL", "HOL"], ["w", "v"],
         ])
         out = tmp_path / "out"
         out.mkdir()

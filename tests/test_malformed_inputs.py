@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import reference
-from coocstat import lexicon
+from coocstat import lexicon, metrics
 from coocstat.cli import DEFAULT_VERB_CLASSES, main, run_pipeline
 from conftest import TOY_PATHS
 from test_cli import toy_config
@@ -187,6 +187,53 @@ def test_headerless_readers_match_the_row_by_row_reference(work, tmp_path, name)
         ("skipped-at-the-end", [*lines, good, *skipped]),
     ]
     path = tmp_path / name
+    outcomes = set()
+    for case, data in cases:
+        path.write_bytes(data if isinstance(data, bytes) else "\n".join(data).encode())
+        want = _loaded(load_reference, str(path))
+        assert _loaded(load, str(path)) == want, case
+        outcomes.add(type(want))
+    assert outcomes == {str, list}
+
+
+def _stats_columns(read):
+    """`read` of a `stats.tsv` path, as its columns: lists, and each array
+    as its type and bytes."""
+    def load(path: str) -> list:
+        table = read(path)
+        columns = [getattr(table, name) for name in metrics.STATS.columns]
+        return [c if isinstance(c, list) else (c.dtype.str, c.tobytes()) for c in columns]
+
+    return load
+
+
+# A co-occurring HOL row with a head that no toy pair has, a flag fault of
+# each flag column, and faults that a check before or after each flag's
+# finds: a bad label, a bad float and a required field left empty.
+STATS_ROW = "xq\tyq\tNOUN\tHOL\t3.5\t1\t0.5\t1\t0.01\t2.0\t4\tw\t0.5\t1\t0.01\t"
+FLAG_FAULTS = [{5: "2"}, {7: "x"}, {13: "yes"}]
+OTHER_FAULTS = [
+    {2: "XYZ"}, {3: "FOO"}, {4: "x"}, {6: "1e400"}, {12: "-"}, {15: "+1.0"}, {8: ""}, {14: ""},
+]
+
+
+def test_stats_reader_matches_the_row_by_row_reference(work, tmp_path):
+    # Every mutation of the gate; a flag fault with each other fault on one
+    # line, where the check that runs first wins; and an undirected pair
+    # with only an asymmetric order flag.
+    text = (work / "stats.tsv").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    undirected = _edited(STATS_ROW, {3: "ANT", 11: "", 12: "", 14: ""})
+    cases = _cases("stats.tsv", text) + [
+        (f"faults-{flag}-{other}", [*lines[:2], _edited(STATS_ROW, flag, other), *lines[2:]])
+        for flag, other in itertools.product(FLAG_FAULTS, OTHER_FAULTS)
+    ] + [
+        ("good-row", [*lines, STATS_ROW]),
+        ("undirected-with-asym-order-pref", [*lines[:2], undirected, *lines[2:]]),
+    ]
+    path = tmp_path / "stats.tsv"
+    load = _stats_columns(metrics.read_pair_stats)
+    load_reference = _stats_columns(reference.read_pair_stats)
     outcomes = set()
     for case, data in cases:
         path.write_bytes(data if isinstance(data, bytes) else "\n".join(data).encode())

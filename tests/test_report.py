@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from coocstat.lexicon import ANT, HOL, HYP, SYN, UNR, DerivedPair
+from coocstat.lexicon import ANT, HOL, HYP, RELATIONS, SYN, UNR, DerivedPair
 from coocstat.metrics import StatsTable
 from coocstat.report import (
     ReportOptions,
@@ -246,10 +246,78 @@ class TestWriteReport:
             writer = csv.writer(want, lineterminator="\n")
             writer.writerow(["pos", "relation", "value"])
             for (pos, rel), values in distribution_groups(stats, metric).items():
-                writer.writerows([pos, rel, repr(v)] for v in values)
+                writer.writerows([pos, rel, repr(v)] for v in values.tolist())
             got = (tmp_path / f"fig_{metric}_values.csv").read_bytes()
             assert got == want.getvalue().encode("utf-8")
         assert "comparisons.csv" in names and "distinct.csv" in names
+
+    def test_csv_files_read_back_as_the_computed_cells(self, tmp_path):
+        # Floats as their `repr`, counts in decimal, flags as 0 or 1 and a
+        # missing value empty; no cell needs quoting, so each line is its
+        # cells joined by commas.
+        stats = self._items(scored("j", "k", pos="ADJ", relation=SYN, g2=3.0, dist=4.0))
+        derived = [
+            DerivedPair(pair("a0", "b0"), pair("c0", "d0", relation=SYN)),
+            DerivedPair(pair("a1", "b1"), pair("u1", "x1", relation=UNR)),
+        ]
+        written = write_report(stats, tmp_path, ReportOptions(), derived)
+
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "1" if value else "0"
+            return value if isinstance(value, str) else repr(value)
+
+        comparisons = compare_all(stats)
+
+        def distinct(s, metric):
+            matrix = comparisons.get((s.pos, metric))
+            return bool(matrix and matrix.distinct.get(s.relation, False))
+
+        want = {}
+        grid = {
+            1: lambda s: [s.n_pairs],
+            2: lambda s: [s.n_pairs, s.avg_g2, s.pct_g2_sig, s.avg_g2, s.avg_g2_sig],
+            3: lambda s: [s.avg_order, s.pct_order_pref, s.n_sig_cooc],
+            4: lambda s: [s.avg_distance, s.avg_distance, s.avg_distance_pooled, s.n_sig_cooc],
+        }
+        for number, values in grid.items():
+            metric = {2: "g2", 3: "order", 4: "distance"}.get(number)
+            want[f"table{number}.csv"] = [
+                [s.pos, s.relation, *values(s)] + ([distinct(s, metric)] if metric else [])
+                for s in summarize(stats)
+            ]
+        want["table5.csv"] = [list(r) for r in derivation_persistence(derived, stats)]
+        rows, micro = associated_counts(stats)
+        want["table6.csv"] = [list(r) for r in rows] + [
+            ["MICRO", rel, micro[rel]] for rel in RELATIONS if rel in micro
+        ]
+        want["comparisons.csv"] = [
+            [pos, metric, a, b, *(
+                [None] * 5 if (r := matrix.result(a, b)) is None
+                else [r.statistic, r.p_value, r.df, r.effect, r.p_value < matrix.alpha]
+            ), r is None]
+            for (pos, metric), matrix in comparisons.items()
+            for i, a in enumerate(matrix.relations) for b in matrix.relations[i + 1:]
+        ]
+        want["distinct.csv"] = [
+            [pos, metric, rel, flag]
+            for (pos, metric), matrix in comparisons.items()
+            for rel, flag in matrix.distinct.items()
+        ]
+        for metric in ("g2", "order", "distance", "order_asym"):
+            groups = distribution_groups(stats, metric)
+            want[f"fig_{metric}.csv"] = [[*key, *five_number(v)] for key, v in groups.items()]
+            want[f"fig_{metric}_values.csv"] = [
+                [*key, value] for key, values in groups.items() for value in values.tolist()
+            ]
+        assert {p.name for p in written if p.suffix == ".csv"} == set(want)
+        for name, rows in want.items():
+            data = (tmp_path / name).read_text(encoding="utf-8")
+            got = list(csv.reader(io.StringIO(data)))[1:]
+            assert got == [[cell(value) for value in row] for row in rows], name
+            assert data == "".join(",".join(row) + "\n" for row in csv.reader(io.StringIO(data)))
 
     def test_undefined_cells_rendered_as_dashes(self, tmp_path):
         write_report(self._items(), tmp_path)

@@ -6,18 +6,21 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from coocstat import counting, lexicon, metrics, tsv
@@ -510,13 +513,72 @@ def test_float64s_matches_the_per_field_rule(column, optional):
     assert faults.found == want_faults
 
 
+# Floats whose `repr` is easy to get wrong: signed zero, subnormals, the
+# smallest normal, 17 significant digits, the largest finite float.
+HARD_FLOATS = [
+    -0.0, 5e-324, -2.5e-323, 2.2250738585072014e-308, 0.30000000000000004,
+    1.2345678901234567e-12, 9007199254740993.0, 1.7976931348623157e308,
+]
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+@example(HARD_FLOATS)
 def test_every_finite_float_reads_back(floats):
-    # `write_pair_stats` writes a float as its `repr`.
+    # `tsv` writes a float as its `repr`.
     faults = tsv.Faults("x")
     values = tsv.float64s(list(map(repr, floats)), faults)
     assert not faults.found
     assert values.tobytes() == np.array(floats, dtype=np.float64).tobytes()
+
+
+# One column of each type that `write_table` takes: text, a flag, an
+# optional flag, an integer, a float, an optional float (NaN for None) and
+# an object array of optional floats.
+ROUND_TRIP = tsv.Table(
+    "round-trip", ("text", "flag", "opt_flag", "int", "float", "opt_float", "obj")
+)
+_TEXTS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"))
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(HARD_FLOATS))
+_ROWS = st.lists(st.tuples(
+    _TEXTS, st.booleans(), st.sampled_from([-1, 0, 1]), st.integers(-(2 ** 63), 2 ** 63 - 1),
+    _FINITE, st.one_of(st.just(math.nan), _FINITE), st.one_of(st.none(), _FINITE),
+), max_size=40)
+
+
+def _read_back(columns: list[list[str]], faults: tsv.Faults) -> list:
+    """The columns of a `ROUND_TRIP` file, each by the reader of its type."""
+    text, flag, opt_flag, ints, floats, opt_floats, obj = columns
+    return [
+        text, tsv.flags(flag, faults), tsv.flags(opt_flag, faults, optional=True),
+        tsv.int64s(ints, faults), tsv.float64s(floats, faults),
+        tsv.float64s(opt_floats, faults, optional=True), tsv.float64s(obj, faults, optional=True),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_ROWS, fields=st.sampled_from([7, 21, 1 << 13]))
+@example(rows=[
+    ("", False, -1, -(2 ** 63), -0.0, math.nan, None),
+    ("a,b", True, 0, 2 ** 63 - 1, 5e-324, -0.0, -0.0),
+    ("ü", True, 1, 0, 0.30000000000000004, 0.0, 2.2250738585072014e-308),
+    ("x", False, 1, 7, 0.0, 1.7976931348623157e308, 0.0),
+], fields=21)
+def test_written_columns_read_back_bit_identical(rows, fields):
+    # Blocks of one row, of three, and the default; -0.0 and 0.0 in one block.
+    columns = [list(column) for column in zip(*rows)] or [[]] * 7
+    text, flag, opt_flag, ints, floats, opt_floats, obj = columns
+    arrays = [
+        np.array(flag, bool), np.array(opt_flag, np.int8), np.array(ints, np.int64),
+        np.array(floats, np.float64), np.array(opt_floats, np.float64),
+    ]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tsv, "_FIELDS", fields):
+        path = os.path.join(tmp, "t.tsv")
+        tsv.write_table(path, ROUND_TRIP, [text, *arrays, np.array(obj, dtype=object)])
+        got = tsv.read_columns(path, ROUND_TRIP, _read_back)  # raises on any fault
+    assert got[0] == text
+    obj_floats = np.array([math.nan if x is None else x for x in obj], np.float64)
+    for have, want in zip(got[1:], [*arrays, obj_floats]):
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("optional", [False, True])
